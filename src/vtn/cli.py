@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .container import parse_json
 from .converter import DecodeConfig, convert_sequence, dump_attention
 from .errors import VtnError
 from .features import (compute_stats, gen_synthetic_corpus, load_corpus,
@@ -43,7 +44,7 @@ def load_run_config(config_path, overrides):
     """Merge defaults, an optional JSON file, and --set overrides."""
     merged = {name: {} for name in _SECTIONS}
     if config_path is not None:
-        raw = json.loads(Path(config_path).read_text())
+        raw = parse_json(config_path, Path(config_path).read_bytes())
         for section, values in raw.items():
             if section not in _SECTIONS:
                 raise VtnError(f"unknown config section {section!r}")

@@ -35,24 +35,24 @@ class DecodeConfig:
         return int(round(self.window_back_ms / step)), int(round(self.window_fwd_ms / step))
 
 
+def _head_mean(heads) -> np.ndarray:
+    """Mean over a sequence of per-head attention arrays."""
+    return np.mean(heads, axis=0)
+
+
 @dataclass
 class ConversionResult:
     output: np.ndarray                 # (D x N_out) stacked, normalized domain
-    attention: list[list[np.ndarray]]  # final full pass, L x H of (N_src x N_out)
+    attention: list[list[np.ndarray]]  # L x H of (N_src x N_out); column m is
+                                       # the attention decode step m+1 used
     n_hat: list[int]                   # 1-based attended source position per step
     truncated: bool = False
     extra: dict = field(default_factory=dict)
 
     @property
     def mean_attention(self) -> np.ndarray:
-        rows = [a for layer in self.attention for a in layer]
-        return np.mean(rows, axis=0)
-
-
-def mean_attention_column(attn_set, col: int) -> np.ndarray:
-    """Mean over layers and heads of one attention column."""
-    cols = [a.data[:, col] for layer in attn_set for a in layer]
-    return np.mean(cols, axis=0)
+        """Mean over layers and heads, (N_src x N_out)."""
+        return _head_mean([a for layer in self.attention for a in layer])
 
 
 def _window_mask(n_src: int, n_cols: int, n_hat: int, n0: int, n1: int) -> np.ndarray:
@@ -95,7 +95,6 @@ def convert(model: VtnModel, src: np.ndarray, k: int | None, kp: int | None,
         n_hat_track: list[int] = []
         n_hat = 1
         truncated = False
-        attn_set = None
         step_heads: list[np.ndarray] = []   # per step, (L*H, N_src) newest-column attention
         step_windows: list[tuple[int, int] | None] = []
         if cfg.mode == "realtime":
@@ -114,17 +113,21 @@ def convert(model: VtnModel, src: np.ndarray, k: int | None, kp: int | None,
                                        tsa_identity=(cfg.mode == "realtime"))
             prefix = np.concatenate([prefix, y.data[:, -1:]], axis=1)
             last = prefix.shape[1] - 2
-            step_heads.append(np.stack([a.data[:, last]
-                                        for layer in attn_set for a in layer]))
-            col = mean_attention_column(attn_set, last)
-            n_hat = int(np.argmax(col)) + 1
+            heads = np.stack([a.data[:, last] for layer in attn_set for a in layer])
+            step_heads.append(heads)
+            n_hat = int(np.argmax(_head_mean(heads))) + 1
             n_hat_track.append(n_hat)
             if cfg.mode != "realtime" and n_hat == n_src:
                 break
         else:
             truncated = cfg.mode != "realtime"
 
-    attention = [[a.data.copy() for a in layer] for layer in attn_set]
+    # earlier columns of a later step's re-run lose their windows, so the
+    # attention reported is assembled from each step's own newest column
+    columns = np.stack(step_heads, axis=-1)
+    n_heads = model.config.H
+    attention = [list(columns[l * n_heads:(l + 1) * n_heads])
+                 for l in range(model.config.L)]
     return ConversionResult(output=prefix[:, 1:], attention=attention,
                             n_hat=n_hat_track, truncated=truncated,
                             extra={"step_head_columns": step_heads,
@@ -192,7 +195,7 @@ def convert_sequence(model: VtnModel, seq: FeatureSequence, target_speaker: str,
 
 
 def dump_attention(result: ConversionResult, out_dir) -> list[Path]:
-    """Write every head's final attention matrix plus the head mean as CSV."""
+    """Write every head's attention matrix plus the head mean as CSV."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import json
 import math
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from . import container
 from .errors import AdjustmentError, FormatError, StatsError
 
 VOICED_THRESHOLD = 0.5
@@ -189,64 +189,46 @@ def adjust_output_stats(seq: FeatureSequence, stats: SpeakerStats) -> FeatureSeq
 # binary file formats
 
 def save_features(seq: FeatureSequence, path) -> None:
-    name = seq.speaker.encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_FEATURES_MAGIC)
-        fh.write(struct.pack("<III f H", _FORMAT_VERSION, seq.n_mcc,
-                             seq.n_frames, seq.frame_period_ms, len(name)))
-        fh.write(name)
-        fh.write(seq.data.T.astype("<f4").tobytes())
+    with container.writing(path, _FEATURES_MAGIC, _FORMAT_VERSION) as w:
+        w.fields("<IIf", seq.n_mcc, seq.n_frames, seq.frame_period_ms)
+        w.string(seq.speaker)
+        w.array(seq.data.T, "<f4")
 
 
 def load_features(path) -> FeatureSequence:
-    raw = Path(path).read_bytes()
-    if raw[:4] != _FEATURES_MAGIC:
-        raise FormatError(f"{path}: bad magic {raw[:4]!r}")
-    version, n_mcc, n_raw, period, name_len = struct.unpack_from("<III f H", raw, 4)
-    if version != _FORMAT_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    off = 4 + struct.calcsize("<III f H")
-    name = raw[off:off + name_len].decode("utf-8")
-    off += name_len
-    count = (n_mcc + 3) * n_raw
-    values = np.frombuffer(raw, dtype="<f4", count=count, offset=off)
-    data = values.reshape(n_raw, n_mcc + 3).T.astype(np.float64)
-    return FeatureSequence(data, name, float(period))
+    r = container.Reader(path, _FEATURES_MAGIC, _FORMAT_VERSION)
+    n_mcc, n_raw, period = r.fields("<IIf")
+    if n_mcc < 1 or period <= 0.0:
+        container.fail(path, f"bad header: {n_mcc} MCC rows, frame period {period} ms")
+    speaker = r.string()
+    data = r.array("<f4", (n_raw, n_mcc + 3)).T
+    r.end()
+    return FeatureSequence(data, speaker, period)
 
 
 def save_stats(stats: SpeakerStats, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(_STATS_MAGIC)
-        fh.write(struct.pack("<III", _FORMAT_VERSION, stats.n_mcc, len(stats.speakers)))
+    with container.writing(path, _STATS_MAGIC, _FORMAT_VERSION) as w:
+        w.fields("<II", stats.n_mcc, len(stats.speakers))
         for spk in stats.speakers:
-            name = spk.encode("utf-8")
-            fh.write(struct.pack("<H", len(name)))
-            fh.write(name)
-            fh.write(stats.mean[spk].astype("<f8").tobytes())
-            fh.write(stats.std[spk].astype("<f8").tobytes())
+            w.string(spk)
+            w.array(stats.mean[spk], "<f8")
+            w.array(stats.std[spk], "<f8")
 
 
 def load_stats(path) -> SpeakerStats:
-    raw = Path(path).read_bytes()
-    if raw[:4] != _STATS_MAGIC:
-        raise FormatError(f"{path}: bad magic {raw[:4]!r}")
-    version, n_mcc, n_spk = struct.unpack_from("<III", raw, 4)
-    if version != _FORMAT_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    off = 4 + 12
-    speakers, mean, std = [], {}, {}
+    r = container.Reader(path, _STATS_MAGIC, _FORMAT_VERSION)
+    n_mcc, n_spk = r.fields("<II")
+    mean, std = {}, {}
     for _ in range(n_spk):
-        (name_len,) = struct.unpack_from("<H", raw, off)
-        off += 2
-        spk = raw[off:off + name_len].decode("utf-8")
-        off += name_len
-        k = n_mcc + 1
-        mean[spk] = np.frombuffer(raw, dtype="<f8", count=k, offset=off).copy()
-        off += 8 * k
-        std[spk] = np.frombuffer(raw, dtype="<f8", count=k, offset=off).copy()
-        off += 8 * k
-        speakers.append(spk)
-    return SpeakerStats(n_mcc=n_mcc, speakers=speakers, mean=mean, std=std)
+        spk = r.string()
+        if spk in mean:
+            container.fail(path, f"duplicate speaker {spk!r}")
+        mean[spk] = r.array("<f8", (n_mcc + 1,))
+        std[spk] = r.array("<f8", (n_mcc + 1,))
+        if not (std[spk] > 0.0).all():
+            container.fail(path, f"non-positive standard deviation for speaker {spk!r}")
+    r.end()
+    return SpeakerStats(n_mcc=n_mcc, speakers=list(mean), mean=mean, std=std)
 
 
 def save_corpus(corpus: Corpus, out_dir) -> None:
@@ -267,11 +249,14 @@ def save_corpus(corpus: Corpus, out_dir) -> None:
 
 def load_corpus(data_dir) -> Corpus:
     root = Path(data_dir)
-    manifest = json.loads((root / "corpus.json").read_text())
-    speakers = manifest["speakers"]
+    path = root / "corpus.json"
+    manifest = container.parse_json(path, path.read_bytes())
+    speakers = container.value(path, manifest, "speakers", list)
+    if not speakers or not all(type(s) is str for s in speakers):
+        container.fail(path, "'speakers' must be a non-empty list of names")
+    n_utterances = container.value(path, manifest, "n_utterances", int)
     utterances = {
-        spk: [load_features(root / f"{spk}_{i:03d}.vtnf")
-              for i in range(manifest["n_utterances"])]
+        spk: [load_features(root / f"{spk}_{i:03d}.vtnf") for i in range(n_utterances)]
         for spk in speakers
     }
     return Corpus(speakers=speakers, utterances=utterances,

@@ -8,17 +8,15 @@ conditioning appends an embedding column to the input of a sub-layer
 
 from __future__ import annotations
 
-import json
 import math
-import struct
-from dataclasses import dataclass, asdict, field
-from pathlib import Path
+from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
 from . import autodiff as ad
+from . import container
 from .autodiff import Tensor
-from .errors import FormatError, ShapeError
+from .errors import ShapeError
 
 _MODEL_MAGIC = b"VTNM"
 _MODEL_VERSION = 1
@@ -84,6 +82,65 @@ def causal_mask(n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # parameter construction
 
+def param_shapes(cfg: VtnConfig) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every learnable parameter, in creation order."""
+    d, e = cfg.d, cfg.e
+    shapes: dict[str, tuple[int, ...]] = {}
+
+    def conv_layer(name, c_in, c_out):
+        shapes[f"{name}.dir"] = (c_out, c_in, PRENET_KERNEL)
+        shapes[f"{name}.scale"] = (c_out,)
+
+    def prenet(name, c_in, conditioned):
+        chans = [c_in + (e if conditioned else 0), d, d]
+        for i, ci in enumerate(chans):
+            conv_layer(f"{name}.{i}", ci, 2 * d)  # GLU halves back to d
+
+    src_in = d + e if cfg.src_conditioned else d
+    tgt_in = d + e if cfg.tgt_conditioned else d
+
+    prenet("src_prenet", cfg.D, cfg.src_conditioned)
+    prenet("tgt_prenet", cfg.D, cfg.tgt_conditioned)
+    # postnet: two GLU conv layers then a linear conv back to D
+    post_c0 = d + (e if cfg.tgt_conditioned else 0)
+    conv_layer("postnet.0", post_c0, 2 * d)
+    conv_layer("postnet.1", d, 2 * d)
+    conv_layer("postnet.2", d, cfg.D)
+
+    def ln(name):
+        shapes[f"{name}.gain"] = (d, 1)
+        shapes[f"{name}.bias"] = (d, 1)
+
+    def ffn(name, d_in):
+        shapes[f"{name}.W3"] = (2 * cfg.d_ffn, d_in)
+        shapes[f"{name}.b3"] = (2 * cfg.d_ffn, 1)
+        shapes[f"{name}.W4"] = (d, cfg.d_ffn)
+        shapes[f"{name}.b4"] = (d, 1)
+
+    for l in range(cfg.L):
+        ln(f"enc.{l}.ln1")
+        ln(f"enc.{l}.ln2")
+        shapes[f"enc.{l}.sa.W1"] = (3 * d, src_in)
+        shapes[f"enc.{l}.sa.W2"] = (d, d)
+        ffn(f"enc.{l}.ffn", src_in)
+    for l in range(cfg.L):
+        ln(f"dec.{l}.ln1")
+        ln(f"dec.{l}.ln2")
+        ln(f"dec.{l}.ln3")
+        shapes[f"dec.{l}.sa.W1"] = (3 * d, tgt_in)
+        shapes[f"dec.{l}.sa.W2"] = (d, d)
+        shapes[f"dec.{l}.tsa.W5"] = (d, tgt_in)
+        shapes[f"dec.{l}.tsa.W6"] = (2 * d, d)
+        shapes[f"dec.{l}.tsa.W7"] = (d, d)
+        ffn(f"dec.{l}.ffn", tgt_in)
+    if cfg.ln_placement == "pre" and cfg.final_ln:
+        ln("enc_final_ln")
+        ln("dec_final_ln")
+    if cfg.mode != "one_to_one":
+        shapes["emb"] = (cfg.n_speakers, e)
+    return shapes
+
+
 def _uniform(rng, shape, fan_in):
     bound = math.sqrt(1.0 / fan_in)
     return rng.uniform(-bound, bound, size=shape)
@@ -105,68 +162,25 @@ class VtnModel:
              speakers: list[str] | None = None) -> "VtnModel":
         rng = np.random.default_rng(seed)
         p: dict[str, Tensor] = {}
-        cfg = config
-        d, e = cfg.d, cfg.e
-
-        def param(name, arr):
+        for name, shape in param_shapes(config).items():
+            kind = name.rsplit(".", 1)[-1]
+            if kind == "scale":
+                direction = p[name[:-len(kind)] + "dir"].data
+                norms = np.sqrt((direction.reshape(shape[0], -1) ** 2).sum(axis=1))
+                # gain 2 compensates the sigmoid gate's signal attenuation;
+                # without it activations shrink ~4x per GLU layer and
+                # training crawls
+                arr = 2.0 * norms
+            elif kind == "gain":
+                arr = np.ones(shape)
+            elif kind in ("bias", "b3", "b4"):
+                arr = np.zeros(shape)
+            elif kind == "emb":
+                arr = rng.normal(0.0, 0.01, size=shape)
+            else:  # conv directions and projection matrices: fan-in uniform
+                arr = _uniform(rng, shape, math.prod(shape[1:]))
             p[name] = Tensor(arr, requires_grad=True)
-
-        def conv_layer(name, c_in, c_out):
-            direction = _uniform(rng, (c_out, c_in, PRENET_KERNEL), c_in * PRENET_KERNEL)
-            norms = np.sqrt((direction.reshape(c_out, -1) ** 2).sum(axis=1))
-            param(f"{name}.dir", direction)
-            # gain 2 compensates the sigmoid gate's signal attenuation; without
-            # it activations shrink ~4x per GLU layer and training crawls
-            param(f"{name}.scale", 2.0 * norms)
-
-        def prenet(name, c_in, conditioned):
-            chans = [c_in + (e if conditioned else 0), d, d]
-            for i, ci in enumerate(chans):
-                conv_layer(f"{name}.{i}", ci, 2 * d)  # GLU halves back to d
-
-        src_in = d + e if cfg.src_conditioned else d
-        tgt_in = d + e if cfg.tgt_conditioned else d
-
-        prenet("src_prenet", cfg.D, cfg.src_conditioned)
-        prenet("tgt_prenet", cfg.D, cfg.tgt_conditioned)
-        # postnet: two GLU conv layers then a linear conv back to D
-        post_c0 = d + (e if cfg.tgt_conditioned else 0)
-        conv_layer("postnet.0", post_c0, 2 * d)
-        conv_layer("postnet.1", d, 2 * d)
-        conv_layer("postnet.2", d, cfg.D)
-
-        def ln(name):
-            param(f"{name}.gain", np.ones((d, 1)))
-            param(f"{name}.bias", np.zeros((d, 1)))
-
-        def ffn(name, d_in):
-            param(f"{name}.W3", _uniform(rng, (2 * cfg.d_ffn, d_in), d_in))
-            param(f"{name}.b3", np.zeros((2 * cfg.d_ffn, 1)))
-            param(f"{name}.W4", _uniform(rng, (d, cfg.d_ffn), cfg.d_ffn))
-            param(f"{name}.b4", np.zeros((d, 1)))
-
-        for l in range(cfg.L):
-            ln(f"enc.{l}.ln1")
-            ln(f"enc.{l}.ln2")
-            param(f"enc.{l}.sa.W1", _uniform(rng, (3 * d, src_in), src_in))
-            param(f"enc.{l}.sa.W2", _uniform(rng, (d, d), d))
-            ffn(f"enc.{l}.ffn", src_in)
-        for l in range(cfg.L):
-            ln(f"dec.{l}.ln1")
-            ln(f"dec.{l}.ln2")
-            ln(f"dec.{l}.ln3")
-            param(f"dec.{l}.sa.W1", _uniform(rng, (3 * d, tgt_in), tgt_in))
-            param(f"dec.{l}.sa.W2", _uniform(rng, (d, d), d))
-            param(f"dec.{l}.tsa.W5", _uniform(rng, (d, tgt_in), tgt_in))
-            param(f"dec.{l}.tsa.W6", _uniform(rng, (2 * d, d), d))
-            param(f"dec.{l}.tsa.W7", _uniform(rng, (d, d), d))
-            ffn(f"dec.{l}.ffn", tgt_in)
-        if cfg.ln_placement == "pre" and cfg.final_ln:
-            ln("enc_final_ln")
-            ln("dec_final_ln")
-        if cfg.mode != "one_to_one":
-            param("emb", rng.normal(0.0, 0.01, size=(cfg.n_speakers, e)))
-        return cls(cfg, p, speakers)
+        return cls(config, p, speakers)
 
     # -- helpers ------------------------------------------------------------
 
@@ -358,58 +372,26 @@ class VtnModel:
 
     def save(self, path) -> None:
         header = {"config": asdict(self.config), "speakers": self.speakers}
-        blob = json.dumps(header, sort_keys=True).encode("utf-8")
-        with open(path, "wb") as fh:
-            fh.write(_MODEL_MAGIC)
-            fh.write(struct.pack("<I", _MODEL_VERSION))
-            fh.write(struct.pack("<I", len(blob)))
-            fh.write(blob)
-            write_named_blocks(fh, {k: v.data for k, v in self.params.items()})
+        with container.writing(path, _MODEL_MAGIC, _MODEL_VERSION) as writer:
+            container.write_json_blocks(writer, header,
+                                        {k: v.data for k, v in self.params.items()})
 
     @classmethod
     def load(cls, path) -> "VtnModel":
-        raw = Path(path).read_bytes()
-        if raw[:4] != _MODEL_MAGIC:
-            raise FormatError(f"{path}: bad magic {raw[:4]!r}")
-        version, blob_len = struct.unpack_from("<II", raw, 4)
-        if version != _MODEL_VERSION:
-            raise FormatError(f"{path}: unsupported version {version}")
-        off = 12
-        header = json.loads(raw[off:off + blob_len].decode("utf-8"))
-        off += blob_len
-        arrays, _ = read_named_blocks(raw, off)
+        header, arrays = container.read_json_blocks(
+            container.Reader(path, _MODEL_MAGIC, _MODEL_VERSION))
+        settings = container.value(path, header, "config", dict)
+        for f in fields(VtnConfig):
+            kinds = (float, int) if type(f.default) is float else (type(f.default),)
+            container.value(path, settings, f.name, *kinds)
+        try:
+            config = VtnConfig(**settings)
+        except (TypeError, ZeroDivisionError, ShapeError) as exc:
+            container.fail(path, f"bad model config: {exc}")
+        speakers = container.value(path, header, "speakers", list, type(None))
+        if speakers is not None and not all(type(s) is str for s in speakers):
+            container.fail(path, "'speakers' must be a list of names")
+        if {k: v.shape for k, v in arrays.items()} != param_shapes(config):
+            container.fail(path, "parameter names or shapes do not match the stored config")
         params = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
-        return cls(VtnConfig(**header["config"]), params, header.get("speakers"))
-
-
-# ---------------------------------------------------------------------------
-# named binary blocks (shared by model checkpoints and optimizer state)
-
-def write_named_blocks(fh, arrays: dict[str, np.ndarray]) -> None:
-    fh.write(struct.pack("<I", len(arrays)))
-    for name, arr in arrays.items():
-        nb = name.encode("utf-8")
-        fh.write(struct.pack("<H", len(nb)))
-        fh.write(nb)
-        fh.write(struct.pack("<B", arr.ndim))
-        fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-
-
-def read_named_blocks(raw: bytes, off: int) -> tuple[dict[str, np.ndarray], int]:
-    (count,) = struct.unpack_from("<I", raw, off)
-    off += 4
-    arrays: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", raw, off)
-        off += 2
-        name = raw[off:off + name_len].decode("utf-8")
-        off += name_len
-        (rank,) = struct.unpack_from("<B", raw, off)
-        off += 1
-        shape = struct.unpack_from(f"<{rank}I", raw, off)
-        off += 4 * rank
-        n = int(np.prod(shape)) if rank else 1
-        arrays[name] = np.frombuffer(raw, dtype="<f8", count=n, offset=off).reshape(shape).copy()
-        off += 8 * n
-    return arrays, off
+        return cls(config, params, speakers)

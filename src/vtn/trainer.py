@@ -2,19 +2,18 @@
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
+from . import container
 from .autodiff import AdamState
-from .errors import FormatError, ShapeError, TrainingDivergedError
+from .errors import ShapeError, TrainingDivergedError
 from .features import Corpus, SpeakerStats, normalize, stack
 from .losses import LossWeights, total_loss
-from .model import VtnConfig, VtnModel, read_named_blocks, write_named_blocks
+from .model import VtnConfig, VtnModel
 
 _STATE_MAGIC = b"VTNO"
 _STATE_VERSION = 1
@@ -106,7 +105,11 @@ def train_step(model: VtnModel, batch: list[BatchItem], opt_state: AdamState,
     if not np.isfinite(loss.data):
         raise TrainingDivergedError(f"non-finite loss at step {opt_state.step + 1}: {breakdown}")
     loss.backward()
-    clip_global_norm(model, train_cfg.grad_clip)
+    norm = clip_global_norm(model, train_cfg.grad_clip)
+    if not np.isfinite(norm):
+        # a NaN norm skips clipping, and Adam would write NaN into every weight
+        raise TrainingDivergedError(
+            f"non-finite gradient norm at step {opt_state.step + 1}: {breakdown}")
     ad.adam_step(model.params, opt_state, train_cfg.lr, train_cfg.beta1,
                  train_cfg.beta2, train_cfg.eps)
     return breakdown
@@ -122,31 +125,32 @@ def save_trainer_state(path, iteration: int, opt_state: AdamState,
                        rng: np.random.Generator) -> None:
     header = {"iteration": iteration, "adam_step": opt_state.step,
               "rng_state": rng.bit_generator.state}
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
     arrays = {f"m.{k}": v for k, v in opt_state.m.items()}
     arrays.update({f"v.{k}": v for k, v in opt_state.v.items()})
-    with open(path, "wb") as fh:
-        fh.write(_STATE_MAGIC)
-        fh.write(struct.pack("<II", _STATE_VERSION, len(blob)))
-        fh.write(blob)
-        write_named_blocks(fh, arrays)
+    with container.writing(path, _STATE_MAGIC, _STATE_VERSION) as writer:
+        container.write_json_blocks(writer, header, arrays)
 
 
 def load_trainer_state(path) -> tuple[int, AdamState, dict]:
-    raw = Path(path).read_bytes()
-    if raw[:4] != _STATE_MAGIC:
-        raise FormatError(f"{path}: bad magic {raw[:4]!r}")
-    version, blob_len = struct.unpack_from("<II", raw, 4)
-    if version != _STATE_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    header = json.loads(raw[12:12 + blob_len].decode("utf-8"))
-    arrays, _ = read_named_blocks(raw, 12 + blob_len)
+    header, arrays = container.read_json_blocks(
+        container.Reader(path, _STATE_MAGIC, _STATE_VERSION))
+    iteration = container.value(path, header, "iteration", int)
     state = AdamState()
-    state.step = header["adam_step"]
+    state.step = container.value(path, header, "adam_step", int)
+    rng_state = container.value(path, header, "rng_state", dict)
+    try:
+        # train() restores this state into a default_rng, i.e. a PCG64
+        np.random.PCG64(0).state = rng_state
+    except (TypeError, ValueError, KeyError, OverflowError) as exc:
+        container.fail(path, f"bad rng_state: {exc!r}")
     for name, arr in arrays.items():
-        kind, pname = name.split(".", 1)
+        kind, _, pname = name.partition(".")
+        if kind not in ("m", "v") or not pname:
+            container.fail(path, f"block {name!r} is neither m.<param> nor v.<param>")
         (state.m if kind == "m" else state.v)[pname] = arr
-    return header["iteration"], state, header["rng_state"]
+    if state.m.keys() != state.v.keys():
+        container.fail(path, "first and second moments cover different parameters")
+    return iteration, state, rng_state
 
 
 def _checkpoint(out_dir: Path, tag: str, model: VtnModel, iteration: int,

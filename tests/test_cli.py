@@ -99,6 +99,27 @@ def test_unknown_section_rejected(workspace, tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("text", ['{"model": {"L": 1', '[{"model": {}}]'])
+def test_malformed_config_file_rejected(workspace, tmp_path, capsys, text):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(text)
+    rc = main(["train", "--data", str(workspace / "data"),
+               "--out", str(tmp_path / "run"), "--config", str(cfg_path)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: {cfg_path}: ")
+
+
+def test_stats_manifest_without_utterance_count(workspace, tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    manifest = json.loads((workspace / "data" / "corpus.json").read_text())
+    del manifest["n_utterances"]
+    (data / "corpus.json").write_text(json.dumps(manifest))
+    rc = main(["stats", "--data", str(data), "--out", str(tmp_path / "s.vtns")])
+    assert rc == 1
+    assert "n_utterances" in capsys.readouterr().err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["convert"])  # missing required flags
@@ -255,6 +276,27 @@ def test_evaluate_missing_file_no_partial_report(workspace, tmp_path):
                "--reference", str(tmp_path / "empty"), "--report", str(report)])
     assert rc == 1
     assert not report.exists()
+
+
+def test_evaluate_truncated_features(workspace, tmp_path, capsys):
+    cut = tmp_path / "cut.vtnf"
+    cut.write_bytes((workspace / "data" / "spk1_000.vtnf").read_bytes()[:100])
+    rc = main(["evaluate", "--converted", str(cut),
+               "--reference", str(workspace / "data" / "spk1_000.vtnf"),
+               "--report", str(tmp_path / "r.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: {cut}: truncated")
+
+
+def test_convert_truncated_checkpoint(workspace, tmp_path, capsys):
+    cut = tmp_path / "cut.vtnm"
+    cut.write_bytes((workspace / "run" / "final.vtnm").read_bytes()[:300])
+    rc = main(["convert", "--model", str(cut), "--stats", str(workspace / "stats.vtns"),
+               "--input", str(workspace / "data" / "spk0_000.vtnf"),
+               "--tgt-spk", "spk1", "--out", str(tmp_path / "out.vtnf")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: {cut}: truncated")
+    assert not (tmp_path / "out.vtnf").exists()
 
 
 def test_evaluate_mixed_file_dir_rejected(workspace, tmp_path):

@@ -3,8 +3,7 @@ import pytest
 
 from vtn import autodiff as ad
 from vtn.converter import (ConversionResult, DecodeConfig, _window_mask,
-                           convert, convert_sequence, dump_attention,
-                           mean_attention_column)
+                           convert, convert_sequence, dump_attention)
 from vtn.errors import ShapeError, StatsError
 from vtn.features import compute_stats, gen_synthetic_corpus
 from vtn.model import VtnConfig, VtnModel
@@ -59,10 +58,13 @@ def test_incremental_equals_teacher_forced():
     prefix = np.concatenate([np.zeros((model.config.D, 1)), result.output], axis=1)
     with ad.column_exact():
         z = model.encode(src, k=0)
-        y, _ = model.decode(prefix, z, kp=1)
+        y, attn = model.decode(prefix, z, kp=1)
     n_out = result.output.shape[1]
     # column m of the full pass equals the column generated at step m+1
     assert np.array_equal(y.data[:, :n_out], result.output)
+    for layer, full_layer in zip(result.attention, attn):
+        for a, full in zip(layer, full_layer):
+            assert np.array_equal(a, full.data[:, :n_out])
     # and every proper prefix reproduces its columns bit-identically
     for m in range(1, n_out + 1):
         with ad.column_exact():
@@ -92,6 +94,21 @@ def test_windowed_mass_outside_window_exactly_zero():
         lo, hi = window
         outside = np.concatenate([heads[:, :lo - 1], heads[:, hi:]], axis=1)
         assert outside.size == 0 or np.abs(outside).max() == 0.0
+
+
+def test_windowed_dumped_attention_zero_outside_each_steps_window(tmp_path):
+    model = _model(seed=3)
+    src = _src(np.random.default_rng(3), model, n=12)
+    cfg = DecodeConfig(mode="windowed", window_back_ms=48.0, window_fwd_ms=72.0)
+    result = convert(model, src, 0, 1, cfg)
+    files = dump_attention(result, tmp_path / "attn")
+    windows = result.extra["step_windows"]
+    assert len(windows) > 1
+    for path in files:
+        matrix = np.loadtxt(path, delimiter=",", ndmin=2)
+        assert matrix.shape == (12, len(windows))
+        for col, (lo, hi) in zip(matrix.T, windows):
+            assert not col[:lo - 1].any() and not col[hi:].any()
 
 
 def test_windowed_n_hat_confined():
@@ -197,9 +214,10 @@ def test_dump_attention_file_count(tmp_path):
     assert (tmp_path / "attn" / "mean.csv").exists()
 
 
-def test_mean_attention_column_is_head_mean():
-    from vtn.autodiff import Tensor
-    a = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    b = Tensor(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    col = mean_attention_column([[a, b]], 0)
-    assert np.array_equal(col, [0.5, 0.5])
+def test_mean_attention_is_head_mean():
+    a = np.array([[1.0, 0.0], [0.0, 1.0]])
+    b = np.array([[0.0, 1.0], [1.0, 0.0]])
+    c = np.array([[0.5, 0.0], [0.5, 1.0]])
+    result = ConversionResult(output=np.zeros((3, 2)), attention=[[a, b], [c, c]],
+                              n_hat=[1, 1])
+    assert np.array_equal(result.mean_attention, [[0.5, 0.25], [0.5, 0.75]])

@@ -241,6 +241,15 @@ def test_vtnf_bad_magic(tmp_path):
         load_features(p)
 
 
+def test_vtnf_non_finite_value_rejected(tmp_path):
+    data = np.ones((4, 3))
+    data[1, 2] = np.inf
+    path = tmp_path / "inf.vtnf"
+    save_features(_seq(data), path)
+    with pytest.raises(FormatError, match="non-finite"):
+        load_features(path)
+
+
 def test_vtns_round_trip(tmp_path):
     corpus = gen_synthetic_corpus(3, 2, seed=8)
     stats = compute_stats(corpus)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vtn.autodiff import AdamState
+from vtn.autodiff import AdamState, Tensor
 from vtn.errors import ShapeError, TrainingDivergedError
 from vtn.features import compute_stats, gen_synthetic_corpus
 from vtn.model import VtnConfig, VtnModel
@@ -111,6 +111,29 @@ def test_train_step_diverged():
     batch = make_batch(corpus, stats, cfg, TrainConfig(batch_size=1), rng)
     with pytest.raises(TrainingDivergedError):
         train_step(model, batch, AdamState(), TrainConfig(), rng)
+
+
+def test_train_step_nan_gradient_leaves_weights(monkeypatch):
+    corpus = small_corpus()
+    stats = compute_stats(corpus)
+    cfg = tiny_cfg()
+    model = VtnModel.init(cfg, seed=0, speakers=corpus.speakers)
+    before = {k: v.data.copy() for k, v in model.params.items()}
+    real_backward = Tensor.backward
+
+    def backward(self):
+        real_backward(self)
+        model.params["enc.0.sa.W1"].grad[0, 0] = np.nan
+
+    monkeypatch.setattr(Tensor, "backward", backward)
+    rng = np.random.default_rng(7)
+    batch = make_batch(corpus, stats, cfg, TrainConfig(batch_size=1), rng)
+    state = AdamState()
+    with pytest.raises(TrainingDivergedError, match="gradient norm"):
+        train_step(model, batch, state, TrainConfig(), rng)
+    assert state.step == 0
+    for name, arr in before.items():
+        assert np.array_equal(model.params[name].data, arr)
 
 
 def test_train_step_overfits_single_batch():
