@@ -131,12 +131,20 @@ def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if not _column_exact or b.ndim != 2:
         return a @ b
     out = np.zeros((a.shape[0], b.shape[1]), dtype=np.float64)
+    gathered_all = None
     for j in range(b.shape[1]):
         col = b[:, j]
-        nz = np.flatnonzero(col)
-        if len(nz):
+        nz = col.nonzero()[0]
+        if len(nz) == len(col):
+            # the gather over the full support is the same array for every
+            # dense column, so it is made once per call
+            if gathered_all is None:
+                gathered_all = a[:, nz]
+            out[:, j] = gathered_all @ col[nz]
+        elif len(nz):
             # always go through the gathered copy: gemv on the original and
-            # on an equal-content copy can disagree in the last bit
+            # on an equal-content copy can disagree in the last bit (the
+            # gather is column-major)
             out[:, j] = a[:, nz] @ col[nz]
     return out
 
@@ -315,7 +323,7 @@ def masked_softmax_columns(x: Tensor, mask: np.ndarray) -> Tensor:
     if _column_exact:
         y = np.zeros_like(x.data)
         for j in range(x.data.shape[1]):
-            idx = np.flatnonzero(keep[:, j])
+            idx = keep[:, j].nonzero()[0]
             z = x.data[idx, j]
             e = np.exp(z - z.max())
             y[idx, j] = e / e.sum()

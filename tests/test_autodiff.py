@@ -305,6 +305,23 @@ def test_column_exact_matches_fast_mode_closely():
     assert np.allclose(fast, exact, atol=1e-12)
 
 
+def test_column_exact_matmul_is_per_column_support_gemv():
+    # each column is a gemv of the gathered support, whether the column is
+    # dense or has zeros, and whatever its neighbours are
+    rng = np.random.default_rng(13)
+    a = rng.normal(size=(7, 9))
+    b = rng.normal(size=(9, 6))
+    b[4:, 1] = 0.0      # trailing zeros, like a causal attention column
+    b[::2, 3] = 0.0
+    b[:, 5] = 0.0
+    with ad.column_exact():
+        out = ad.matmul(Tensor(a), Tensor(b)).data
+    for j in range(6):
+        nz = np.flatnonzero(b[:, j])
+        want = a[:, nz] @ b[nz, j] if len(nz) else np.zeros(7)
+        assert np.array_equal(out[:, j], want)
+
+
 def test_column_exact_prefix_stability():
     # the core decoding property: results for column j never change when
     # more columns are appended, for matmul / layer_norm / masked softmax
