@@ -12,6 +12,7 @@ from .features import FeatureSequence, VOICED_THRESHOLD
 
 MCD_CONST = 10.0 / math.log(10.0)
 LDR_WINDOW = 10  # aligned path steps per local-slope estimate
+DTW_BLOCK_ELEMENTS = 1 << 16  # elements per (rows, N_b, D) difference block: 512 KiB, cache-sized
 
 
 @dataclass
@@ -35,28 +36,43 @@ def dtw(a: np.ndarray, b: np.ndarray) -> tuple[WarpPath, float]:
     n_a, n_b = a.shape[1], b.shape[1]
     if n_a == 0 or n_b == 0:
         raise ShapeError("dtw: empty sequence")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise MetricUndefinedError("dtw: non-finite value in an input sequence")
 
-    # local cost matrix
-    diff = a.T[:, None, :] - b.T[None, :, :]
-    cost = np.sqrt((diff * diff).sum(axis=2))
+    # acc[i + 1, j + 1] holds the local cost of (i, j) until the sweep below
+    # replaces it by the accumulated cost; row 0 and column 0 are the inf
+    # border that stands in for the missing predecessors of the first row and
+    # column.  Each row block keeps the (rows, N_b, D) difference layout of
+    # the whole-matrix expression, so the sums over D add in the same order.
+    w = n_b + 1
+    acc = np.full((n_a + 1, w), np.inf)
+    at, bt = a.T, b.T
+    rows = max(1, DTW_BLOCK_ELEMENTS // max(1, n_b * a.shape[0]))
+    for i0 in range(0, n_a, rows):
+        diff = at[i0:i0 + rows, None, :] - bt[None, :, :]
+        np.sqrt((diff * diff).sum(axis=2), out=acc[i0 + 1:i0 + 1 + rows, 1:])
 
-    acc = np.full((n_a, n_b), np.inf)
-    move = np.zeros((n_a, n_b), dtype=np.int8)  # 0=diag, 1=from-left(a step), 2=from-below(b step)
-    acc[0, 0] = cost[0, 0]
-    for i in range(n_a):
-        for j in range(n_b):
-            if i == 0 and j == 0:
-                continue
-            best = np.inf
-            m = 0
-            if i > 0 and j > 0 and acc[i - 1, j - 1] <= best:
-                best, m = acc[i - 1, j - 1], 0
-            if i > 0 and acc[i - 1, j] < best:
-                best, m = acc[i - 1, j], 1
-            if j > 0 and acc[i, j - 1] < best:
-                best, m = acc[i, j - 1], 2
-            acc[i, j] = best + cost[i, j]
-            move[i, j] = m
+    # Sweep anti-diagonals s = i + j. Cell (i, s - i) sits at flat index
+    # i * N_b + s + w + 1, so each diagonal and its three predecessor sets
+    # are stride-N_b slices; move[i + 1, j + 1] follows the same layout.
+    # Ties: the diagonal when it is <= both others, else the a step when it
+    # is <= the b step, else the b step.
+    flat = acc.ravel()
+    move = np.zeros((n_a + 1, w), dtype=np.int8)  # 0=diag, 1=from-left(a step), 2=from-below(b step)
+    moves = move.ravel()
+    for s in range(1, n_a + n_b - 1):
+        lo = s + w + 1 + max(0, s - n_b + 1) * n_b
+        hi = s + w + 1 + min(s, n_a - 1) * n_b + 1
+        diag = flat[lo - w - 1:hi - w - 1:n_b]
+        up = flat[lo - w:hi - w:n_b]
+        left = flat[lo - 1:hi - 1:n_b]
+        diag_up = np.minimum(diag, up)
+        step = moves[lo:hi:n_b]
+        step[...] = up < diag
+        step[left < diag_up] = 2
+        cell = flat[lo:hi:n_b]
+        np.add(np.minimum(diag_up, left), cell, out=cell)
+    move = move[1:, 1:]
 
     pairs = [(n_a - 1, n_b - 1)]
     i, j = n_a - 1, n_b - 1

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,44 @@ import pytest
 from vtn.errors import MetricUndefinedError, ShapeError
 from vtn.features import FeatureSequence, _warp, gen_synthetic_corpus
 from vtn.metrics import MCD_CONST, dtw, evaluate_pair, lfc, ldr_deviation, mcd
+
+
+def loop_dtw(a, b):
+    """Reference DTW: the dense (N_a, N_b, D) difference tensor and a scalar
+    double loop over the DP, with the tie-break order diag, a step, b step."""
+    diff = a.T[:, None, :] - b.T[None, :, :]
+    cost = np.sqrt((diff * diff).sum(axis=2))
+    n_a, n_b = cost.shape
+    acc = np.full((n_a, n_b), np.inf)
+    move = np.zeros((n_a, n_b), dtype=np.int8)
+    acc[0, 0] = cost[0, 0]
+    for i in range(n_a):
+        for j in range(n_b):
+            if i == 0 and j == 0:
+                continue
+            best = np.inf
+            m = 0
+            if i > 0 and j > 0 and acc[i - 1, j - 1] <= best:
+                best, m = acc[i - 1, j - 1], 0
+            if i > 0 and acc[i - 1, j] < best:
+                best, m = acc[i - 1, j], 1
+            if j > 0 and acc[i, j - 1] < best:
+                best, m = acc[i, j - 1], 2
+            acc[i, j] = best + cost[i, j]
+            move[i, j] = m
+    pairs = [(n_a - 1, n_b - 1)]
+    i, j = n_a - 1, n_b - 1
+    while (i, j) != (0, 0):
+        m = move[i, j]
+        if m == 0:
+            i, j = i - 1, j - 1
+        elif m == 1:
+            i -= 1
+        else:
+            j -= 1
+        pairs.append((i, j))
+    pairs.reverse()
+    return np.asarray(pairs, dtype=np.int64), float(acc[-1, -1])
 
 
 def brute_force_dtw_cost(cost):
@@ -90,6 +129,71 @@ def test_dtw_brute_force_many_shapes():
         diff = a.T[:, None, :] - b.T[None, :, :]
         local = np.sqrt((diff * diff).sum(axis=2))
         assert cost == brute_force_dtw_cost(local)
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(18)
+    shapes = [(1, 1), (1, 17), (23, 1), (1, 40), (40, 1)]
+    shapes += [tuple(int(n) for n in rng.integers(1, 41, size=2)) for _ in range(355)]
+    for case, (n_a, n_b) in enumerate(shapes):
+        dim = case % 30 + 1
+        if case % 3 == 0:   # small integers: equal predecessors are common
+            a = rng.integers(-2, 3, size=(dim, n_a)).astype(float)
+            b = rng.integers(-2, 3, size=(dim, n_b)).astype(float)
+        else:
+            a = rng.normal(size=(dim, n_a))
+            b = rng.normal(size=(dim, n_b))
+        if case % 4 == 3:   # frames contiguous: the sums over D run pairwise
+            a, b = np.asfortranarray(a), np.asfortranarray(b)
+        yield a, b
+
+
+def test_dtw_matches_loop_oracle_bitwise():
+    moves = set()
+    for a, b in _oracle_cases():
+        path, cost = dtw(a, b)
+        want_pairs, want_cost = loop_dtw(a, b)
+        assert np.array_equal(path.pairs, want_pairs)
+        assert cost == want_cost
+        moves.update(map(tuple, np.diff(want_pairs, axis=0)))
+    assert moves == {(1, 1), (1, 0), (0, 1)}
+
+
+def test_dtw_tie_break_branches():
+    # the (1, 1) step wins a three-way tie
+    path, _ = dtw(np.zeros((1, 2)), np.zeros((1, 2)))
+    assert np.array_equal(path.pairs, [[0, 0], [1, 1]])
+    # at (2, 2) the a step from (1, 2) ties the b step from (2, 1) and wins
+    path, cost = dtw(np.array([[2.0, 0.0, 2.0]]), np.array([[1.0, 2.0, 1.0]]))
+    assert cost == 3.0
+    assert np.array_equal(path.pairs, [[0, 0], [0, 1], [1, 2], [2, 2]])
+
+
+def test_dtw_long_pair_memory():
+    rng = np.random.default_rng(19)
+    a = rng.normal(size=(28, 2000))
+    b = rng.normal(size=(28, 2000))
+    tracemalloc.start()
+    try:
+        dtw(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dtw_non_finite_rejected(bad):
+    a = np.zeros((3, 5))
+    b = np.ones((3, 4))
+    a_bad = a.copy()
+    a_bad[1, 2] = bad
+    b_bad = b.copy()
+    b_bad[0, 3] = bad
+    with pytest.raises(MetricUndefinedError):
+        dtw(a_bad, b)
+    with pytest.raises(MetricUndefinedError):
+        dtw(a, b_bad)
 
 
 def test_dtw_path_monotone_unit_steps():
