@@ -14,7 +14,8 @@ Two evaluation modes exist:
   so column n of any causal computation is bit-identical no matter how many
   columns follow it.  Inference-time decoding runs in this mode; that is
   what makes incremental decoding reproduce the teacher-forced forward
-  pass exactly.
+  pass exactly.  The mode is inference-only: it records no graph, so its
+  results have no parents and cannot be backpropagated.
 """
 
 from __future__ import annotations
@@ -34,11 +35,11 @@ _column_exact = False
 
 
 @contextlib.contextmanager
-def column_exact(enabled: bool = True):
-    """Force column-by-column evaluation of all primitives."""
+def column_exact():
+    """Force column-by-column evaluation of all primitives, without a graph."""
     global _column_exact
     prev = _column_exact
-    _column_exact = enabled
+    _column_exact = True
     try:
         yield
     finally:
@@ -108,7 +109,7 @@ class Tensor:
 def _result(data: np.ndarray, parents: Sequence[Tensor],
             backward: Callable[[np.ndarray], None] | None) -> Tensor:
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if not _column_exact and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
@@ -401,36 +402,26 @@ def conv1d(x: Tensor, kernel: Tensor, dilation: int = 1, causal: bool = False) -
 
     if _column_exact:
         # fixed-shape per-tap kernels keep appended columns from disturbing
-        # earlier ones (see _mm)
+        # earlier ones (see _mm); inference only, so no backward
         y = np.zeros((c_out, n), dtype=np.float64)
         for t in range(k):
             y += _mm(kernel.data[:, :, t], xp[:, t * dilation:t * dilation + n])
-        xcol = None
-    else:
-        # im2col: one gemm instead of k small ones
-        xcol = np.empty((k * c_in, n), dtype=np.float64)
-        for t in range(k):
-            xcol[t * c_in:(t + 1) * c_in] = xp[:, t * dilation:t * dilation + n]
-        y = kernel.data.transpose(0, 2, 1).reshape(c_out, -1) @ xcol
+        return Tensor(y)
+    # im2col: one gemm instead of k small ones
+    xcol = np.empty((k * c_in, n), dtype=np.float64)
+    for t in range(k):
+        xcol[t * c_in:(t + 1) * c_in] = xp[:, t * dilation:t * dilation + n]
+    y = kernel.data.transpose(0, 2, 1).reshape(c_out, -1) @ xcol
 
     def backward(g):
         if kernel.requires_grad:
-            if xcol is not None:
-                gk = (g @ xcol.T).reshape(c_out, k, c_in).transpose(0, 2, 1)
-            else:
-                gk = np.empty_like(kernel.data)
-                for t in range(k):
-                    gk[:, :, t] = g @ xp[:, t * dilation:t * dilation + n].T
+            gk = (g @ xcol.T).reshape(c_out, k, c_in).transpose(0, 2, 1)
             kernel._accum(np.ascontiguousarray(gk))
         if x.requires_grad:
             gxp = np.zeros_like(xp)
-            if xcol is not None:
-                gcol = kernel.data.transpose(0, 2, 1).reshape(c_out, -1).T @ g
-                for t in range(k):
-                    gxp[:, t * dilation:t * dilation + n] += gcol[t * c_in:(t + 1) * c_in]
-            else:
-                for t in range(k):
-                    gxp[:, t * dilation:t * dilation + n] += kernel.data[:, :, t].T @ g
+            gcol = kernel.data.transpose(0, 2, 1).reshape(c_out, -1).T @ g
+            for t in range(k):
+                gxp[:, t * dilation:t * dilation + n] += gcol[t * c_in:(t + 1) * c_in]
             x._accum(gxp[:, pad_l:pad_l + n])
 
     return _result(y, (x, kernel), backward)

@@ -66,10 +66,7 @@ def load_run_config(config_path, overrides):
         unknown = set(merged[section]) - known
         if unknown:
             raise VtnError(f"unknown {section} config keys: {sorted(unknown)}")
-        values = merged[section]
-        if "train_utterances" in values and values["train_utterances"] is not None:
-            values["train_utterances"] = int(values["train_utterances"])
-        out[section] = cls(**values)
+        out[section] = cls(**merged[section])
     return out["model"], out["train"], out["decode"]
 
 

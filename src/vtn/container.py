@@ -16,17 +16,19 @@ complete, so no reader ever sees a partly written file.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
 import struct
+import typing
 from contextlib import contextmanager
 from pathlib import Path
 from typing import BinaryIO, Iterator, NoReturn
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import ConfigError, FormatError
 
 
 def fail(path, message: str) -> NoReturn:
@@ -54,16 +56,55 @@ def parse_json(path, data: bytes) -> dict:
     return obj
 
 
+def _mismatch(found, kinds: tuple[type, ...]) -> str | None:
+    """Why found is not of exactly one of kinds (so a JSON true is not
+    accepted where an int is expected), or None if it is."""
+    if type(found) in kinds:
+        return None
+    return f"is {type(found).__name__}, expected {' or '.join(k.__name__ for k in kinds)}"
+
+
 def value(path, mapping: dict, key: str, *kinds: type):
-    """mapping[key], which must be present and of exactly one of kinds
-    (so a JSON true is not accepted where an int is expected)."""
+    """mapping[key], which must be present and of exactly one of kinds."""
     if key not in mapping:
         fail(path, f"missing key {key!r}")
-    found = mapping[key]
-    if type(found) not in kinds:
-        expected = " or ".join(k.__name__ for k in kinds)
-        fail(path, f"{key!r} is {type(found).__name__}, expected {expected}")
-    return found
+    why = _mismatch(mapping[key], kinds)
+    if why:
+        fail(path, f"{key!r} {why}")
+    return mapping[key]
+
+
+@functools.cache
+def _field_kinds(cls) -> dict[str, tuple[type, ...]]:
+    """The types each field of dataclass cls takes: those of its annotation,
+    plus int for a float field."""
+    kinds = {}
+    for name, hint in typing.get_type_hints(cls).items():
+        types = typing.get_args(hint) or (hint,)
+        kinds[name] = types + ((int,) if float in types else ())
+    return kinds
+
+
+def check_fields(obj, where: str, **ranges: str) -> None:
+    """Raise ConfigError unless every field of dataclass obj holds a value of
+    its annotated type, by value's rule (an int also passes for a float, and
+    None for an optional field), every float is finite, and every field
+    named in ranges lies in its interval, written like "[0, 1)" or
+    "(0, inf)"."""
+    for name, kinds in _field_kinds(type(obj)).items():
+        found = getattr(obj, name)
+        why = _mismatch(found, kinds)
+        if why is None and type(found) is float and not math.isfinite(found):
+            why = "is not finite"
+        if why is None and found is not None and name in ranges:
+            interval = ranges[name]
+            lo, hi = (float(end) for end in interval[1:-1].split(","))
+            above = lo < found if interval[0] == "(" else lo <= found
+            below = found < hi if interval[-1] == ")" else found <= hi
+            if not (above and below):
+                why = f"is outside {interval}"
+        if why:
+            raise ConfigError(f"{where}: {name}={found!r} {why}")
 
 
 class Reader:

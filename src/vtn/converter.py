@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from . import container
 from .errors import AdjustmentError, ShapeError, StatsError
 from .features import (FeatureSequence, SpeakerStats, StackedSequence,
                        adjust_output_stats, denormalize, normalize, stack, unstack)
@@ -26,6 +26,8 @@ class DecodeConfig:
     window_fwd_ms: float = 320.0
 
     def __post_init__(self):
+        container.check_fields(self, "decode config", max_len_factor="[1, inf)",
+                               window_back_ms="[0, inf)", window_fwd_ms="[0, inf)")
         if self.mode not in ("default", "windowed", "realtime"):
             raise ShapeError(f"unknown decode mode {self.mode!r}")
 
@@ -79,6 +81,8 @@ def convert(model: VtnModel, src: np.ndarray, k: int | None, kp: int | None,
     src = np.asarray(src, dtype=np.float64)
     if src.shape[0] != model.config.D:
         raise ShapeError(f"source has {src.shape[0]} rows, model expects {model.config.D}")
+    if src.shape[1] == 0:
+        raise ShapeError("source has no frames")
     if cfg.mode == "realtime" and not model.config.realtime:
         raise ShapeError("realtime decoding needs a model built with realtime=True")
     if cfg.mode != "realtime" and model.config.realtime:

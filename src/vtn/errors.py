@@ -31,3 +31,7 @@ class TrainingDivergedError(VtnError):
 
 class FormatError(VtnError):
     """A binary file does not conform to its declared format."""
+
+
+class ConfigError(VtnError):
+    """A configuration value has the wrong type or is out of range."""

@@ -113,6 +113,8 @@ def compute_stats(corpus: Corpus, train_utterances: int | None = None) -> Speake
     mean: dict[str, np.ndarray] = {}
     std: dict[str, np.ndarray] = {}
     n_train = corpus.n_utterances if train_utterances is None else train_utterances
+    if not 1 <= n_train <= corpus.n_utterances:
+        raise StatsError(f"train_utterances={n_train} is outside 1..{corpus.n_utterances}")
     for spk in corpus.speakers:
         frames = [seq.data[:n_mcc + 1, seq.voiced]
                   for seq in corpus.utterances[spk][:n_train]]

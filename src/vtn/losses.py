@@ -96,14 +96,16 @@ def total_loss(model, batch, weights: LossWeights, training: bool = False,
         raise ShapeError("empty batch")
 
     def mean_of(items):
-        comp_sum = main_sum = dal_sum = None
+        comp_sum = None
+        main_sum = dal_sum = 0.0
         for k, kp, src, tgt0 in items:
             comp, l_main, l_dal = pair_loss(model, src, tgt0, k, kp, weights, training, rng)
             comp_sum = comp if comp_sum is None else ad.add(comp_sum, comp)
-            main_sum = l_main if main_sum is None else ad.add(main_sum, l_main)
-            dal_sum = l_dal if dal_sum is None else ad.add(dal_sum, l_dal)
+            # reported figures only: plain float adds, no graph
+            main_sum += float(l_main.data)
+            dal_sum += float(l_dal.data)
         inv = 1.0 / len(items)
-        return (ad.scale(comp_sum, inv), float(main_sum.data) * inv, float(dal_sum.data) * inv)
+        return ad.scale(comp_sum, inv), main_sum * inv, dal_sum * inv
 
     total = None
     mean_main = mean_dal = 0.0

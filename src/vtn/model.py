@@ -16,7 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from . import container
 from .autodiff import Tensor
-from .errors import ShapeError
+from .errors import ShapeError, VtnError
 
 _MODEL_MAGIC = b"VTNM"
 _MODEL_VERSION = 1
@@ -42,6 +42,10 @@ class VtnConfig:
     final_ln: bool = True
 
     def __post_init__(self):
+        container.check_fields(
+            self, "model config", L="[1, inf)", H="[1, inf)", d="[1, inf)",
+            d_ffn="[1, inf)", n_mcc="[1, inf)", r="[1, inf)", n_speakers="[1, inf)",
+            e="[1, inf)", dropout_rate="[0, 1)")
         if self.d % self.H != 0:
             raise ShapeError(f"d={self.d} not divisible by H={self.H}")
         if self.ln_placement not in ("pre", "post"):
@@ -60,6 +64,11 @@ class VtnConfig:
     @property
     def tgt_conditioned(self) -> bool:
         return self.mode in ("many_to_many", "any_to_many")
+
+    @property
+    def has_final_ln(self) -> bool:
+        """Whether encoder and decoder each end in a layer norm (pre-LN only)."""
+        return self.ln_placement == "pre" and self.final_ln
 
 
 def positional_encoding(n: int, dim: int) -> np.ndarray:
@@ -133,7 +142,7 @@ def param_shapes(cfg: VtnConfig) -> dict[str, tuple[int, ...]]:
         shapes[f"dec.{l}.tsa.W6"] = (2 * d, d)
         shapes[f"dec.{l}.tsa.W7"] = (d, d)
         ffn(f"dec.{l}.ffn", tgt_in)
-    if cfg.ln_placement == "pre" and cfg.final_ln:
+    if cfg.has_final_ln:
         ln("enc_final_ln")
         ln("dec_final_ln")
     if cfg.mode != "one_to_one":
@@ -216,20 +225,21 @@ class VtnModel:
         x = ad.glu(self._conv("postnet.1", x, True, PRENET_DILATIONS[1]))
         return self._conv("postnet.2", x, True, PRENET_DILATIONS[2])
 
-    def _sa(self, prefix, x, mask, causal=False):
-        cfg = self.config
-        d, h = cfg.d, cfg.H
+    def _attend(self, q_all, kv, k_row, mask, causal=False):
+        """Every head's attention: head i takes queries from rows i*dh of q_all,
+        keys from rows k_row + i*dh of kv and values d rows below its keys.
+        Returns the stacked head outputs and the per-head attention."""
+        d, h = self.config.d, self.config.H
         dh = d // h
-        qkv = ad.matmul(self.params[f"{prefix}.W1"], x)
-        heads = []
+        heads, attn = [], []
         for i in range(h):
-            q = ad.slice_rows(qkv, i * dh, (i + 1) * dh)
-            key = ad.slice_rows(qkv, d + i * dh, d + (i + 1) * dh)
-            v = ad.slice_rows(qkv, 2 * d + i * dh, 2 * d + (i + 1) * dh)
+            q = ad.slice_rows(q_all, i * dh, (i + 1) * dh)
+            key = ad.slice_rows(kv, k_row + i * dh, k_row + (i + 1) * dh)
+            v = ad.slice_rows(kv, k_row + d + i * dh, k_row + d + (i + 1) * dh)
             if causal and ad.is_column_exact():
                 # inference path: key count for column j is always j+1, so
                 # the logit gemv shape never changes as the prefix grows
-                n = x.data.shape[1]
+                n = q.data.shape[1]
                 ld = np.full((n, n), ad.NEG_INF)
                 for j in range(n):
                     keys = np.ascontiguousarray(key.data[:, :j + 1])
@@ -239,35 +249,30 @@ class VtnModel:
                 logits = ad.scale(ad.matmul(ad.transpose(key), q), 1.0 / math.sqrt(d))
             a = ad.masked_softmax_columns(logits, mask)
             heads.append(ad.matmul(v, a))
-        return ad.matmul(self.params[f"{prefix}.W2"], ad.concat_rows(heads))
+            attn.append(a)
+        return ad.concat_rows(heads), attn
+
+    def _sa(self, prefix, x, mask, causal=False):
+        qkv = ad.matmul(self.params[f"{prefix}.W1"], x)
+        heads, _ = self._attend(qkv, qkv, self.config.d, mask, causal)
+        return ad.matmul(self.params[f"{prefix}.W2"], heads)
 
     def _tsa(self, prefix, x, z, window_mask, identity):
-        cfg = self.config
-        d, h = cfg.d, cfg.H
-        dh = d // h
-        n_src = z.data.shape[1]
-        n_tgt = x.data.shape[1]
-        q_all = ad.matmul(self.params[f"{prefix}.W5"], x)
+        n_src, n_tgt = z.data.shape[1], x.data.shape[1]
         kv = ad.matmul(self.params[f"{prefix}.W6"], z)
-        mask = np.zeros((n_src, n_tgt)) if window_mask is None else window_mask
-        heads, attn = [], []
-        for i in range(h):
-            q = ad.slice_rows(q_all, i * dh, (i + 1) * dh)
-            key = ad.slice_rows(kv, i * dh, (i + 1) * dh)
-            v = ad.slice_rows(kv, d + i * dh, d + (i + 1) * dh)
-            if identity:
-                if n_tgt > n_src:
-                    raise ShapeError("identity alignment needs N_tgt <= N_src")
-                a_data = np.zeros((n_src, n_tgt))
-                a_data[np.arange(n_tgt), np.arange(n_tgt)] = 1.0
-                a = Tensor(a_data)
-                heads.append(ad.slice_cols(v, 0, n_tgt))
-            else:
-                logits = ad.scale(ad.matmul(ad.transpose(key), q), 1.0 / math.sqrt(d))
-                a = ad.masked_softmax_columns(logits, mask)
-                heads.append(ad.matmul(v, a))
-            attn.append(a)
-        return ad.matmul(self.params[f"{prefix}.W7"], ad.concat_rows(heads)), attn
+        if identity:
+            # target position j attends to source position j only, so every
+            # head passes its values through and no query is needed
+            if n_tgt > n_src:
+                raise ShapeError("identity alignment needs N_tgt <= N_src")
+            d = self.config.d
+            heads = ad.slice_cols(ad.slice_rows(kv, d, 2 * d), 0, n_tgt)
+            attn = [Tensor(np.eye(n_src, n_tgt))] * self.config.H
+        else:
+            q_all = ad.matmul(self.params[f"{prefix}.W5"], x)
+            mask = np.zeros((n_src, n_tgt)) if window_mask is None else window_mask
+            heads, attn = self._attend(q_all, kv, 0, mask)
+        return ad.matmul(self.params[f"{prefix}.W7"], heads), attn
 
     def _ffn(self, prefix, x):
         p = self.params
@@ -276,63 +281,57 @@ class VtnModel:
 
     # -- encoder / decoder --------------------------------------------------
 
+    def _sublayer(self, ln_name, x, k, f):
+        """Residual sub-layer around f, which sees speaker-conditioned input:
+        x + f(LN(x)) pre-LN, LN(x + f(x)) post-LN."""
+        if self.config.ln_placement == "pre":
+            return ad.add(x, f(self._condition(self._ln(ln_name, x), k)))
+        return self._ln(ln_name, ad.add(x, f(self._condition(x, k))))
+
     def encoder_layer(self, l: int, x: Tensor, k: int | None) -> Tensor:
-        cfg = self.config
+        causal = self.config.realtime
         n = x.data.shape[1]
-        mask = causal_mask(n) if cfg.realtime else np.zeros((n, n))
+        mask = causal_mask(n) if causal else np.zeros((n, n))
         name = f"enc.{l}"
-        if cfg.ln_placement == "pre":
-            u = ad.add(x, self._sa(f"{name}.sa", self._condition(self._ln(f"{name}.ln1", x), k),
-                                   mask, causal=cfg.realtime))
-            return ad.add(u, self._ffn(f"{name}.ffn", self._condition(self._ln(f"{name}.ln2", u), k)))
-        u = self._ln(f"{name}.ln1", ad.add(x, self._sa(f"{name}.sa", self._condition(x, k),
-                                                       mask, causal=cfg.realtime)))
-        return self._ln(f"{name}.ln2", ad.add(u, self._ffn(f"{name}.ffn", self._condition(u, k))))
+        u = self._sublayer(f"{name}.ln1", x, k, lambda h: self._sa(f"{name}.sa", h, mask, causal))
+        return self._sublayer(f"{name}.ln2", u, k, lambda h: self._ffn(f"{name}.ffn", h))
 
     def decoder_layer(self, l: int, x: Tensor, z: Tensor, k: int | None,
                       window_mask: np.ndarray | None,
                       tsa_identity: bool) -> tuple[Tensor, list[Tensor]]:
-        cfg = self.config
-        n = x.data.shape[1]
-        mask = causal_mask(n)
+        mask = causal_mask(x.data.shape[1])
         name = f"dec.{l}"
-        if cfg.ln_placement == "pre":
-            u1 = ad.add(x, self._sa(f"{name}.sa", self._condition(self._ln(f"{name}.ln1", x), k),
-                                    mask, causal=True))
-            tsa_out, attn = self._tsa(f"{name}.tsa", self._condition(self._ln(f"{name}.ln2", u1), k),
-                                      z, window_mask, tsa_identity)
-            u2 = ad.add(u1, tsa_out)
-            out = ad.add(u2, self._ffn(f"{name}.ffn", self._condition(self._ln(f"{name}.ln3", u2), k)))
-            return out, attn
-        u1 = self._ln(f"{name}.ln1", ad.add(x, self._sa(f"{name}.sa", self._condition(x, k),
-                                                        mask, causal=True)))
-        tsa_out, attn = self._tsa(f"{name}.tsa", self._condition(u1, k), z, window_mask, tsa_identity)
-        u2 = self._ln(f"{name}.ln2", ad.add(u1, tsa_out))
-        out = self._ln(f"{name}.ln3", ad.add(u2, self._ffn(f"{name}.ffn", self._condition(u2, k))))
-        return out, attn
+        attn: list[Tensor] = []
 
-    def _speaker_args(self, k, kp):
-        cfg = self.config
-        k_eff = k if cfg.src_conditioned else None
-        kp_eff = kp if cfg.tgt_conditioned else None
-        if cfg.src_conditioned and k is None:
-            raise ShapeError("many_to_many mode requires a source speaker index")
-        if cfg.tgt_conditioned and kp is None:
-            raise ShapeError("conditioned modes require a target speaker index")
-        return k_eff, kp_eff
+        def tsa(h):
+            out, heads = self._tsa(f"{name}.tsa", h, z, window_mask, tsa_identity)
+            attn.extend(heads)
+            return out
+
+        u1 = self._sublayer(f"{name}.ln1", x, k, lambda h: self._sa(f"{name}.sa", h, mask, True))
+        u2 = self._sublayer(f"{name}.ln2", u1, k, tsa)
+        return self._sublayer(f"{name}.ln3", u2, k, lambda h: self._ffn(f"{name}.ffn", h)), attn
+
+    def _speaker(self, index: int | None, conditioned: bool, role: str) -> int | None:
+        """index if this side of the network is speaker-conditioned, else None."""
+        if not conditioned:
+            return None
+        if index is None:
+            raise ShapeError(f"{self.config.mode} mode requires a {role} speaker index")
+        return index
 
     def encode(self, src, k: int | None = None, training: bool = False,
                rng: np.random.Generator | None = None) -> Tensor:
         cfg = self.config
         src = src if isinstance(src, Tensor) else Tensor(src)
-        k_eff = k if cfg.src_conditioned else None
+        k_eff = self._speaker(k, cfg.src_conditioned, "source")
         n = src.data.shape[1]
         x = ad.add(src, Tensor(positional_encoding(n, cfg.D)))
         x = ad.dropout(x, cfg.dropout_rate, training, rng)
         x = self._prenet("src_prenet", x, k_eff, causal=cfg.realtime)
         for l in range(cfg.L):
             x = self.encoder_layer(l, x, k_eff)
-        if cfg.ln_placement == "pre" and cfg.final_ln:
+        if cfg.has_final_ln:
             x = self._ln("enc_final_ln", x)
         return x
 
@@ -342,9 +341,7 @@ class VtnModel:
                tsa_identity: bool = False) -> tuple[Tensor, list[list[Tensor]]]:
         cfg = self.config
         tgt_in = tgt_in if isinstance(tgt_in, Tensor) else Tensor(tgt_in)
-        kp_eff = kp if cfg.tgt_conditioned else None
-        if cfg.tgt_conditioned and kp is None:
-            raise ShapeError("conditioned modes require a target speaker index")
+        kp_eff = self._speaker(kp, cfg.tgt_conditioned, "target")
         n = tgt_in.data.shape[1]
         x = ad.add(tgt_in, Tensor(positional_encoding(n, cfg.D)))
         x = ad.dropout(x, cfg.dropout_rate, training, rng)
@@ -353,7 +350,7 @@ class VtnModel:
         for l in range(cfg.L):
             x, attn = self.decoder_layer(l, x, z, kp_eff, window_mask, tsa_identity)
             attn_set.append(attn)
-        if cfg.ln_placement == "pre" and cfg.final_ln:
+        if cfg.has_final_ln:
             x = self._ln("dec_final_ln", x)
         x = ad.dropout(x, cfg.dropout_rate, training, rng)
         y = self._postnet(x, kp_eff)
@@ -364,7 +361,6 @@ class VtnModel:
                 window_mask: np.ndarray | None = None,
                 tsa_identity: bool = False) -> tuple[Tensor, list[list[Tensor]]]:
         """Teacher-forced pass: src (D x N_src), tgt_in (D x N_tgt+1, zero-prepended)."""
-        self._speaker_args(k, kp)
         z = self.encode(src, k, training, rng)
         return self.decode(tgt_in, z, kp, training, rng, window_mask, tsa_identity)
 
@@ -381,12 +377,11 @@ class VtnModel:
         header, arrays = container.read_json_blocks(
             container.Reader(path, _MODEL_MAGIC, _MODEL_VERSION))
         settings = container.value(path, header, "config", dict)
-        for f in fields(VtnConfig):
-            kinds = (float, int) if type(f.default) is float else (type(f.default),)
-            container.value(path, settings, f.name, *kinds)
+        if set(settings) != {f.name for f in fields(VtnConfig)}:
+            container.fail(path, f"stored config keys {sorted(settings)} are not VtnConfig's")
         try:
             config = VtnConfig(**settings)
-        except (TypeError, ZeroDivisionError, ShapeError) as exc:
+        except VtnError as exc:
             container.fail(path, f"bad model config: {exc}")
         speakers = container.value(path, header, "speakers", list, type(None))
         if speakers is not None and not all(type(s) is str for s in speakers):

@@ -10,7 +10,7 @@ import numpy as np
 from . import autodiff as ad
 from . import container
 from .autodiff import AdamState
-from .errors import ShapeError, TrainingDivergedError
+from .errors import ConfigError, ShapeError, TrainingDivergedError
 from .features import Corpus, SpeakerStats, normalize, stack
 from .losses import LossWeights, total_loss
 from .model import VtnConfig, VtnModel
@@ -36,6 +36,13 @@ class TrainConfig:
     grad_clip: float = 1.0
     checkpoint_every: int = 1000
     train_utterances: int | None = None  # None = all utterances
+
+    def __post_init__(self):
+        container.check_fields(
+            self, "train config", lr="[0, inf)", beta1="[0, 1)", beta2="[0, 1)",
+            eps="(0, inf)", batch_size="[1, inf)", iterations="[0, inf)", seed="[0, inf)",
+            lambda_dal="[0, inf)", lambda_iml="[0, inf)", nu="(0, inf)",
+            grad_clip="[0, inf)", checkpoint_every="[1, inf)", train_utterances="[1, inf)")
 
     def loss_weights(self, n_mcc: int) -> LossWeights:
         from .losses import default_feature_weights
@@ -167,6 +174,9 @@ def train(corpus: Corpus, cfg: VtnConfig, train_cfg: TrainConfig,
     and an append-only tab-separated loss log.  resume points at a
     checkpoint tag path without extension (loads .vtnm + .vtno)."""
     from .features import compute_stats
+    if (train_cfg.train_utterances or 0) > corpus.n_utterances:
+        raise ConfigError(f"train config: train_utterances={train_cfg.train_utterances} "
+                          f"exceeds the corpus's {corpus.n_utterances} utterances")
     if stats is None:
         stats = compute_stats(corpus, train_cfg.train_utterances)
 

@@ -9,6 +9,7 @@ import sys
 import time
 
 import numpy as np
+import pytest
 
 from vtn import autodiff as ad
 from vtn.autodiff import Tensor, grad_check
@@ -359,6 +360,7 @@ def _eval_mcds(model, corpus, stats, n_utts):
 
 # criterion 8: pre-LN and post-LN both train without divergence
 
+@pytest.mark.slow
 def test_pre_vs_post_ln():
     corpus, stats = _experiment_corpus()
     finals = {}
@@ -377,6 +379,7 @@ def test_pre_vs_post_ln():
 # criterion 9: overfit experiment; thresholds frozen after one calibration run
 # (corpus seed 7, model seed 0): main ratio, monotone fraction, MCD ratio below
 
+@pytest.mark.slow
 def test_overfit_experiment():
     t0 = time.time()
     corpus, stats = _experiment_corpus()
@@ -407,6 +410,7 @@ def test_overfit_experiment():
 
 # criterion 10: identity-mapping-loss ablation, lower eval MCD on >= 2 of 3 seeds
 
+@pytest.mark.slow
 def test_iml_ablation():
     corpus, stats = _experiment_corpus()
     cfg = VtnConfig(**OVERFIT_CFG)

@@ -322,6 +322,28 @@ def test_column_exact_matmul_is_per_column_support_gemv():
         assert np.array_equal(out[:, j], want)
 
 
+def test_column_exact_records_no_graph():
+    # column-exact mode is inference-only; fast mode keeps the graph
+    rng = np.random.default_rng(14)
+    x = Tensor(rng.normal(size=(3, 6)), requires_grad=True)
+    kernel = Tensor(rng.normal(size=(4, 3, 5)), requires_grad=True)
+    gain = Tensor(np.ones((4, 1)), requires_grad=True)
+    bias = Tensor(np.zeros((4, 1)), requires_grad=True)
+
+    def ops():
+        return [ad.matmul(Tensor(rng.normal(size=(4, 3)), requires_grad=True), x),
+                ad.conv1d(x, kernel, 1, True),
+                ad.layer_norm(ad.conv1d(x, kernel, 2, True), gain, bias),
+                ad.masked_softmax_columns(x, np.zeros((3, 6)))]
+
+    with ad.column_exact():
+        exact = ops()
+    for out in exact:
+        assert not out.requires_grad and out._parents == () and out._backward is None
+    for out in ops():
+        assert out.requires_grad and out._parents and out._backward is not None
+
+
 def test_column_exact_prefix_stability():
     # the core decoding property: results for column j never change when
     # more columns are appended, for matmul / layer_norm / masked softmax

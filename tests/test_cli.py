@@ -120,6 +120,58 @@ def test_stats_manifest_without_utterance_count(workspace, tmp_path, capsys):
     assert "n_utterances" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("setting", [
+    "model.L=two", "model.H=0", "train.lr=abc", "train.checkpoint_every=0"])
+def test_bad_train_setting_rejected(workspace, tmp_path, capsys, setting):
+    rc = main(["train", "--data", str(workspace / "data"),
+               "--stats", str(workspace / "stats.vtns"),
+               "--out", str(tmp_path / "run"), *TINY,
+               "--set", "train.iterations=1", "--set", "train.batch_size=1",
+               "--set", setting])
+    assert rc == 1
+    section, field = setting.split("=")[0].split(".")
+    assert capsys.readouterr().err.startswith(f"error: {section} config: {field}=")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("setting", ["decode.max_len_factor=0", "decode.max_len_factor=1.5"])
+def test_bad_decode_setting_rejected(workspace, tmp_path, capsys, setting):
+    assert _convert(workspace, tmp_path / "out.vtnf", ("--set", setting)) == 1
+    assert capsys.readouterr().err.startswith("error: decode config: max_len_factor=")
+    assert not (tmp_path / "out.vtnf").exists()
+
+
+def test_train_utterances_beyond_corpus_rejected(workspace, tmp_path, capsys):
+    rc = main(["train", "--data", str(workspace / "data"),
+               "--stats", str(workspace / "stats.vtns"),
+               "--out", str(tmp_path / "run"), *TINY,
+               "--set", "train.iterations=1", "--set", "train.train_utterances=100"])
+    assert rc == 1
+    assert "train_utterances=100" in capsys.readouterr().err
+
+
+def test_convert_zero_frame_input_rejected(workspace, tmp_path, capsys):
+    src = load_features(workspace / "data" / "spk0_000.vtnf")
+    src.data = src.data[:, :0]
+    empty = tmp_path / "empty.vtnf"
+    save_features(src, empty)
+    rc = main(["convert", "--model", str(workspace / "run" / "final.vtnm"),
+               "--stats", str(workspace / "stats.vtns"), "--input", str(empty),
+               "--tgt-spk", "spk1", "--out", str(tmp_path / "out.vtnf")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: source has no frames\n"
+    assert not (tmp_path / "out.vtnf").exists()
+
+
+@pytest.mark.parametrize("count", ["0", "-1", "3"])
+def test_stats_train_utterances_outside_corpus(workspace, tmp_path, capsys, count):
+    rc = main(["stats", "--data", str(workspace / "data"), "--out", str(tmp_path / "s.vtns"),
+               "--train-utterances", count])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: train_utterances={count} is outside 1..2\n"
+    assert not (tmp_path / "s.vtns").exists()
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["convert"])  # missing required flags

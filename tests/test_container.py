@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from vtn import container
 from vtn.autodiff import AdamState
-from vtn.errors import FormatError
+from vtn.errors import ConfigError, FormatError
 from vtn.features import (compute_stats, gen_synthetic_corpus, load_features,
                           load_stats, save_features, save_stats)
 from vtn.model import VtnConfig, VtnModel
@@ -145,3 +145,29 @@ def test_json_header_checks(tmp_path):
         container.value(path, {}, "n", int)
     with pytest.raises(FormatError, match="expected int"):
         container.value(path, {"n": True}, "n", int)
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"H": 0}, r"H=0 is outside \[1, inf\)"), ({"L": "two"}, "L='two' is str, expected int"),
+    ({"final_ln": 1}, "final_ln=1 is int, expected bool"), ({"H": 3}, "not divisible"),
+    ({"extra": 1}, "not VtnConfig's"), ({"final_ln": None}, "not VtnConfig's")])
+def test_stored_model_config_checked(tmp_path, change, message):
+    path = tmp_path / "m.vtnm"
+    model = VtnModel.init(TINY, seed=1)
+    # a change to None drops the key
+    config = {k: v for k, v in {**vars(TINY), **change}.items() if v is not None}
+    with container.writing(path, b"VTNM", 1) as writer:
+        container.write_json_blocks(writer, {"config": config, "speakers": None},
+                                    {k: v.data for k, v in model.params.items()})
+    with pytest.raises(FormatError, match=message):
+        VtnModel.load(path)
+
+
+def test_config_fields_checked():
+    for kwargs, message in [({"dropout_rate": 1.0}, r"dropout_rate=1.0 is outside \[0, 1\)"),
+                            ({"dropout_rate": float("nan")}, "not finite"),
+                            ({"n_speakers": 2.0}, "expected int"),
+                            ({"e": True}, "expected int")]:
+        with pytest.raises(ConfigError, match=message):
+            VtnConfig(**kwargs)
+    assert VtnConfig(dropout_rate=0).dropout_rate == 0   # an int passes for a float

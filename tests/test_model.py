@@ -88,6 +88,21 @@ def test_tsa_forced_attention_row():
         assert np.abs(np.delete(a.data[:, 1], 3)).max() == 0.0
 
 
+def test_tsa_identity_passes_values_through():
+    cfg = tiny_config(L=1, mode="one_to_one")
+    model = VtnModel.init(cfg, seed=3)
+    rng = np.random.default_rng(5)
+    x = Tensor(rng.normal(size=(cfg.d, 3)))
+    z = Tensor(rng.normal(size=(cfg.d, 5)))
+    out, attn = model._tsa("dec.0.tsa", x, z, None, True)
+    p = {k: v.data for k, v in model.params.items()}
+    values = (p["dec.0.tsa.W6"] @ z.data)[cfg.d:, :3]
+    assert np.allclose(out.data, p["dec.0.tsa.W7"] @ values, rtol=0, atol=1e-12)
+    assert len(attn) == cfg.H
+    for a in attn:
+        assert np.array_equal(a.data, np.eye(5, 3))
+
+
 def test_ffn_constant_case():
     cfg = tiny_config(L=1, mode="one_to_one")
     model = VtnModel.init(cfg, seed=5)
@@ -118,6 +133,26 @@ def test_preln_encoder_layer_residual_identity():
     x = np.random.default_rng(10).normal(size=(cfg.d, 5))
     y = model.encoder_layer(0, Tensor(x), None)
     assert np.array_equal(y.data, x)
+
+
+def test_postln_encoder_layer_residual_identity():
+    cfg = tiny_config(L=1, mode="one_to_one", ln_placement="post")
+    model = VtnModel.init(cfg, seed=9)
+    model.params["enc.0.sa.W2"] = Tensor(np.zeros((cfg.d, cfg.d)))
+    model.params["enc.0.ffn.W4"] = Tensor(np.zeros((cfg.d, cfg.d_ffn)))
+    model.params["enc.0.ffn.b4"] = Tensor(np.zeros((cfg.d, 1)))
+    rng = np.random.default_rng(10)
+    for name in ("enc.0.ln1", "enc.0.ln2"):
+        model.params[f"{name}.gain"] = Tensor(rng.normal(size=(cfg.d, 1)))
+        model.params[f"{name}.bias"] = Tensor(rng.normal(size=(cfg.d, 1)))
+    x = Tensor(rng.normal(size=(cfg.d, 5)))
+    y = model.encoder_layer(0, x, None)
+    assert np.array_equal(y.data, model._ln("enc.0.ln2", model._ln("enc.0.ln1", x)).data)
+    # with live sub-layers, each layer norm comes after its residual add
+    model = VtnModel.init(cfg, seed=9)
+    u = model._ln("enc.0.ln1", ad.add(x, model._sa("enc.0.sa", x, np.zeros((5, 5)))))
+    want = model._ln("enc.0.ln2", ad.add(u, model._ffn("enc.0.ffn", u)))
+    assert np.array_equal(model.encoder_layer(0, x, None).data, want.data)
 
 
 def test_pre_vs_post_ln_differ():
@@ -217,6 +252,13 @@ def test_many_to_many_requires_speakers():
         model.forward(src, tgt0, k=None, kp=1)
     with pytest.raises(ShapeError):
         model.forward(src, tgt0, k=0, kp=None)
+
+
+def test_many_to_many_encode_names_missing_source_index():
+    cfg = tiny_config(dropout_rate=0.0)
+    model = VtnModel.init(cfg, seed=25)
+    with pytest.raises(ShapeError, match="source speaker index"):
+        model.encode(np.zeros((cfg.D, 3)), k=None)
 
 
 def test_speaker_index_out_of_range():
