@@ -21,6 +21,7 @@ Two evaluation modes exist:
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 from typing import Callable, Sequence
 
@@ -241,25 +242,23 @@ def transpose(a: Tensor) -> Tensor:
 
 
 def slice_rows(a: Tensor, i0: int, i1: int) -> Tensor:
-    a = _as_tensor(a)
-
-    def backward(g):
-        full = np.zeros_like(a.data)
-        full[i0:i1] = g
-        a._accum(full)
-
-    return _result(a.data[i0:i1].copy(), (a,), backward)
+    return index(a, np.s_[i0:i1])
 
 
 def slice_cols(a: Tensor, j0: int, j1: int) -> Tensor:
+    return index(a, np.s_[:, j0:j1])
+
+
+def index(a: Tensor, key) -> Tensor:
+    """a.data[key] for a basic (slice and integer) key, as a new tensor."""
     a = _as_tensor(a)
 
     def backward(g):
         full = np.zeros_like(a.data)
-        full[:, j0:j1] = g
+        full[key] = g
         a._accum(full)
 
-    return _result(a.data[:, j0:j1].copy(), (a,), backward)
+    return _result(a.data[key].copy(), (a,), backward)
 
 
 def concat_rows(parts: Sequence[Tensor]) -> Tensor:
@@ -278,16 +277,19 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
     return _result(np.concatenate([p.data for p in parts], axis=0), parts, backward)
 
 
-def tile_cols(a: Tensor, n: int) -> Tensor:
-    """Repeat a (d, 1) column n times to form (d, n)."""
+def tile_cols(a: Tensor, counts) -> Tensor:
+    """Repeat column p of a counts[p] times; an int count repeats the one
+    column of a (d, 1) input."""
     a = _as_tensor(a)
-    if a.data.ndim != 2 or a.data.shape[1] != 1:
-        raise ShapeError(f"tile_cols expects a column, got {a.data.shape}")
+    counts = np.atleast_1d(counts)
+    if a.data.ndim != 2 or a.data.shape[1] != len(counts) or counts.min() < 1:
+        raise ShapeError(f"tile_cols: {a.data.shape} input, counts {counts.tolist()}")
+    starts = np.cumsum(counts) - counts
 
     def backward(g):
-        a._accum(g.sum(axis=1, keepdims=True))
+        a._accum(np.add.reduceat(g, starts, axis=1))
 
-    return _result(np.repeat(a.data, n, axis=1), (a,), backward)
+    return _result(np.repeat(a.data, counts, axis=1), (a,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -381,11 +383,51 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _result(y, (x, gain, bias), backward)
 
 
-def conv1d(x: Tensor, kernel: Tensor, dilation: int = 1, causal: bool = False) -> Tensor:
+class Segments:
+    """Lengths of segments packed one after another along the time axis, and
+    the index maps between that packed layout and a zero-padded stack of P
+    segments of M = max(lengths) columns each."""
+
+    def __init__(self, lengths: tuple[int, ...]):
+        if not lengths or min(lengths) < 1:
+            raise ShapeError(f"segments need positive lengths, got {lengths}")
+        self.lengths = lengths
+        self.p, self.m, self.n = len(lengths), max(lengths), sum(lengths)
+        lens = np.asarray(lengths)
+        starts = np.cumsum(lens) - lens
+        slots = np.arange(self.m)
+        self.valid = slots[None, :] < lens[:, None]                        # (P, M)
+        # stack slot (p, c) reads packed column starts[p] + c; a padding slot
+        # reads the segment's first column, and callers mask or zero it
+        self.gather = starts[:, None] + np.where(self.valid, slots, 0)     # (P, M)
+        self.scatter = np.flatnonzero(self.valid)    # packed column -> flat (P*M) slot
+        self._pos = np.arange(self.n) - np.repeat(starts, lens)  # column within its segment
+        self._len = np.repeat(lens, lens)
+        self._outside: dict[int, np.ndarray] = {}
+
+    def outside(self, offset: int) -> np.ndarray:
+        """The packed columns whose neighbour offset columns away lies
+        outside their own segment."""
+        if offset not in self._outside:
+            pos = self._pos + offset
+            self._outside[offset] = np.flatnonzero((pos < 0) | (pos >= self._len))
+        return self._outside[offset]
+
+
+@functools.lru_cache(maxsize=8)
+def segments(lengths: tuple[int, ...]) -> Segments:
+    """The (cached) packing of segments with these lengths."""
+    return Segments(lengths)
+
+
+def conv1d(x: Tensor, kernel: Tensor, dilation: int = 1, causal: bool = False,
+           segs: Segments | None = None) -> Tensor:
     """1-D convolution over the time axis, length-preserving.
 
     x is (c_in, N); kernel is (c_out, c_in, K).  Non-causal convs need odd K
     and pad symmetrically; causal convs pad (K-1)*dilation on the left only.
+    With segs, x holds segments packed along time and each segment is
+    zero-padded at its own edges, so no tap reads across a boundary.
     """
     x, kernel = _as_tensor(x), _as_tensor(kernel)
     if x.data.ndim != 2 or kernel.data.ndim != 3 or kernel.data.shape[1] != x.data.shape[0]:
@@ -398,20 +440,31 @@ def conv1d(x: Tensor, kernel: Tensor, dilation: int = 1, causal: bool = False) -
         if k % 2 == 0:
             raise ShapeError("non-causal conv1d requires odd kernel size")
         pad_l = pad_r = (k - 1) // 2 * dilation
+    segs = segments((n,)) if segs is None else segs
+    if segs.n != n:
+        raise ShapeError(f"conv1d: segments cover {segs.n} columns, x has {n}")
     xp = np.pad(x.data, ((0, 0), (pad_l, pad_r)))
 
     if _column_exact:
         # fixed-shape per-tap kernels keep appended columns from disturbing
         # earlier ones (see _mm); inference only, so no backward
+        if segs.p != 1:
+            raise ShapeError("column-exact conv1d takes one segment")
         y = np.zeros((c_out, n), dtype=np.float64)
         for t in range(k):
             y += _mm(kernel.data[:, :, t], xp[:, t * dilation:t * dilation + n])
         return Tensor(y)
-    # im2col: one gemm instead of k small ones
+    # im2col: one gemm instead of k small ones.  Tap t of output column j
+    # reads column j + offsets[t]; where that crosses the edge of j's
+    # segment the entry is zeroed, as if each segment were padded alone.
+    offsets = [t * dilation - pad_l for t in range(k)]
     xcol = np.empty((k * c_in, n), dtype=np.float64)
-    for t in range(k):
-        xcol[t * c_in:(t + 1) * c_in] = xp[:, t * dilation:t * dilation + n]
-    y = kernel.data.transpose(0, 2, 1).reshape(c_out, -1) @ xcol
+    for t, o in enumerate(offsets):
+        rows = xcol[t * c_in:(t + 1) * c_in]
+        rows[:] = xp[:, t * dilation:t * dilation + n]
+        rows[:, segs.outside(o)] = 0.0
+    w = kernel.data.transpose(0, 2, 1).reshape(c_out, -1)
+    y = w @ xcol
 
     def backward(g):
         if kernel.requires_grad:
@@ -419,12 +472,86 @@ def conv1d(x: Tensor, kernel: Tensor, dilation: int = 1, causal: bool = False) -
             kernel._accum(np.ascontiguousarray(gk))
         if x.requires_grad:
             gxp = np.zeros_like(xp)
-            gcol = kernel.data.transpose(0, 2, 1).reshape(c_out, -1).T @ g
-            for t in range(k):
-                gxp[:, t * dilation:t * dilation + n] += gcol[t * c_in:(t + 1) * c_in]
+            gcol = w.T @ g
+            for t, o in enumerate(offsets):
+                rows = gcol[t * c_in:(t + 1) * c_in]
+                rows[:, segs.outside(o)] = 0.0
+                gxp[:, t * dilation:t * dilation + n] += rows
             x._accum(gxp[:, pad_l:pad_l + n])
 
     return _result(y, (x, kernel), backward)
+
+
+def attention(q: Tensor, kv: Tensor, k_row: int, n_heads: int, scale: float,
+              qs: Segments, ks: Segments, mask: np.ndarray) -> tuple[Tensor, Tensor]:
+    """Scaled dot-product attention of every head and every segment at once.
+
+    With d = (rows of kv - k_row) / 2 and dh = d / n_heads, head i takes its
+    queries from rows i*dh.. of q, its keys from rows k_row + i*dh.. of kv and
+    its values d rows below its keys.  Query segment p of qs attends to key
+    segment p of ks only, under the additive mask (P, 1, Mk, Mq) of 0 and
+    NEG_INF sentinels; the mask must leave every query slot a key.  Returns
+    the stacked head outputs (d x N_q) and the attention stack
+    (P, n_heads, Mk, Mq), column-stochastic over each segment's keys and
+    exactly 0 at masked keys and padding query slots.
+    """
+    q, kv = _as_tensor(q), _as_tensor(kv)
+    d = (kv.data.shape[0] - k_row) // 2
+    if (d < 1 or d % n_heads or q.data.shape[0] < d or qs.p != ks.p
+            or q.data.shape[1] != qs.n or kv.data.shape[1] != ks.n
+            or mask.shape != (qs.p, 1, ks.m, qs.m)):
+        raise ShapeError(f"attention: q {q.data.shape}, kv {kv.data.shape}, k_row {k_row}, "
+                         f"{n_heads} heads, {qs.p}/{ks.p} segments, mask {mask.shape}")
+    dh = d // n_heads
+
+    def stack(cols, segs):       # (d, N) -> (P, H, dh, M)
+        return cols[:, segs.gather].reshape(n_heads, dh, segs.p, segs.m).transpose(2, 0, 1, 3)
+
+    def unstack(st, segs):       # (P, H, dh, M) -> (d, N)
+        return st.transpose(1, 2, 0, 3).reshape(d, -1)[:, segs.scatter]
+
+    qst = stack(q.data[:d], qs)
+    kst = stack(kv.data[k_row:k_row + d], ks)
+    vst = stack(kv.data[k_row + d:k_row + 2 * d], ks)
+    a = np.matmul(kst.swapaxes(-1, -2), qst)
+    a *= scale
+    a += mask
+    a -= a.max(axis=2, keepdims=True)
+    np.exp(a, out=a)
+    a /= a.sum(axis=2, keepdims=True)
+    short = min(qs.lengths)      # query slots from here on may be padding
+    a[..., short:] *= qs.valid[:, None, None, short:]
+    grad_v = []
+
+    def attn_backward(ga):
+        gz = ga - (ga * a).sum(axis=2, keepdims=True)
+        gz *= a
+        gz *= scale
+        grads: dict[int, tuple[Tensor, np.ndarray]] = {}
+
+        def put(t, row, g, segs):
+            if t.requires_grad:
+                if id(t) not in grads:
+                    grads[id(t)] = (t, np.zeros_like(t.data))
+                grads[id(t)][1][row:row + d] = unstack(g, segs)
+
+        put(q, 0, np.matmul(kst, gz), qs)
+        put(kv, k_row, np.matmul(qst, gz.swapaxes(-1, -2)), ks)
+        if grad_v:
+            put(kv, k_row + d, grad_v[0], ks)
+        for t, g in grads.values():
+            t._accum(g)
+
+    attn = _result(a, (q, kv), attn_backward)
+
+    def out_backward(g):
+        # the value gradient is handed to attn_backward, which always runs
+        # after this (attn is this node's parent), so kv is written once
+        gst = stack(g, qs)
+        grad_v.append(np.matmul(gst, a.swapaxes(-1, -2)))
+        attn._accum(np.matmul(vst.swapaxes(-1, -2), gst))
+
+    return _result(unstack(np.matmul(vst, a), qs), (attn,), out_backward), attn
 
 
 def glu(x: Tensor) -> Tensor:
@@ -476,24 +603,6 @@ def weight_norm_apply(direction: Tensor, w_scale: Tensor, eps: float = 1e-12) ->
             direction._accum(coef * g - corr * direction.data)
 
     return _result(w, (direction, w_scale), backward)
-
-
-def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | None) -> Tensor:
-    """Inverted dropout; identity outside training or at rate 0."""
-    if not 0.0 <= rate < 1.0:
-        raise ShapeError(f"dropout rate must be in [0, 1), got {rate}")
-    x = _as_tensor(x)
-    if not training or rate == 0.0:
-        return x
-    if rng is None:
-        raise ValueError("training-mode dropout requires an explicit rng")
-    keep = rng.random(x.data.shape) >= rate
-    factor = keep / (1.0 - rate)
-
-    def backward(g):
-        x._accum(g * factor)
-
-    return _result(x.data * factor, (x,), backward)
 
 
 # ---------------------------------------------------------------------------

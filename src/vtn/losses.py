@@ -3,6 +3,7 @@ identity mapping term, and their weighted total."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,59 +72,77 @@ def dal(attn_set: list[list[Tensor]], nu: float) -> Tensor:
     return ad.scale(total, 1.0 / (n_src * n_tgt * n_heads * n_layers))
 
 
-def pair_loss(model, src: np.ndarray, tgt0: np.ndarray, k: int | None, kp: int | None,
-              weights: LossWeights, training: bool = False,
-              rng: np.random.Generator | None = None) -> tuple[Tensor, Tensor, Tensor]:
-    """Composite loss for one (source, target) utterance pair.
-
-    Returns (composite, main, dal) where composite = main + lambda_dal * dal.
-    tgt0 is the zero-prepended stacked target sequence.
-    """
-    y, attn = model.forward(src, tgt0, k=k, kp=kp, training=training, rng=rng)
-    l_main = main_loss(y, tgt0, weights.gamma, model.config.r)
-    l_dal = dal(attn, weights.nu)
-    return ad.add(l_main, ad.scale(l_dal, weights.lambda_dal)), l_main, l_dal
+@functools.lru_cache(maxsize=64)
+def _guided(n_src: int, n_tgt: int, nu: float) -> np.ndarray:
+    g = guided_weight_matrix(n_src, n_tgt, nu)
+    g.flags.writeable = False
+    return g
 
 
 def total_loss(model, batch, weights: LossWeights, training: bool = False,
                rng: np.random.Generator | None = None) -> tuple[Tensor, dict[str, float]]:
     """Mean composite loss over cross-speaker pairs plus lambda_iml times the
-    mean composite over identity pairs.  batch items are
-    (k, kp, src, tgt0) tuples; identity items have k == kp."""
+    mean composite over identity pairs, a pair's composite being its
+    ``main_loss`` plus lambda_dal times its ``dal``.  batch items are
+    (k, kp, src, tgt0) tuples; identity items have k == kp.
+
+    The contributing pairs, cross pairs first, run through one
+    ``forward_packed`` pass.  Each pair's weight in the total is folded into
+    a per-column weight matrix over the packed output and a padded
+    guided-weight tensor over each decoder layer's attention stack."""
     cross = [item for item in batch if item[0] != item[1]]
     ident = [item for item in batch if item[0] == item[1]]
     if not cross and not ident:
         raise ShapeError("empty batch")
-
-    def mean_of(items):
-        comp_sum = None
-        main_sum = dal_sum = 0.0
-        for k, kp, src, tgt0 in items:
-            comp, l_main, l_dal = pair_loss(model, src, tgt0, k, kp, weights, training, rng)
-            comp_sum = comp if comp_sum is None else ad.add(comp_sum, comp)
-            # reported figures only: plain float adds, no graph
-            main_sum += float(l_main.data)
-            dal_sum += float(l_dal.data)
-        inv = 1.0 / len(items)
-        return ad.scale(comp_sum, inv), main_sum * inv, dal_sum * inv
-
-    total = None
-    mean_main = mean_dal = 0.0
-    if cross:
-        total, mean_main, mean_dal = mean_of(cross)
-    iml_value = 0.0
     use_iml = ident and model.config.mode != "one_to_one" and weights.lambda_iml != 0.0
-    if use_iml:
-        iml_comp, _, _ = mean_of(ident)
-        iml_value = float(iml_comp.data)
-        term = ad.scale(iml_comp, weights.lambda_iml)
-        total = term if total is None else ad.add(total, term)
-    if total is None:
+    pairs = cross + (ident if use_iml else [])
+    if not pairs:
         raise ShapeError("batch contributes no loss terms")
+    cfg = model.config
+    if cfg.D != len(weights.gamma) * cfg.r:
+        raise ShapeError(f"main_loss: {cfg.D} rows incompatible with "
+                         f"{len(weights.gamma)} weights x r={cfg.r}")
+    n_out = np.array([tgt0.shape[1] - 1 for _, _, _, tgt0 in pairs])
+    if n_out.min() < 1:
+        raise ShapeError("main_loss: a target has no frames")
+    n_cross = len(cross)
+    pair_w = np.array([1.0 / n_cross if i < n_cross else weights.lambda_iml / len(ident)
+                       for i in range(len(pairs))])
+
+    y, attn, src_segs, segs = model.forward_packed(pairs, training, rng)
+
+    # output column j of a pair predicts its target column j+1, so a pair's
+    # last output column predicts nothing and weighs 0
+    target = np.concatenate([np.concatenate([tgt0[:, 1:], np.zeros((cfg.D, 1))], axis=1)
+                             for _, _, _, tgt0 in pairs], axis=1)
+    ends = np.cumsum(segs.lengths)
+    col_w = np.repeat(pair_w / n_out, segs.lengths)
+    col_w[ends - 1] = 0.0
+    feat_w = np.tile(weights.gamma, cfg.r) / cfg.r
+    err = ad.absolute(ad.sub(y, Tensor(target)))
+    total = ad.sum_all(ad.mul(err, Tensor(feat_w[:, None] * col_w[None, :])))
+
+    # attention is non-negative, so |A| = A; padding slots of the guided
+    # tensor are 0
+    guided = np.zeros((segs.p, 1, src_segs.m, segs.m))
+    for i, (n_src, n_tgt) in enumerate(zip(src_segs.lengths, segs.lengths)):
+        guided[i, 0, :n_src, :n_tgt] = _guided(n_src, n_tgt, weights.nu)
+    norm = np.asarray(src_segs.lengths) * np.asarray(segs.lengths) * cfg.H * cfg.L
+    dal_w = np.broadcast_to(guided * (weights.lambda_dal * pair_w / norm)[:, None, None, None],
+                            attn[0].data.shape)
+    for a in attn:
+        total = ad.add(total, ad.sum_all(ad.mul(a, Tensor(dal_w))))
+
+    # the reported terms, per pair, from the same arrays
+    col_err = feat_w @ err.data
+    col_err[ends - 1] = 0.0
+    main = np.add.reduceat(col_err, ends - segs.lengths) / n_out
+    dal_ = sum((guided * a.data).sum(axis=(1, 2, 3)) for a in attn) / norm
+    comp = main + weights.lambda_dal * dal_
     breakdown = {
-        "main": mean_main,
-        "dal": mean_dal,
-        "iml": iml_value,
+        "main": float(main[:n_cross].mean()) if n_cross else 0.0,
+        "dal": float(dal_[:n_cross].mean()) if n_cross else 0.0,
+        "iml": float(comp[n_cross:].mean()) if use_iml else 0.0,
         "total": float(total.data),
     }
     return total, breakdown

@@ -8,15 +8,17 @@ conditioning appends an embedding column to the input of a sub-layer
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, asdict, fields
+from typing import NamedTuple
 
 import numpy as np
 
 from . import autodiff as ad
 from . import container
 from .autodiff import Tensor
-from .errors import ShapeError, VtnError
+from .errors import DegenerateColumnError, ShapeError, VtnError
 
 _MODEL_MAGIC = b"VTNM"
 _MODEL_VERSION = 1
@@ -86,6 +88,42 @@ def causal_mask(n: int) -> np.ndarray:
     keys = np.arange(n)[:, None]
     queries = np.arange(n)[None, :]
     return np.where(keys <= queries, 0.0, ad.NEG_INF)
+
+
+class Layout(NamedTuple):
+    """Which keys each packed query may attend to: query segment p of qs sees
+    key segment p of ks under the additive (P, 1, Mk, Mq) mask."""
+    qs: ad.Segments
+    ks: ad.Segments
+    mask: np.ndarray
+    causal: bool
+
+
+@functools.lru_cache(maxsize=4)
+def _segment_layout(q_lengths: tuple[int, ...], k_lengths: tuple[int, ...],
+                    causal: bool) -> Layout:
+    qs, ks = ad.segments(q_lengths), ad.segments(k_lengths)
+    keys = ks.valid[:, :, None]                                    # (P, Mk, 1)
+    if causal:
+        keys = keys & (causal_mask(max(ks.m, qs.m))[:ks.m, :qs.m] == 0.0)
+    mask = np.broadcast_to(np.where(keys, 0.0, ad.NEG_INF)[:, None], (qs.p, 1, ks.m, qs.m))
+    return Layout(qs, ks, mask, causal)
+
+
+def _layout(q_lengths: tuple[int, ...], k_lengths: tuple[int, ...], causal: bool,
+            window: np.ndarray | None = None) -> Layout:
+    """The layout of segments with these lengths; window is an extra
+    additive (N_k x N_q) mask, for one segment only."""
+    if window is None:
+        return _segment_layout(q_lengths, k_lengths, causal)
+    window = np.asarray(window, dtype=np.float64)
+    if len(q_lengths) != 1 or window.shape != (k_lengths[0], q_lengths[0]):
+        raise ShapeError(f"window mask {window.shape} for segments {k_lengths} x {q_lengths}")
+    base = _segment_layout(q_lengths, k_lengths, causal)
+    mask = base.mask + window
+    if not (mask > ad._MASKED).any(axis=2).all():
+        raise DegenerateColumnError("attention window masks every key of a column")
+    return base._replace(mask=mask)
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +201,7 @@ class VtnModel:
         self.config = config
         self.params = params
         self.speakers = speakers
+        self._pe = positional_encoding(0, config.D)
 
     # -- construction -------------------------------------------------------
 
@@ -197,48 +236,78 @@ class VtnModel:
         for t in self.params.values():
             t.zero_grad()
 
-    def _conv(self, name, x, causal, dilation):
+    def _conv(self, name, x, causal, dilation, segs):
         w = ad.weight_norm_apply(self.params[f"{name}.dir"], self.params[f"{name}.scale"])
-        return ad.conv1d(x, w, dilation=dilation, causal=causal)
+        return ad.conv1d(x, w, dilation=dilation, causal=causal, segs=segs)
 
-    def _condition(self, x: Tensor, k: int | None) -> Tensor:
-        if k is None:
+    def _positions(self, lengths: tuple[int, ...]) -> np.ndarray:
+        """Positional encodings of segments packed along time, each from 0.
+        Column n of positional_encoding does not depend on the length asked
+        for, so every segment is a slice of one table grown as needed."""
+        if max(lengths) > self._pe.shape[1]:
+            self._pe = positional_encoding(max(max(lengths), 2 * self._pe.shape[1]),
+                                           self.config.D)
+        if len(lengths) == 1:
+            return self._pe[:, :lengths[0]]
+        return np.concatenate([self._pe[:, :n] for n in lengths], axis=1)
+
+    def _speaker_columns(self, ks: list[int | None], segs: ad.Segments) -> Tensor | None:
+        """(e x N) embedding columns of the speaker of each packed segment:
+        one emb^T @ one_hot product, one column per segment, each repeated
+        over its segment.  None where the side is unconditioned."""
+        if ks[0] is None:
+            return None
+        for k in ks:
+            if not 0 <= k < self.config.n_speakers:
+                raise ShapeError(f"speaker index {k} out of range")
+        one_hot = np.zeros((self.config.n_speakers, segs.p))
+        one_hot[ks, np.arange(segs.p)] = 1.0
+        cols = ad.matmul(ad.transpose(self.params["emb"]), Tensor(one_hot))
+        return ad.tile_cols(cols, segs.lengths)
+
+    def _condition(self, x: Tensor, spk) -> Tensor:
+        """x with speaker rows appended; spk is None, the speaker columns of a
+        pass, or a speaker index for every column of x."""
+        if spk is None:
             return x
-        emb = self.params["emb"]
-        if not 0 <= k < self.config.n_speakers:
-            raise ShapeError(f"speaker index {k} out of range")
-        col = ad.transpose(ad.slice_rows(emb, k, k + 1))
-        return ad.concat_rows([x, ad.tile_cols(col, x.data.shape[1])])
+        if not isinstance(spk, Tensor):
+            spk = self._speaker_columns([spk], ad.segments((x.data.shape[1],)))
+        return ad.concat_rows([x, spk])
 
     def _ln(self, name, x):
         return ad.layer_norm(x, self.params[f"{name}.gain"], self.params[f"{name}.bias"])
 
-    def _prenet(self, name, x, k, causal):
-        x = self._condition(x, k)
+    def _prenet(self, name, x, spk, causal, segs=None):
+        x = self._condition(x, spk)
         for i, dil in enumerate(PRENET_DILATIONS):
-            x = ad.glu(self._conv(f"{name}.{i}", x, causal, dil))
+            x = ad.glu(self._conv(f"{name}.{i}", x, causal, dil, segs))
         return x
 
-    def _postnet(self, x, k):
-        x = self._condition(x, k)
-        x = ad.glu(self._conv("postnet.0", x, True, PRENET_DILATIONS[0]))
-        x = ad.glu(self._conv("postnet.1", x, True, PRENET_DILATIONS[1]))
-        return self._conv("postnet.2", x, True, PRENET_DILATIONS[2])
+    def _postnet(self, x, spk, segs=None):
+        x = self._condition(x, spk)
+        x = ad.glu(self._conv("postnet.0", x, True, PRENET_DILATIONS[0], segs))
+        x = ad.glu(self._conv("postnet.1", x, True, PRENET_DILATIONS[1], segs))
+        return self._conv("postnet.2", x, True, PRENET_DILATIONS[2], segs)
 
-    def _attend(self, q_all, kv, k_row, mask, causal=False):
+    def _attend(self, q_all, kv, k_row, lay: Layout):
         """Every head's attention: head i takes queries from rows i*dh of q_all,
         keys from rows k_row + i*dh of kv and values d rows below its keys.
-        Returns the stacked head outputs and the per-head attention."""
+        Returns the stacked head outputs and the attention stack
+        (P, H, Mk, Mq)."""
         d, h = self.config.d, self.config.H
+        if not ad.is_column_exact():
+            return ad.attention(q_all, kv, k_row, h, 1.0 / math.sqrt(d), lay.qs, lay.ks, lay.mask)
+        # inference path, one segment: per-head fixed-shape kernels
         dh = d // h
+        mask = lay.mask[0, 0]
         heads, attn = [], []
         for i in range(h):
             q = ad.slice_rows(q_all, i * dh, (i + 1) * dh)
             key = ad.slice_rows(kv, k_row + i * dh, k_row + (i + 1) * dh)
             v = ad.slice_rows(kv, k_row + d + i * dh, k_row + d + (i + 1) * dh)
-            if causal and ad.is_column_exact():
-                # inference path: key count for column j is always j+1, so
-                # the logit gemv shape never changes as the prefix grows
+            if lay.causal:
+                # key count for column j is always j+1, so the logit gemv
+                # shape never changes as the prefix grows
                 n = q.data.shape[1]
                 ld = np.full((n, n), ad.NEG_INF)
                 for j in range(n):
@@ -249,29 +318,37 @@ class VtnModel:
                 logits = ad.scale(ad.matmul(ad.transpose(key), q), 1.0 / math.sqrt(d))
             a = ad.masked_softmax_columns(logits, mask)
             heads.append(ad.matmul(v, a))
-            attn.append(a)
-        return ad.concat_rows(heads), attn
+            attn.append(a.data)
+        return ad.concat_rows(heads), Tensor(np.stack(attn)[None])
 
     def _sa(self, prefix, x, mask, causal=False):
+        """mask: a Layout, or the additive (N x N) mask of one segment."""
+        n = x.data.shape[1]
+        lay = mask if isinstance(mask, Layout) else _layout((n,), (n,), causal, mask)
         qkv = ad.matmul(self.params[f"{prefix}.W1"], x)
-        heads, _ = self._attend(qkv, qkv, self.config.d, mask, causal)
+        heads, _ = self._attend(qkv, qkv, self.config.d, lay)
         return ad.matmul(self.params[f"{prefix}.W2"], heads)
 
     def _tsa(self, prefix, x, z, window_mask, identity):
+        """window_mask: a Layout, or None or the additive (N_src x N_tgt)
+        mask of one segment.  Returns the output and the attention stack."""
         n_src, n_tgt = z.data.shape[1], x.data.shape[1]
+        lay = (window_mask if isinstance(window_mask, Layout)
+               else _layout((n_tgt,), (n_src,), False, window_mask))
         kv = ad.matmul(self.params[f"{prefix}.W6"], z)
         if identity:
             # target position j attends to source position j only, so every
             # head passes its values through and no query is needed
+            if lay.qs.p != 1:
+                raise ShapeError("identity alignment takes one segment")
             if n_tgt > n_src:
                 raise ShapeError("identity alignment needs N_tgt <= N_src")
-            d = self.config.d
-            heads = ad.slice_cols(ad.slice_rows(kv, d, 2 * d), 0, n_tgt)
-            attn = [Tensor(np.eye(n_src, n_tgt))] * self.config.H
+            d, h = self.config.d, self.config.H
+            heads = ad.index(kv, np.s_[d:2 * d, :n_tgt])
+            attn = Tensor(np.broadcast_to(np.eye(n_src, n_tgt), (1, h, n_src, n_tgt)))
         else:
             q_all = ad.matmul(self.params[f"{prefix}.W5"], x)
-            mask = np.zeros((n_src, n_tgt)) if window_mask is None else window_mask
-            heads, attn = self._attend(q_all, kv, 0, mask)
+            heads, attn = self._attend(q_all, kv, 0, lay)
         return ad.matmul(self.params[f"{prefix}.W7"], heads), attn
 
     def _ffn(self, prefix, x):
@@ -281,36 +358,34 @@ class VtnModel:
 
     # -- encoder / decoder --------------------------------------------------
 
-    def _sublayer(self, ln_name, x, k, f):
+    def _sublayer(self, ln_name, x, spk, f):
         """Residual sub-layer around f, which sees speaker-conditioned input:
         x + f(LN(x)) pre-LN, LN(x + f(x)) post-LN."""
         if self.config.ln_placement == "pre":
-            return ad.add(x, f(self._condition(self._ln(ln_name, x), k)))
-        return self._ln(ln_name, ad.add(x, f(self._condition(x, k))))
+            return ad.add(x, f(self._condition(self._ln(ln_name, x), spk)))
+        return self._ln(ln_name, ad.add(x, f(self._condition(x, spk))))
 
-    def encoder_layer(self, l: int, x: Tensor, k: int | None) -> Tensor:
-        causal = self.config.realtime
+    def encoder_layer(self, l: int, x: Tensor, spk, lay: Layout | None = None) -> Tensor:
+        """lay defaults to one segment spanning x."""
         n = x.data.shape[1]
-        mask = causal_mask(n) if causal else np.zeros((n, n))
+        lay = lay or _layout((n,), (n,), self.config.realtime)
         name = f"enc.{l}"
-        u = self._sublayer(f"{name}.ln1", x, k, lambda h: self._sa(f"{name}.sa", h, mask, causal))
-        return self._sublayer(f"{name}.ln2", u, k, lambda h: self._ffn(f"{name}.ffn", h))
+        u = self._sublayer(f"{name}.ln1", x, spk, lambda h: self._sa(f"{name}.sa", h, lay))
+        return self._sublayer(f"{name}.ln2", u, spk, lambda h: self._ffn(f"{name}.ffn", h))
 
-    def decoder_layer(self, l: int, x: Tensor, z: Tensor, k: int | None,
-                      window_mask: np.ndarray | None,
-                      tsa_identity: bool) -> tuple[Tensor, list[Tensor]]:
-        mask = causal_mask(x.data.shape[1])
+    def decoder_layer(self, l: int, x: Tensor, z: Tensor, spk, self_lay: Layout,
+                      tsa_lay: Layout, tsa_identity: bool) -> tuple[Tensor, Tensor]:
         name = f"dec.{l}"
         attn: list[Tensor] = []
 
         def tsa(h):
-            out, heads = self._tsa(f"{name}.tsa", h, z, window_mask, tsa_identity)
-            attn.extend(heads)
+            out, a = self._tsa(f"{name}.tsa", h, z, tsa_lay, tsa_identity)
+            attn.append(a)
             return out
 
-        u1 = self._sublayer(f"{name}.ln1", x, k, lambda h: self._sa(f"{name}.sa", h, mask, True))
-        u2 = self._sublayer(f"{name}.ln2", u1, k, tsa)
-        return self._sublayer(f"{name}.ln3", u2, k, lambda h: self._ffn(f"{name}.ffn", h)), attn
+        u1 = self._sublayer(f"{name}.ln1", x, spk, lambda h: self._sa(f"{name}.sa", h, self_lay))
+        u2 = self._sublayer(f"{name}.ln2", u1, spk, tsa)
+        return self._sublayer(f"{name}.ln3", u2, spk, lambda h: self._ffn(f"{name}.ffn", h)), attn[0]
 
     def _speaker(self, index: int | None, conditioned: bool, role: str) -> int | None:
         """index if this side of the network is speaker-conditioned, else None."""
@@ -320,20 +395,67 @@ class VtnModel:
             raise ShapeError(f"{self.config.mode} mode requires a {role} speaker index")
         return index
 
+    def _dropout(self, training: bool, rng: np.random.Generator | None,
+                 shapes: list[list[tuple[int, int]]]) -> list[np.ndarray] | None:
+        """Inverted-dropout factors, one packed array per dropout site.
+
+        shapes[i] lists segment i's (rows, columns) at each site; the masks
+        are drawn segment by segment and, within one, site by site, the order
+        in which one-segment passes draw them.  None when dropout is off."""
+        rate = self.config.dropout_rate
+        if not training or rate == 0.0:
+            return None
+        if rng is None:
+            raise ValueError("training-mode dropout requires an explicit rng")
+        keep = [[rng.random(shape) >= rate for shape in sites] for sites in shapes]
+        return [np.concatenate(site, axis=1) / (1.0 - rate) for site in zip(*keep)]
+
+    def _encode(self, x: Tensor, segs: ad.Segments, spk: Tensor | None,
+                drop: np.ndarray | None) -> Tensor:
+        cfg = self.config
+        x = ad.add(x, Tensor(self._positions(segs.lengths)))
+        if drop is not None:
+            x = ad.mul(x, Tensor(drop))
+        x = self._prenet("src_prenet", x, spk, cfg.realtime, segs)
+        lay = _layout(segs.lengths, segs.lengths, cfg.realtime)
+        for l in range(cfg.L):
+            x = self.encoder_layer(l, x, spk, lay)
+        if cfg.has_final_ln:
+            x = self._ln("enc_final_ln", x)
+        return x
+
+    def _decode(self, x: Tensor, z: Tensor, segs: ad.Segments, src_segs: ad.Segments,
+                spk: Tensor | None, drops: list[np.ndarray] | None,
+                window_mask: np.ndarray | None, tsa_identity: bool) -> tuple[Tensor, list[Tensor]]:
+        cfg = self.config
+        x = ad.add(x, Tensor(self._positions(segs.lengths)))
+        if drops is not None:
+            x = ad.mul(x, Tensor(drops[0]))
+        x = self._prenet("tgt_prenet", x, spk, True, segs)
+        self_lay = _layout(segs.lengths, segs.lengths, True)
+        tsa_lay = _layout(segs.lengths, src_segs.lengths, False, window_mask)
+        attn = []
+        for l in range(cfg.L):
+            x, a = self.decoder_layer(l, x, z, spk, self_lay, tsa_lay, tsa_identity)
+            attn.append(a)
+        if cfg.has_final_ln:
+            x = self._ln("dec_final_ln", x)
+        if drops is not None:
+            x = ad.mul(x, Tensor(drops[1]))
+        return self._postnet(x, spk, segs), attn
+
+    def _per_head(self, attn: list[Tensor]) -> list[list[Tensor]]:
+        """Each head's (N_src x N_tgt) attention of a one-segment pass."""
+        return [[ad.index(a, np.s_[0, h]) for h in range(self.config.H)] for a in attn]
+
     def encode(self, src, k: int | None = None, training: bool = False,
                rng: np.random.Generator | None = None) -> Tensor:
         cfg = self.config
         src = src if isinstance(src, Tensor) else Tensor(src)
-        k_eff = self._speaker(k, cfg.src_conditioned, "source")
-        n = src.data.shape[1]
-        x = ad.add(src, Tensor(positional_encoding(n, cfg.D)))
-        x = ad.dropout(x, cfg.dropout_rate, training, rng)
-        x = self._prenet("src_prenet", x, k_eff, causal=cfg.realtime)
-        for l in range(cfg.L):
-            x = self.encoder_layer(l, x, k_eff)
-        if cfg.has_final_ln:
-            x = self._ln("enc_final_ln", x)
-        return x
+        segs = ad.segments((src.data.shape[1],))
+        spk = self._speaker_columns([self._speaker(k, cfg.src_conditioned, "source")], segs)
+        drops = self._dropout(training, rng, [[(cfg.D, segs.n)]])
+        return self._encode(src, segs, spk, drops and drops[0])
 
     def decode(self, tgt_in, z: Tensor, kp: int | None = None,
                training: bool = False, rng: np.random.Generator | None = None,
@@ -341,20 +463,12 @@ class VtnModel:
                tsa_identity: bool = False) -> tuple[Tensor, list[list[Tensor]]]:
         cfg = self.config
         tgt_in = tgt_in if isinstance(tgt_in, Tensor) else Tensor(tgt_in)
-        kp_eff = self._speaker(kp, cfg.tgt_conditioned, "target")
-        n = tgt_in.data.shape[1]
-        x = ad.add(tgt_in, Tensor(positional_encoding(n, cfg.D)))
-        x = ad.dropout(x, cfg.dropout_rate, training, rng)
-        x = self._prenet("tgt_prenet", x, kp_eff, causal=True)
-        attn_set: list[list[Tensor]] = []
-        for l in range(cfg.L):
-            x, attn = self.decoder_layer(l, x, z, kp_eff, window_mask, tsa_identity)
-            attn_set.append(attn)
-        if cfg.has_final_ln:
-            x = self._ln("dec_final_ln", x)
-        x = ad.dropout(x, cfg.dropout_rate, training, rng)
-        y = self._postnet(x, kp_eff)
-        return y, attn_set
+        segs = ad.segments((tgt_in.data.shape[1],))
+        spk = self._speaker_columns([self._speaker(kp, cfg.tgt_conditioned, "target")], segs)
+        drops = self._dropout(training, rng, [[(cfg.D, segs.n), (cfg.d, segs.n)]])
+        y, attn = self._decode(tgt_in, z, segs, ad.segments((z.data.shape[1],)), spk, drops,
+                               window_mask, tsa_identity)
+        return y, self._per_head(attn)
 
     def forward(self, src, tgt_in, k: int | None = None, kp: int | None = None,
                 training: bool = False, rng: np.random.Generator | None = None,
@@ -363,6 +477,29 @@ class VtnModel:
         """Teacher-forced pass: src (D x N_src), tgt_in (D x N_tgt+1, zero-prepended)."""
         z = self.encode(src, k, training, rng)
         return self.decode(tgt_in, z, kp, training, rng, window_mask, tsa_identity)
+
+    def forward_packed(self, pairs, training: bool = False,
+                       rng: np.random.Generator | None = None
+                       ) -> tuple[Tensor, list[Tensor], ad.Segments, ad.Segments]:
+        """One teacher-forced pass over (k, kp, src, tgt_in) pairs packed along
+        time, with each pair's maths and dropout draws those of its own
+        ``forward``.  Returns the packed output, the attention stack
+        (P, H, max N_src, max N_tgt+1) of every decoder layer, and the source
+        and target segments."""
+        cfg = self.config
+        src_segs = ad.segments(tuple(src.shape[1] for _, _, src, _ in pairs))
+        segs = ad.segments(tuple(tgt.shape[1] for _, _, _, tgt in pairs))
+        drops = self._dropout(training, rng, [[(cfg.D, ns), (cfg.D, nt), (cfg.d, nt)]
+                                              for ns, nt in zip(src_segs.lengths, segs.lengths)])
+        src_spk = self._speaker_columns(
+            [self._speaker(k, cfg.src_conditioned, "source") for k, _, _, _ in pairs], src_segs)
+        spk = self._speaker_columns(
+            [self._speaker(kp, cfg.tgt_conditioned, "target") for _, kp, _, _ in pairs], segs)
+        z = self._encode(Tensor(np.concatenate([p[2] for p in pairs], axis=1)), src_segs,
+                         src_spk, drops and drops[0])
+        y, attn = self._decode(Tensor(np.concatenate([p[3] for p in pairs], axis=1)), z, segs,
+                               src_segs, spk, drops and drops[1:], None, False)
+        return y, attn, src_segs, segs
 
     # -- checkpoint I/O -----------------------------------------------------
 

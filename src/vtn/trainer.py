@@ -105,7 +105,9 @@ def clip_global_norm(model: VtnModel, max_norm: float) -> float:
 
 def train_step(model: VtnModel, batch: list[BatchItem], opt_state: AdamState,
                train_cfg: TrainConfig, rng: np.random.Generator) -> dict[str, float]:
-    """One forward/backward/Adam update; returns the loss breakdown."""
+    """One forward/backward/Adam update.  Returns the loss breakdown plus
+    grad_norm, the global gradient norm before clipping, and clipped,
+    whether clipping scaled the gradients down."""
     weights = train_cfg.loss_weights(model.config.n_mcc)
     model.zero_grads()
     loss, breakdown = total_loss(model, batch, weights, training=True, rng=rng)
@@ -119,7 +121,8 @@ def train_step(model: VtnModel, batch: list[BatchItem], opt_state: AdamState,
             f"non-finite gradient norm at step {opt_state.step + 1}: {breakdown}")
     ad.adam_step(model.params, opt_state, train_cfg.lr, train_cfg.beta1,
                  train_cfg.beta2, train_cfg.eps)
-    return breakdown
+    return {**breakdown, "grad_norm": norm,
+            "clipped": train_cfg.grad_clip > 0.0 and norm > train_cfg.grad_clip}
 
 
 @dataclass

@@ -192,27 +192,6 @@ def test_weight_norm_gradcheck():
     assert err < 1e-5
 
 
-def test_dropout_identity_cases():
-    x = Tensor(np.arange(6, dtype=float).reshape(2, 3))
-    assert ad.dropout(x, 0.0, True, np.random.default_rng(0)) is x
-    assert ad.dropout(x, 0.5, False, None) is x
-
-
-def test_dropout_zero_fraction():
-    rng = np.random.default_rng(9)
-    x = Tensor(np.ones((100, 1000)))
-    y = ad.dropout(x, 0.1, True, rng)
-    frac = (y.data == 0.0).mean()
-    assert abs(frac - 0.1) < 0.01
-    survivors = y.data[y.data != 0.0]
-    assert np.allclose(survivors, 1.0 / 0.9)
-
-
-def test_dropout_requires_rng():
-    with pytest.raises(ValueError):
-        ad.dropout(Tensor(np.ones((2, 2))), 0.1, True, None)
-
-
 def test_adam_zero_gradient_noop():
     p = {"w": Tensor(np.array([1.0, 2.0]), requires_grad=True)}
     state = AdamState()
@@ -363,3 +342,131 @@ def test_column_exact_prefix_stability():
             assert np.array_equal(
                 ad.masked_softmax_columns(Tensor(b[:, :w]), np.zeros((8, w))).data,
                 full_sm[:, :w])
+
+
+def _padded_im2col_conv(x, kernel, dilation, causal):
+    """The single-sequence conv as one padded im2col gemm."""
+    c_out, c_in, k = kernel.shape
+    n = x.shape[1]
+    pad_l = (k - 1) * dilation if causal else (k - 1) // 2 * dilation
+    xp = np.pad(x, ((0, 0), (pad_l, 0 if causal else pad_l)))
+    xcol = np.empty((k * c_in, n))
+    for t in range(k):
+        xcol[t * c_in:(t + 1) * c_in] = xp[:, t * dilation:t * dilation + n]
+    return kernel.transpose(0, 2, 1).reshape(c_out, -1) @ xcol
+
+
+@pytest.mark.parametrize("dilation", [1, 2, 4])
+@pytest.mark.parametrize("causal", [False, True])
+def test_conv1d_one_segment_is_padded_im2col_bitwise(dilation, causal):
+    rng = np.random.default_rng(40 + dilation)
+    for c_in, c_out, n in [(3, 4, 1), (5, 2, 7), (41, 64, 60), (32, 93, 13)]:
+        x = rng.normal(size=(c_in, n))
+        kernel = rng.normal(size=(c_out, c_in, 5))
+        want = _padded_im2col_conv(x, kernel, dilation, causal)
+        assert np.array_equal(ad.conv1d(Tensor(x), Tensor(kernel), dilation, causal).data, want)
+        segs = ad.segments((n,))
+        assert np.array_equal(
+            ad.conv1d(Tensor(x), Tensor(kernel), dilation, causal, segs).data, want)
+
+
+@pytest.mark.parametrize("dilation", [1, 4])
+@pytest.mark.parametrize("causal", [False, True])
+def test_conv1d_segments_are_separate_sequences(dilation, causal):
+    rng = np.random.default_rng(50 + dilation)
+    lengths = (3, 1, 6, 2)
+    segs = ad.segments(lengths)
+    x = rng.normal(size=(3, segs.n))
+    kernel = rng.normal(size=(2, 3, 5))
+    out = ad.conv1d(Tensor(x), Tensor(kernel), dilation, causal, segs).data
+    starts = np.cumsum(lengths) - lengths
+    for s, n in zip(starts, lengths):
+        alone = _padded_im2col_conv(x[:, s:s + n], kernel, dilation, causal)
+        assert np.allclose(out[:, s:s + n], alone, rtol=0, atol=1e-12)
+    # perturbing one segment leaves every other column bit-identical
+    pert = x.copy()
+    pert[:, 4:10] += 3.0
+    out2 = ad.conv1d(Tensor(pert), Tensor(kernel), dilation, causal, segs).data
+    assert np.array_equal(np.delete(out2, np.s_[4:10], axis=1), np.delete(out, np.s_[4:10], axis=1))
+    w = Tensor(rng.normal(size=(2, segs.n)))
+    assert grad_check(lambda t: ad.sum_all(ad.mul(ad.conv1d(t, Tensor(kernel), dilation, causal,
+                                                               segs), w)), Tensor(x)) < 1e-6
+    assert grad_check(lambda t: ad.sum_all(ad.mul(ad.conv1d(Tensor(x), t, dilation, causal,
+                                                               segs), w)), Tensor(kernel)) < 1e-6
+
+
+def test_conv1d_segments_must_cover_input():
+    with pytest.raises(ShapeError):
+        ad.conv1d(Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 1, 3))), segs=ad.segments((2, 1)))
+
+
+def _attention_case(rng, n_heads, q_lengths, k_lengths, causal, dh=2):
+    d = n_heads * dh
+    qs, ks = ad.segments(q_lengths), ad.segments(k_lengths)
+    q = rng.normal(size=(d + 1, qs.n))          # an extra row the op must ignore
+    kv = rng.normal(size=(1 + 2 * d, ks.n))     # keys start at row 1
+    rows, cols = np.arange(ks.m)[:, None], np.arange(qs.m)[None, :]
+    mask = np.empty((qs.p, 1, ks.m, qs.m))
+    for p, nk in enumerate(k_lengths):
+        mask[p, 0] = np.where((rows < nk) & ((rows <= cols) if causal else True), 0.0, ad.NEG_INF)
+    return d, qs, ks, q, kv, mask
+
+
+@pytest.mark.parametrize("n_heads", [1, 3])
+@pytest.mark.parametrize("causal", [False, True])
+def test_attention_matches_per_head_softmax(n_heads, causal):
+    rng = np.random.default_rng(60 + n_heads)
+    q_lengths = (3, 1, 5)
+    k_lengths = q_lengths if causal else (4, 2, 1)
+    d, qs, ks, q, kv, mask = _attention_case(rng, n_heads, q_lengths, k_lengths, causal)
+    out, attn = ad.attention(Tensor(q), Tensor(kv), 1, n_heads, 0.7, qs, ks, mask)
+    assert out.data.shape == (d, qs.n) and attn.data.shape == (3, n_heads, ks.m, qs.m)
+    dh = d // n_heads
+    q0 = k0 = 0
+    for p, (nq, nk) in enumerate(zip(q_lengths, k_lengths)):
+        for h in range(n_heads):
+            qh = q[h * dh:(h + 1) * dh, q0:q0 + nq]
+            kh = kv[1 + h * dh:1 + (h + 1) * dh, k0:k0 + nk]
+            vh = kv[1 + d + h * dh:1 + d + (h + 1) * dh, k0:k0 + nk]
+            a = ad.masked_softmax_columns(Tensor(0.7 * (kh.T @ qh)), mask[p, 0, :nk, :nq]).data
+            assert np.allclose(attn.data[p, h, :nk, :nq], a, rtol=0, atol=1e-14)
+            assert np.allclose(out.data[h * dh:(h + 1) * dh, q0:q0 + nq], vh @ a,
+                               rtol=0, atol=1e-13)
+        # padding slots, of keys and of queries, are exactly 0
+        assert not attn.data[p, :, nk:, :].any() and not attn.data[p, :, :, nq:].any()
+        q0, k0 = q0 + nq, k0 + nk
+
+
+@pytest.mark.parametrize("n_heads", [1, 3])
+@pytest.mark.parametrize("causal", [False, True])
+def test_attention_gradcheck_ragged_segments(n_heads, causal):
+    rng = np.random.default_rng(70 + n_heads)
+    q_lengths = (2, 1, 4)
+    k_lengths = q_lengths if causal else (3, 1, 2)
+    d, qs, ks, q, kv, mask = _attention_case(rng, n_heads, q_lengths, k_lengths, causal)
+    w_out = Tensor(rng.normal(size=(d, qs.n)))
+    w_attn = Tensor(rng.normal(size=(qs.p, n_heads, ks.m, qs.m)))
+
+    def loss(q_t, kv_t):
+        out, attn = ad.attention(q_t, kv_t, 1, n_heads, 0.7, qs, ks, mask)
+        return ad.add(ad.sum_all(ad.mul(out, w_out)), ad.sum_all(ad.mul(attn, w_attn)))
+
+    assert grad_check(lambda t: loss(t, Tensor(kv)), Tensor(q)) < 1e-6
+    assert grad_check(lambda t: loss(Tensor(q), t), Tensor(kv)) < 1e-6
+    # self-attention: queries, keys and values rows of one tensor
+    qkv = rng.normal(size=(3 * d, qs.n))
+    if causal:
+        assert grad_check(lambda t: ad.sum_all(ad.mul(
+            ad.attention(t, t, d, n_heads, 0.7, qs, qs, mask)[0], w_out)), Tensor(qkv)) < 1e-6
+
+
+def test_attention_shape_errors():
+    segs = ad.segments((2, 3))
+    ok = np.zeros((2, 1, 3, 3))
+    with pytest.raises(ShapeError):   # mask of the wrong shape
+        ad.attention(Tensor(np.zeros((4, 5))), Tensor(np.zeros((8, 5))), 0, 2, 1.0, segs, segs,
+                     np.zeros((1, 1, 3, 3)))
+    with pytest.raises(ShapeError):   # d not divisible by the heads
+        ad.attention(Tensor(np.zeros((4, 5))), Tensor(np.zeros((8, 5))), 0, 3, 1.0, segs, segs, ok)
+    with pytest.raises(ShapeError):   # segments that do not cover the columns
+        ad.attention(Tensor(np.zeros((4, 6))), Tensor(np.zeros((8, 5))), 0, 2, 1.0, segs, segs, ok)

@@ -213,3 +213,104 @@ def test_total_loss_recomposition_oracle():
 def test_total_loss_empty_batch():
     with pytest.raises(ShapeError):
         total_loss(_tiny_model(), [], LossWeights(gamma=default_feature_weights(1)))
+
+
+PACK_CONFIGS = [dict(), dict(ln_placement="post"), dict(realtime=True), dict(mode="any_to_many"),
+                dict(final_ln=False), dict(mode="one_to_one"), dict(L=3, H=4)]
+
+
+def _pack_model(dropout_rate=0.0, **kw):
+    cfg = VtnConfig(**{**dict(L=2, H=2, d=8, d_ffn=16, n_mcc=1, r=1, e=4, n_speakers=3,
+                              dropout_rate=dropout_rate), **kw})
+    return VtnModel.init(cfg, seed=31, speakers=["a", "b", "c"])
+
+
+def _ragged_batch(rng, model):
+    """Cross pairs then identity pairs, of different lengths, one of 1 frame."""
+    speakers = [(0, 1), (2, 0), (1, 2), (0, 0), (1, 1), (2, 2)]
+    sizes = [(5, 4), (1, 1), (7, 3), (3, 6), (6, 2), (4, 4)]
+    return [_item(rng, model, k, kp, n_src, n_tgt)
+            for (k, kp), (n_src, n_tgt) in zip(speakers, sizes)]
+
+
+def _per_pair_total(model, batch, weights, training=False, rng=None):
+    """The loss as the sum of one model.forward + main_loss + dal per pair."""
+    cross = [item for item in batch if item[0] != item[1]]
+    ident = [item for item in batch if item[0] == item[1]]
+    use_iml = ident and model.config.mode != "one_to_one" and weights.lambda_iml != 0.0
+    total = 0.0
+    for items, w in ((cross, 1.0), (ident if use_iml else [], weights.lambda_iml)):
+        for k, kp, src, tgt0 in items:
+            y, attn = model.forward(src, tgt0, k=k, kp=kp, training=training, rng=rng)
+            comp = (main_loss(y, tgt0, weights.gamma, model.config.r).item()
+                    + weights.lambda_dal * dal(attn, weights.nu).item())
+            total += w * comp / len(items)
+    return total
+
+
+@pytest.mark.parametrize("extra", PACK_CONFIGS)
+def test_packed_total_loss_equals_per_pair_forwards(extra):
+    model = _pack_model(**extra)
+    weights = LossWeights(lambda_dal=30.0, lambda_iml=0.6, gamma=default_feature_weights(1))
+    batch = _ragged_batch(np.random.default_rng(32), model)
+    no_iml = LossWeights(lambda_dal=30.0, lambda_iml=0.0, gamma=default_feature_weights(1))
+    for part, w in [(batch, weights), (batch[:3], weights), (batch[3:], weights),
+                    (batch, no_iml), (batch[3:], no_iml)]:
+        identity_only = all(k == kp for k, kp, _, _ in part)
+        if identity_only and (w.lambda_iml == 0.0 or model.config.mode == "one_to_one"):
+            with pytest.raises(ShapeError):
+                total_loss(model, part, w)
+            continue
+        got = total_loss(model, part, w)[0].item()
+        want = _per_pair_total(model, part, w)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_packed_pairs_are_isolated():
+    model = _pack_model()
+    batch = _ragged_batch(np.random.default_rng(33), model)
+    y, attn, src_segs, segs = model.forward_packed(batch)
+    i = 2     # perturb the third pair's source and target
+    k, kp, src, tgt0 = batch[i]
+    moved = list(batch)
+    moved[i] = (k, kp, src + 5.0, np.concatenate([tgt0[:, :1], tgt0[:, 1:] - 3.0], axis=1))
+    y2, attn2, _, _ = model.forward_packed(moved)
+    cols = np.cumsum(segs.lengths) - segs.lengths
+    mine = np.s_[cols[i]:cols[i] + segs.lengths[i]]
+    assert not np.array_equal(y2.data[:, mine], y.data[:, mine])
+    assert np.array_equal(np.delete(y2.data, mine, axis=1), np.delete(y.data, mine, axis=1))
+    for a, a2 in zip(attn, attn2):
+        assert not np.array_equal(a2.data[i], a.data[i])
+        assert np.array_equal(np.delete(a2.data, i, axis=0), np.delete(a.data, i, axis=0))
+
+
+def test_packed_training_draws_per_pair_dropout():
+    model = _pack_model(dropout_rate=0.3)
+    weights = LossWeights(lambda_dal=30.0, lambda_iml=0.6, gamma=default_feature_weights(1))
+    batch = _ragged_batch(np.random.default_rng(34), model)
+    # identity pairs listed first: the packed pass still draws cross pairs first
+    batch = batch[3:] + batch[:3]
+    packed_rng, pair_rng = np.random.default_rng(35), np.random.default_rng(35)
+    got = total_loss(model, batch, weights, training=True, rng=packed_rng)[0].item()
+    cross = [item for item in batch if item[0] != item[1]]
+    ident = [item for item in batch if item[0] == item[1]]
+    want = _per_pair_total(model, cross + ident, weights, training=True, rng=pair_rng)
+    assert abs(got - want) <= 1e-12 * abs(want)
+    assert packed_rng.random() == pair_rng.random()
+
+
+def test_packed_breakdown_terms():
+    model = _pack_model()
+    weights = LossWeights(lambda_dal=30.0, lambda_iml=0.6, gamma=default_feature_weights(1))
+    batch = _ragged_batch(np.random.default_rng(36), model)
+    total, bd = total_loss(model, batch, weights)
+    mains, dals, comps = [], [], []
+    for k, kp, src, tgt0 in batch:
+        y, attn = model.forward(src, tgt0, k=k, kp=kp)
+        mains.append(main_loss(y, tgt0, weights.gamma, 1).item())
+        dals.append(dal(attn, weights.nu).item())
+        comps.append(mains[-1] + 30.0 * dals[-1])
+    assert bd["main"] == pytest.approx(np.mean(mains[:3]), rel=1e-12)
+    assert bd["dal"] == pytest.approx(np.mean(dals[:3]), rel=1e-12)
+    assert bd["iml"] == pytest.approx(np.mean(comps[3:]), rel=1e-12)
+    assert bd["total"] == total.item()

@@ -68,7 +68,8 @@ def test_tsa_single_source_position():
     rng = np.random.default_rng(2)
     x = Tensor(rng.normal(size=(cfg.d, 4)))
     z = Tensor(rng.normal(size=(cfg.d, 1)))
-    _, attn = model._tsa("dec.0.tsa", x, z, None, False)
+    _, stack = model._tsa("dec.0.tsa", x, z, None, False)
+    attn = model._per_head([stack])[0]
     for a in attn:
         assert np.array_equal(a.data, np.ones((1, 4)))
 
@@ -82,7 +83,8 @@ def test_tsa_forced_attention_row():
     mask = np.zeros((6, 2))
     mask[:, 1] = ad.NEG_INF
     mask[3, 1] = 0.0           # only source row 3 allowed in column 1
-    _, attn = model._tsa("dec.0.tsa", x, z, mask, False)
+    _, stack = model._tsa("dec.0.tsa", x, z, mask, False)
+    attn = model._per_head([stack])[0]
     for a in attn:
         assert a.data[3, 1] == 1.0
         assert np.abs(np.delete(a.data[:, 1], 3)).max() == 0.0
@@ -94,13 +96,37 @@ def test_tsa_identity_passes_values_through():
     rng = np.random.default_rng(5)
     x = Tensor(rng.normal(size=(cfg.d, 3)))
     z = Tensor(rng.normal(size=(cfg.d, 5)))
-    out, attn = model._tsa("dec.0.tsa", x, z, None, True)
+    out, stack = model._tsa("dec.0.tsa", x, z, None, True)
+    attn = model._per_head([stack])[0]
     p = {k: v.data for k, v in model.params.items()}
     values = (p["dec.0.tsa.W6"] @ z.data)[cfg.d:, :3]
     assert np.allclose(out.data, p["dec.0.tsa.W7"] @ values, rtol=0, atol=1e-12)
     assert len(attn) == cfg.H
     for a in attn:
         assert np.array_equal(a.data, np.eye(5, 3))
+
+
+def test_dropout_identity_cases():
+    # dropout off: no factors and no draws
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    assert VtnModel.init(tiny_config(dropout_rate=0.0))._dropout(True, rng, [[(2, 3)]]) is None
+    assert VtnModel.init(tiny_config(dropout_rate=0.5))._dropout(False, None, [[(2, 3)]]) is None
+    assert rng.bit_generator.state == state
+
+
+def test_dropout_zero_fraction():
+    model = VtnModel.init(tiny_config(dropout_rate=0.1))
+    (factor,) = model._dropout(True, np.random.default_rng(9), [[(100, 1000)]])
+    frac = (factor == 0.0).mean()
+    assert abs(frac - 0.1) < 0.01
+    survivors = factor[factor != 0.0]
+    assert np.allclose(survivors, 1.0 / 0.9)
+
+
+def test_dropout_requires_rng():
+    with pytest.raises(ValueError):
+        VtnModel.init(tiny_config(dropout_rate=0.1))._dropout(True, None, [[(2, 2)]])
 
 
 def test_ffn_constant_case():

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from vtn.autodiff import AdamState, Tensor
 from vtn.errors import ShapeError, TrainingDivergedError
 from vtn.features import compute_stats, gen_synthetic_corpus
+from vtn.losses import total_loss
 from vtn.model import VtnConfig, VtnModel
 from vtn.trainer import (TrainConfig, load_trainer_state, make_batch,
                          save_trainer_state, train, train_step)
@@ -147,6 +150,26 @@ def test_train_step_overfits_single_batch():
     state = AdamState()
     losses = [train_step(model, batch, state, tc, rng)["main"] for _ in range(50)]
     assert losses[-1] < 0.8 * losses[0]
+
+
+def test_train_step_reports_pre_clip_grad_norm():
+    corpus = small_corpus()
+    stats = compute_stats(corpus)
+    cfg = tiny_cfg()
+    batch = make_batch(corpus, stats, cfg, TrainConfig(batch_size=2), np.random.default_rng(9))
+    weights = TrainConfig().loss_weights(cfg.n_mcc)
+    for clip in (0.0, 1e-3, 1e9):
+        # the same loss at the same weights and dropout draws, backpropagated alone
+        model = VtnModel.init(cfg, seed=0, speakers=corpus.speakers)
+        total_loss(model, batch, weights, training=True, rng=np.random.default_rng(10))[0].backward()
+        want = math.sqrt(sum(float((p.grad * p.grad).sum())
+                             for p in model.params.values() if p.grad is not None))
+        model = VtnModel.init(cfg, seed=0, speakers=corpus.speakers)
+        bd = train_step(model, batch, AdamState(), TrainConfig(grad_clip=clip),
+                        np.random.default_rng(10))
+        assert bd["grad_norm"] == want
+        assert bd["clipped"] == (clip > 0.0 and want > clip)
+        assert bd["clipped"] == (clip == 1e-3)
 
 
 def test_train_zero_iterations(tmp_path):
