@@ -1,8 +1,9 @@
 """Minimal deterministic reverse-mode autodiff over dense float64 arrays.
 
-Tensors are 2-D matrices (plus 0-d scalars for losses) laid out as
-(feature rows x time columns).  The graph is recorded through parent links
-on each tensor; ``Tensor.backward`` runs one topologically ordered sweep.
+Tensors are 2-D matrices laid out as (feature rows x time columns), plus
+0-d scalars for losses and the flat ragged attention of ``attention``.  The
+graph is recorded through parent links on each tensor; ``Tensor.backward``
+runs one topologically ordered sweep.
 
 Two evaluation modes exist:
 
@@ -76,9 +77,13 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def _accum(self, g: np.ndarray):
+    def _accum(self, g: np.ndarray, owned: bool = False):
+        """Add g to the gradient.  owned says that the caller made g and hands
+        it to this tensor alone, which may then keep it instead of a copy;
+        an array that is also another tensor's gradient, or a view of one,
+        must not be passed as owned."""
         if self.grad is None:
-            self.grad = g.copy()
+            self.grad = g if owned else g.copy()
         else:
             self.grad += g
 
@@ -181,9 +186,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accum(g * b.data)
+            a._accum(g * b.data, owned=True)
         if b.requires_grad:
-            b._accum(g * a.data)
+            b._accum(g * a.data, owned=True)
 
     return _result(out_data, (a, b), backward)
 
@@ -193,7 +198,7 @@ def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
 
     def backward(g):
-        a._accum(g * c)
+        a._accum(g * c, owned=True)
 
     return _result(a.data * c, (a,), backward)
 
@@ -208,7 +213,7 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
         if x.requires_grad:
             x._accum(g)
         if b.requires_grad:
-            b._accum(g.sum(axis=1, keepdims=True))
+            b._accum(g.sum(axis=1, keepdims=True), owned=True)
 
     return _result(x.data + b.data, (x, b), backward)
 
@@ -218,7 +223,7 @@ def absolute(a: Tensor) -> Tensor:
     sign = np.sign(a.data)
 
     def backward(g):
-        a._accum(g * sign)
+        a._accum(g * sign, owned=True)
 
     return _result(np.abs(a.data), (a,), backward)
 
@@ -227,7 +232,7 @@ def sum_all(a: Tensor) -> Tensor:
     a = _as_tensor(a)
 
     def backward(g):
-        a._accum(np.full_like(a.data, float(g)))
+        a._accum(np.full_like(a.data, float(g)), owned=True)
 
     return _result(np.asarray(a.data.sum(), dtype=np.float64), (a,), backward)
 
@@ -239,6 +244,15 @@ def transpose(a: Tensor) -> Tensor:
         a._accum(g.T)
 
     return _result(a.data.T.copy(), (a,), backward)
+
+
+def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
+    a = _as_tensor(a)
+
+    def backward(g):
+        a._accum(g.reshape(a.data.shape))
+
+    return _result(a.data.reshape(shape), (a,), backward)
 
 
 def slice_rows(a: Tensor, i0: int, i1: int) -> Tensor:
@@ -256,7 +270,7 @@ def index(a: Tensor, key) -> Tensor:
     def backward(g):
         full = np.zeros_like(a.data)
         full[key] = g
-        a._accum(full)
+        a._accum(full, owned=True)
 
     return _result(a.data[key].copy(), (a,), backward)
 
@@ -287,7 +301,7 @@ def tile_cols(a: Tensor, counts) -> Tensor:
     starts = np.cumsum(counts) - counts
 
     def backward(g):
-        a._accum(np.add.reduceat(g, starts, axis=1))
+        a._accum(np.add.reduceat(g, starts, axis=1), owned=True)
 
     return _result(np.repeat(a.data, counts, axis=1), (a,), backward)
 
@@ -303,9 +317,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accum(g @ b.data.T)
+            a._accum(g @ b.data.T, owned=True)
         if b.requires_grad:
-            b._accum(a.data.T @ g)
+            b._accum(a.data.T @ g, owned=True)
 
     return _result(out_data, (a, b), backward)
 
@@ -338,7 +352,7 @@ def masked_softmax_columns(x: Tensor, mask: np.ndarray) -> Tensor:
 
     def backward(g):
         gy = y * (g - (g * y).sum(axis=0, keepdims=True))
-        x._accum(gy)
+        x._accum(gy, owned=True)
 
     return _result(y, (x,), backward)
 
@@ -371,37 +385,29 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
     def backward(g):
         if gain.requires_grad:
-            gain._accum((g * xhat).sum(axis=1, keepdims=True))
+            gain._accum((g * xhat).sum(axis=1, keepdims=True), owned=True)
         if bias.requires_grad:
-            bias._accum(g.sum(axis=1, keepdims=True))
+            bias._accum(g.sum(axis=1, keepdims=True), owned=True)
         if x.requires_grad:
             gx_hat = g * gain.data
             m1 = gx_hat.mean(axis=0, keepdims=True)
             m2 = (gx_hat * xhat).mean(axis=0, keepdims=True)
-            x._accum(inv_std * (gx_hat - m1 - xhat * m2))
+            x._accum(inv_std * (gx_hat - m1 - xhat * m2), owned=True)
 
     return _result(y, (x, gain, bias), backward)
 
 
 class Segments:
-    """Lengths of segments packed one after another along the time axis, and
-    the index maps between that packed layout and a zero-padded stack of P
-    segments of M = max(lengths) columns each."""
+    """Lengths of segments packed one after another along the time axis."""
 
     def __init__(self, lengths: tuple[int, ...]):
         if not lengths or min(lengths) < 1:
             raise ShapeError(f"segments need positive lengths, got {lengths}")
         self.lengths = lengths
-        self.p, self.m, self.n = len(lengths), max(lengths), sum(lengths)
+        self.p, self.n = len(lengths), sum(lengths)
         lens = np.asarray(lengths)
-        starts = np.cumsum(lens) - lens
-        slots = np.arange(self.m)
-        self.valid = slots[None, :] < lens[:, None]                        # (P, M)
-        # stack slot (p, c) reads packed column starts[p] + c; a padding slot
-        # reads the segment's first column, and callers mask or zero it
-        self.gather = starts[:, None] + np.where(self.valid, slots, 0)     # (P, M)
-        self.scatter = np.flatnonzero(self.valid)    # packed column -> flat (P*M) slot
-        self._pos = np.arange(self.n) - np.repeat(starts, lens)  # column within its segment
+        self.starts = np.cumsum(lens) - lens      # first packed column of each segment
+        self._pos = np.arange(self.n) - np.repeat(self.starts, lens)  # column within its segment
         self._len = np.repeat(lens, lens)
         self._outside: dict[int, np.ndarray] = {}
 
@@ -469,7 +475,7 @@ def conv1d(x: Tensor, kernel: Tensor, dilation: int = 1, causal: bool = False,
     def backward(g):
         if kernel.requires_grad:
             gk = (g @ xcol.T).reshape(c_out, k, c_in).transpose(0, 2, 1)
-            kernel._accum(np.ascontiguousarray(gk))
+            kernel._accum(np.ascontiguousarray(gk), owned=True)
         if x.requires_grad:
             gxp = np.zeros_like(xp)
             gcol = w.T @ g
@@ -477,81 +483,117 @@ def conv1d(x: Tensor, kernel: Tensor, dilation: int = 1, causal: bool = False,
                 rows = gcol[t * c_in:(t + 1) * c_in]
                 rows[:, segs.outside(o)] = 0.0
                 gxp[:, t * dilation:t * dilation + n] += rows
-            x._accum(gxp[:, pad_l:pad_l + n])
+            x._accum(gxp[:, pad_l:pad_l + n], owned=True)
 
     return _result(y, (x, kernel), backward)
 
 
+def causal_mask(n: int) -> np.ndarray:
+    """(key, query) additive mask: key position may not exceed query position."""
+    keys = np.arange(n)[:, None]
+    queries = np.arange(n)[None, :]
+    return np.where(keys <= queries, 0.0, NEG_INF)
+
+
+_causal = causal_mask(0)
+
+
+def _causal_slice(n_k: int, n_q: int) -> np.ndarray:
+    """causal_mask(max(n_k, n_q))[:n_k, :n_q], a read-only slice of one
+    cached mask grown as needed."""
+    global _causal
+    if max(n_k, n_q) > len(_causal):
+        _causal = causal_mask(max(n_k, n_q, 2 * len(_causal)))
+        _causal.flags.writeable = False
+    return _causal[:n_k, :n_q]
+
+
 def attention(q: Tensor, kv: Tensor, k_row: int, n_heads: int, scale: float,
-              qs: Segments, ks: Segments, mask: np.ndarray) -> tuple[Tensor, Tensor]:
-    """Scaled dot-product attention of every head and every segment at once.
+              qs: Segments, ks: Segments, causal: bool = False,
+              window: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
+    """Scaled dot-product attention of every head and every segment.
 
     With d = (rows of kv - k_row) / 2 and dh = d / n_heads, head i takes its
     queries from rows i*dh.. of q, its keys from rows k_row + i*dh.. of kv and
     its values d rows below its keys.  Query segment p of qs attends to key
-    segment p of ks only, under the additive mask (P, 1, Mk, Mq) of 0 and
-    NEG_INF sentinels; the mask must leave every query slot a key.  Returns
-    the stacked head outputs (d x N_q) and the attention stack
-    (P, n_heads, Mk, Mq), column-stochastic over each segment's keys and
-    exactly 0 at masked keys and padding query slots.
+    segment p of ks only, at that pair's own size: causal hides keys past a
+    query's position, and window, for one segment only, is an extra additive
+    (N_k x N_q) mask of 0 and NEG_INF sentinels that must leave every query a
+    key.  Returns the stacked head outputs (d x N_q) and the ragged
+    attention: one flat tensor holding segment p's (n_heads, n_k, n_q) block
+    right after segment p-1's, column-stochastic over the segment's keys and
+    exactly 0 at masked keys.
     """
     q, kv = _as_tensor(q), _as_tensor(kv)
     d = (kv.data.shape[0] - k_row) // 2
     if (d < 1 or d % n_heads or q.data.shape[0] < d or qs.p != ks.p
             or q.data.shape[1] != qs.n or kv.data.shape[1] != ks.n
-            or mask.shape != (qs.p, 1, ks.m, qs.m)):
+            or (window is not None and (qs.p != 1 or window.shape != (ks.n, qs.n)))):
         raise ShapeError(f"attention: q {q.data.shape}, kv {kv.data.shape}, k_row {k_row}, "
-                         f"{n_heads} heads, {qs.p}/{ks.p} segments, mask {mask.shape}")
+                         f"{n_heads} heads, {qs.p}/{ks.p} segments, "
+                         f"window {None if window is None else window.shape}")
     dh = d // n_heads
+    sizes = [n_heads * nk * nq for nk, nq in zip(ks.lengths, qs.lengths)]
+    a = np.empty(sum(sizes))
+    out = np.empty((d, qs.n))
+    # per segment: its query and key columns, its heads' (H, dh, n) views of
+    # q, k and v, and its (H, n_k, n_q) block of a
+    blocks = []
+    for q0, nq, k0, nk, o in zip(qs.starts, qs.lengths, ks.starts, ks.lengths,
+                                 np.cumsum(sizes) - sizes):
+        qc, kc = np.s_[q0:q0 + nq], np.s_[k0:k0 + nk]
+        qh = q.data[:d, qc].reshape(n_heads, dh, nq)
+        kh = kv.data[k_row:k_row + d, kc].reshape(n_heads, dh, nk)
+        vh = kv.data[k_row + d:k_row + 2 * d, kc].reshape(n_heads, dh, nk)
+        ap = a[o:o + n_heads * nk * nq].reshape(n_heads, nk, nq)
+        np.matmul(kh.swapaxes(1, 2), qh, out=ap)
+        ap *= scale
+        if causal:
+            ap += _causal_slice(nk, nq)
+        if window is not None:
+            ap += window
+        ap -= ap.max(axis=1, keepdims=True)
+        np.exp(ap, out=ap)
+        ap /= ap.sum(axis=1, keepdims=True)
+        out[:, qc] = np.matmul(vh, ap).reshape(d, nq)
+        blocks.append((qc, kc, qh, kh, vh, ap, o))
+    grads: dict[int, tuple[Tensor, np.ndarray]] = {}
 
-    def stack(cols, segs):       # (d, N) -> (P, H, dh, M)
-        return cols[:, segs.gather].reshape(n_heads, dh, segs.p, segs.m).transpose(2, 0, 1, 3)
-
-    def unstack(st, segs):       # (P, H, dh, M) -> (d, N)
-        return st.transpose(1, 2, 0, 3).reshape(d, -1)[:, segs.scatter]
-
-    qst = stack(q.data[:d], qs)
-    kst = stack(kv.data[k_row:k_row + d], ks)
-    vst = stack(kv.data[k_row + d:k_row + 2 * d], ks)
-    a = np.matmul(kst.swapaxes(-1, -2), qst)
-    a *= scale
-    a += mask
-    a -= a.max(axis=2, keepdims=True)
-    np.exp(a, out=a)
-    a /= a.sum(axis=2, keepdims=True)
-    short = min(qs.lengths)      # query slots from here on may be padding
-    a[..., short:] *= qs.valid[:, None, None, short:]
-    grad_v = []
-
-    def attn_backward(ga):
-        gz = ga - (ga * a).sum(axis=2, keepdims=True)
-        gz *= a
-        gz *= scale
-        grads: dict[int, tuple[Tensor, np.ndarray]] = {}
-
-        def put(t, row, g, segs):
-            if t.requires_grad:
-                if id(t) not in grads:
-                    grads[id(t)] = (t, np.zeros_like(t.data))
-                grads[id(t)][1][row:row + d] = unstack(g, segs)
-
-        put(q, 0, np.matmul(kst, gz), qs)
-        put(kv, k_row, np.matmul(qst, gz.swapaxes(-1, -2)), ks)
-        if grad_v:
-            put(kv, k_row + d, grad_v[0], ks)
-        for t, g in grads.values():
-            t._accum(g)
-
-    attn = _result(a, (q, kv), attn_backward)
+    def grad_rows(t):
+        """The one gradient array of t that this op fills, made on first use."""
+        if id(t) not in grads:
+            grads[id(t)] = (t, np.zeros_like(t.data))
+        return grads[id(t)][1]
 
     def out_backward(g):
-        # the value gradient is handed to attn_backward, which always runs
-        # after this (attn is this node's parent), so kv is written once
-        gst = stack(g, qs)
-        grad_v.append(np.matmul(gst, a.swapaxes(-1, -2)))
-        attn._accum(np.matmul(vst.swapaxes(-1, -2), gst))
+        # the value gradient goes into the array attn_backward completes; it
+        # always runs after this (attn is this node's parent)
+        ga = np.empty_like(a)
+        for qc, kc, qh, kh, vh, ap, o in blocks:
+            gh = g[:, qc].reshape(n_heads, dh, -1)
+            np.matmul(vh.swapaxes(1, 2), gh, out=ga[o:o + ap.size].reshape(ap.shape))
+            if kv.requires_grad:
+                grad_rows(kv)[k_row + d:k_row + 2 * d, kc] = \
+                    np.matmul(gh, ap.swapaxes(1, 2)).reshape(d, -1)
+        attn._accum(ga, owned=True)
 
-    return _result(unstack(np.matmul(vst, a), qs), (attn,), out_backward), attn
+    def attn_backward(ga):
+        for qc, kc, qh, kh, vh, ap, o in blocks:
+            gz = ga[o:o + ap.size].reshape(ap.shape)
+            gz = gz - (gz * ap).sum(axis=1, keepdims=True)
+            gz *= ap
+            gz *= scale
+            if q.requires_grad:
+                grad_rows(q)[:d, qc] = np.matmul(kh, gz).reshape(d, -1)
+            if kv.requires_grad:
+                grad_rows(kv)[k_row:k_row + d, kc] = \
+                    np.matmul(qh, gz.swapaxes(1, 2)).reshape(d, -1)
+        for t, g in grads.values():
+            t._accum(g, owned=True)
+        grads.clear()
+
+    attn = _result(a, (q, kv), attn_backward)
+    return _result(out, (attn,), out_backward), attn
 
 
 def glu(x: Tensor) -> Tensor:
@@ -569,7 +611,7 @@ def glu(x: Tensor) -> Tensor:
         gx = np.empty_like(x.data)
         gx[:c] = g * sig
         gx[c:] = g * a * sig * (1.0 - sig)
-        x._accum(gx)
+        x._accum(gx, owned=True)
 
     return _result(y, (x,), backward)
 
@@ -594,13 +636,13 @@ def weight_norm_apply(direction: Tensor, w_scale: Tensor, eps: float = 1e-12) ->
         gflat = g.reshape(c_out, -1)
         dot = (gflat * flat).sum(axis=1)
         if w_scale.requires_grad:
-            w_scale._accum(dot / denom)
+            w_scale._accum(dot / denom, owned=True)
         if direction.requires_grad:
             coef = (w_scale.data / denom).reshape(shp)
             # d(1/denom)/d(dir) = -dir / (denom^2 * norm); guard norm == 0
             safe = np.where(norm > 0.0, norm, 1.0)
             corr = (w_scale.data * dot / (denom * denom * safe)).reshape(shp)
-            direction._accum(coef * g - corr * direction.data)
+            direction._accum(coef * g - corr * direction.data, owned=True)
 
     return _result(w, (direction, w_scale), backward)
 

@@ -190,25 +190,32 @@ class Writer:
 
 
 @contextmanager
-def writing(path, magic: bytes, version: int) -> Iterator[Writer]:
-    """Write a container to path atomically.
+def replacing(path) -> Iterator[BinaryIO]:
+    """A binary file that atomically replaces path.
 
-    The fields go to a temporary file in the same directory, which replaces
-    path only after the with-block completes; if anything raises, path keeps
-    its previous content and the temporary file is removed.
+    What is written goes to a temporary file in the same directory, which
+    replaces path only after the with-block completes; if anything raises,
+    path keeps its previous content and the temporary file is removed.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
     try:
         with open(tmp, "xb") as fh:
-            writer = Writer(fh)
-            fh.write(magic)
-            writer.fields("<I", version)
-            yield writer
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+@contextmanager
+def writing(path, magic: bytes, version: int) -> Iterator[Writer]:
+    """Write a container to path atomically (see ``replacing``)."""
+    with replacing(path) as fh:
+        writer = Writer(fh)
+        fh.write(magic)
+        writer.fields("<I", version)
+        yield writer
 
 
 def write_json_blocks(writer: Writer, header: dict, arrays: dict[str, np.ndarray]) -> None:

@@ -79,6 +79,28 @@ def _guided(n_src: int, n_tgt: int, nu: float) -> np.ndarray:
     return g
 
 
+@functools.lru_cache(maxsize=2)
+def ragged_guided(src_lengths: tuple[int, ...], tgt_lengths: tuple[int, ...], n_heads: int,
+                  nu: float) -> np.ndarray:
+    """Every packed pair's guided weights over each of its heads, flat in the
+    layout of the ragged attention: pair p's (n_heads, N_src, N_tgt) block
+    right after pair p-1's."""
+    g = np.concatenate([np.broadcast_to(_guided(ns, nt, nu), (n_heads, ns, nt)).ravel()
+                        for ns, nt in zip(src_lengths, tgt_lengths)])
+    g.flags.writeable = False
+    return g
+
+
+def pair_dal(attn: list[np.ndarray], src_lengths: tuple[int, ...],
+             tgt_lengths: tuple[int, ...], n_heads: int, nu: float) -> np.ndarray:
+    """Each packed pair's ``dal``, from the ragged attention of every decoder
+    layer."""
+    guided = ragged_guided(src_lengths, tgt_lengths, n_heads, nu)
+    sizes = n_heads * np.asarray(src_lengths) * np.asarray(tgt_lengths)
+    return sum(np.add.reduceat(guided * a, np.cumsum(sizes) - sizes)
+               for a in attn) / (sizes * len(attn))
+
+
 def total_loss(model, batch, weights: LossWeights, training: bool = False,
                rng: np.random.Generator | None = None) -> tuple[Tensor, dict[str, float]]:
     """Mean composite loss over cross-speaker pairs plus lambda_iml times the
@@ -88,8 +110,8 @@ def total_loss(model, batch, weights: LossWeights, training: bool = False,
 
     The contributing pairs, cross pairs first, run through one
     ``forward_packed`` pass.  Each pair's weight in the total is folded into
-    a per-column weight matrix over the packed output and a padded
-    guided-weight tensor over each decoder layer's attention stack."""
+    a per-column weight matrix over the packed output and a flat vector of
+    guided weights over each decoder layer's ragged attention."""
     cross = [item for item in batch if item[0] != item[1]]
     ident = [item for item in batch if item[0] == item[1]]
     if not cross and not ident:
@@ -122,22 +144,18 @@ def total_loss(model, batch, weights: LossWeights, training: bool = False,
     err = ad.absolute(ad.sub(y, Tensor(target)))
     total = ad.sum_all(ad.mul(err, Tensor(feat_w[:, None] * col_w[None, :])))
 
-    # attention is non-negative, so |A| = A; padding slots of the guided
-    # tensor are 0
-    guided = np.zeros((segs.p, 1, src_segs.m, segs.m))
-    for i, (n_src, n_tgt) in enumerate(zip(src_segs.lengths, segs.lengths)):
-        guided[i, 0, :n_src, :n_tgt] = _guided(n_src, n_tgt, weights.nu)
-    norm = np.asarray(src_segs.lengths) * np.asarray(segs.lengths) * cfg.H * cfg.L
-    dal_w = np.broadcast_to(guided * (weights.lambda_dal * pair_w / norm)[:, None, None, None],
-                            attn[0].data.shape)
+    # attention is non-negative, so |A| = A
+    sizes = cfg.H * np.asarray(src_segs.lengths) * np.asarray(segs.lengths)
+    dal_w = (ragged_guided(src_segs.lengths, segs.lengths, cfg.H, weights.nu)
+             * np.repeat(weights.lambda_dal * pair_w / (sizes * cfg.L), sizes))
     for a in attn:
         total = ad.add(total, ad.sum_all(ad.mul(a, Tensor(dal_w))))
 
     # the reported terms, per pair, from the same arrays
     col_err = feat_w @ err.data
     col_err[ends - 1] = 0.0
-    main = np.add.reduceat(col_err, ends - segs.lengths) / n_out
-    dal_ = sum((guided * a.data).sum(axis=(1, 2, 3)) for a in attn) / norm
+    main = np.add.reduceat(col_err, segs.starts) / n_out
+    dal_ = pair_dal([a.data for a in attn], src_segs.lengths, segs.lengths, cfg.H, weights.nu)
     comp = main + weights.lambda_dal * dal_
     breakdown = {
         "main": float(main[:n_cross].mean()) if n_cross else 0.0,

@@ -8,7 +8,6 @@ conditioning appends an embedding column to the input of a sub-layer
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, asdict, fields
 from typing import NamedTuple
@@ -17,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import container
-from .autodiff import Tensor
+from .autodiff import Tensor, causal_mask  # noqa: F401  (part of this module's API)
 from .errors import DegenerateColumnError, ShapeError, VtnError
 
 _MODEL_MAGIC = b"VTNM"
@@ -83,47 +82,35 @@ def positional_encoding(n: int, dim: int) -> np.ndarray:
     return out[:dim]
 
 
-def causal_mask(n: int) -> np.ndarray:
-    """(key, query) additive mask: key position may not exceed query position."""
-    keys = np.arange(n)[:, None]
-    queries = np.arange(n)[None, :]
-    return np.where(keys <= queries, 0.0, ad.NEG_INF)
-
-
 class Layout(NamedTuple):
     """Which keys each packed query may attend to: query segment p of qs sees
-    key segment p of ks under the additive (P, 1, Mk, Mq) mask."""
+    key segment p of ks, causal hides the keys past a query's position, and
+    window is an extra additive (N_k x N_q) mask of a one-segment pass."""
     qs: ad.Segments
     ks: ad.Segments
-    mask: np.ndarray
     causal: bool
+    window: np.ndarray | None = None
 
-
-@functools.lru_cache(maxsize=4)
-def _segment_layout(q_lengths: tuple[int, ...], k_lengths: tuple[int, ...],
-                    causal: bool) -> Layout:
-    qs, ks = ad.segments(q_lengths), ad.segments(k_lengths)
-    keys = ks.valid[:, :, None]                                    # (P, Mk, 1)
-    if causal:
-        keys = keys & (causal_mask(max(ks.m, qs.m))[:ks.m, :qs.m] == 0.0)
-    mask = np.broadcast_to(np.where(keys, 0.0, ad.NEG_INF)[:, None], (qs.p, 1, ks.m, qs.m))
-    return Layout(qs, ks, mask, causal)
+    def mask(self) -> np.ndarray:
+        """The whole additive (N_k x N_q) mask of a one-segment pass."""
+        n_k, n_q = self.ks.n, self.qs.n
+        mask = ad._causal_slice(n_k, n_q) if self.causal else np.zeros((n_k, n_q))
+        return mask if self.window is None else mask + self.window
 
 
 def _layout(q_lengths: tuple[int, ...], k_lengths: tuple[int, ...], causal: bool,
             window: np.ndarray | None = None) -> Layout:
-    """The layout of segments with these lengths; window is an extra
-    additive (N_k x N_q) mask, for one segment only."""
+    """The layout of segments with these lengths; window is for one segment
+    only."""
+    lay = Layout(ad.segments(q_lengths), ad.segments(k_lengths), causal)
     if window is None:
-        return _segment_layout(q_lengths, k_lengths, causal)
-    window = np.asarray(window, dtype=np.float64)
-    if len(q_lengths) != 1 or window.shape != (k_lengths[0], q_lengths[0]):
-        raise ShapeError(f"window mask {window.shape} for segments {k_lengths} x {q_lengths}")
-    base = _segment_layout(q_lengths, k_lengths, causal)
-    mask = base.mask + window
-    if not (mask > ad._MASKED).any(axis=2).all():
+        return lay
+    lay = lay._replace(window=np.asarray(window, dtype=np.float64))
+    if len(q_lengths) != 1 or lay.window.shape != (k_lengths[0], q_lengths[0]):
+        raise ShapeError(f"window mask {lay.window.shape} for segments {k_lengths} x {q_lengths}")
+    if not (lay.mask() > ad._MASKED).any(axis=0).all():
         raise DegenerateColumnError("attention window masks every key of a column")
-    return base._replace(mask=mask)
+    return lay
 
 
 # ---------------------------------------------------------------------------
@@ -292,14 +279,15 @@ class VtnModel:
     def _attend(self, q_all, kv, k_row, lay: Layout):
         """Every head's attention: head i takes queries from rows i*dh of q_all,
         keys from rows k_row + i*dh of kv and values d rows below its keys.
-        Returns the stacked head outputs and the attention stack
-        (P, H, Mk, Mq)."""
+        Returns the stacked head outputs and the ragged attention of
+        ``ad.attention``."""
         d, h = self.config.d, self.config.H
         if not ad.is_column_exact():
-            return ad.attention(q_all, kv, k_row, h, 1.0 / math.sqrt(d), lay.qs, lay.ks, lay.mask)
+            return ad.attention(q_all, kv, k_row, h, 1.0 / math.sqrt(d), lay.qs, lay.ks,
+                                lay.causal, lay.window)
         # inference path, one segment: per-head fixed-shape kernels
         dh = d // h
-        mask = lay.mask[0, 0]
+        mask = lay.mask()
         heads, attn = [], []
         for i in range(h):
             q = ad.slice_rows(q_all, i * dh, (i + 1) * dh)
@@ -319,7 +307,7 @@ class VtnModel:
             a = ad.masked_softmax_columns(logits, mask)
             heads.append(ad.matmul(v, a))
             attn.append(a.data)
-        return ad.concat_rows(heads), Tensor(np.stack(attn)[None])
+        return ad.concat_rows(heads), Tensor(np.stack(attn).ravel())
 
     def _sa(self, prefix, x, mask, causal=False):
         """mask: a Layout, or the additive (N x N) mask of one segment."""
@@ -331,7 +319,7 @@ class VtnModel:
 
     def _tsa(self, prefix, x, z, window_mask, identity):
         """window_mask: a Layout, or None or the additive (N_src x N_tgt)
-        mask of one segment.  Returns the output and the attention stack."""
+        mask of one segment.  Returns the output and the ragged attention."""
         n_src, n_tgt = z.data.shape[1], x.data.shape[1]
         lay = (window_mask if isinstance(window_mask, Layout)
                else _layout((n_tgt,), (n_src,), False, window_mask))
@@ -345,7 +333,7 @@ class VtnModel:
                 raise ShapeError("identity alignment needs N_tgt <= N_src")
             d, h = self.config.d, self.config.H
             heads = ad.index(kv, np.s_[d:2 * d, :n_tgt])
-            attn = Tensor(np.broadcast_to(np.eye(n_src, n_tgt), (1, h, n_src, n_tgt)))
+            attn = Tensor(np.broadcast_to(np.eye(n_src, n_tgt), (h, n_src, n_tgt)).ravel())
         else:
             q_all = ad.matmul(self.params[f"{prefix}.W5"], x)
             heads, attn = self._attend(q_all, kv, 0, lay)
@@ -444,9 +432,11 @@ class VtnModel:
             x = ad.mul(x, Tensor(drops[1]))
         return self._postnet(x, spk, segs), attn
 
-    def _per_head(self, attn: list[Tensor]) -> list[list[Tensor]]:
+    def _per_head(self, attn: list[Tensor], n_src: int, n_tgt: int) -> list[list[Tensor]]:
         """Each head's (N_src x N_tgt) attention of a one-segment pass."""
-        return [[ad.index(a, np.s_[0, h]) for h in range(self.config.H)] for a in attn]
+        h = self.config.H
+        blocks = [ad.reshape(a, (h, n_src, n_tgt)) for a in attn]
+        return [[ad.index(a, np.s_[i]) for i in range(h)] for a in blocks]
 
     def encode(self, src, k: int | None = None, training: bool = False,
                rng: np.random.Generator | None = None) -> Tensor:
@@ -468,7 +458,7 @@ class VtnModel:
         drops = self._dropout(training, rng, [[(cfg.D, segs.n), (cfg.d, segs.n)]])
         y, attn = self._decode(tgt_in, z, segs, ad.segments((z.data.shape[1],)), spk, drops,
                                window_mask, tsa_identity)
-        return y, self._per_head(attn)
+        return y, self._per_head(attn, z.data.shape[1], segs.n)
 
     def forward(self, src, tgt_in, k: int | None = None, kp: int | None = None,
                 training: bool = False, rng: np.random.Generator | None = None,
@@ -483,9 +473,9 @@ class VtnModel:
                        ) -> tuple[Tensor, list[Tensor], ad.Segments, ad.Segments]:
         """One teacher-forced pass over (k, kp, src, tgt_in) pairs packed along
         time, with each pair's maths and dropout draws those of its own
-        ``forward``.  Returns the packed output, the attention stack
-        (P, H, max N_src, max N_tgt+1) of every decoder layer, and the source
-        and target segments."""
+        ``forward``.  Returns the packed output, the ragged attention of every
+        decoder layer (pair p's (H, N_src, N_tgt+1) block after pair p-1's),
+        and the source and target segments."""
         cfg = self.config
         src_segs = ad.segments(tuple(src.shape[1] for _, _, src, _ in pairs))
         segs = ad.segments(tuple(tgt.shape[1] for _, _, _, tgt in pairs))

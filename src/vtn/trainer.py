@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -169,13 +170,35 @@ def _checkpoint(out_dir: Path, tag: str, model: VtnModel, iteration: int,
     save_trainer_state(out_dir / f"{tag}.vtno", iteration, opt_state, rng)
 
 
+def _truncate_log(path: Path, last_iter: int, row_iter) -> None:
+    """Atomically cut a log file back to its rows up to iteration last_iter;
+    row_iter reads a row's iteration.  Rows run in iteration order, so the
+    first later row, or a row cut short by an interrupted write, ends what
+    is kept."""
+    if not path.exists():
+        return
+    kept = []
+    for line in path.read_bytes().splitlines(keepends=True):
+        try:
+            if not line.endswith(b"\n") or row_iter(line) > last_iter:
+                break
+        except ValueError:
+            break
+        kept.append(line)
+    with container.replacing(path) as fh:
+        fh.writelines(kept)
+
+
 def train(corpus: Corpus, cfg: VtnConfig, train_cfg: TrainConfig,
           stats: SpeakerStats | None = None, out_dir=None,
           resume=None, model: VtnModel | None = None,
           log_every: int = 1) -> TrainResult:
     """Run the full loop.  With out_dir set, writes checkpoints each cadence
-    and an append-only tab-separated loss log.  resume points at a
-    checkpoint tag path without extension (loads .vtnm + .vtno)."""
+    and two append-only logs with a row per logged step: train_log.tsv holds
+    the loss terms, train_metrics.jsonl the gradient norm before clipping and
+    whether clipping scaled the gradients.  resume points at a checkpoint tag
+    path without extension (loads .vtnm + .vtno); both logs in out_dir are
+    then cut back to the checkpoint's iteration before training goes on."""
     from .features import compute_stats
     if (train_cfg.train_utterances or 0) > corpus.n_utterances:
         raise ConfigError(f"train config: train_utterances={train_cfg.train_utterances} "
@@ -196,10 +219,15 @@ def train(corpus: Corpus, cfg: VtnConfig, train_cfg: TrainConfig,
     cfg = model.config
 
     out_path = Path(out_dir) if out_dir is not None else None
-    log_fh = None
+    log_fh = metrics_fh = None
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
-        log_fh = open(out_path / "train_log.tsv", "a", encoding="utf-8")
+        log_path, metrics_path = out_path / "train_log.tsv", out_path / "train_metrics.jsonl"
+        if resume is not None:
+            _truncate_log(log_path, start_iter, lambda row: int(row.split(b"\t", 1)[0]))
+            _truncate_log(metrics_path, start_iter, lambda row: json.loads(row)["iter"])
+        log_fh = open(log_path, "a", encoding="utf-8")
+        metrics_fh = open(metrics_path, "a", encoding="utf-8")
 
     result = TrainResult(model=model)
     try:
@@ -215,6 +243,7 @@ def train(corpus: Corpus, cfg: VtnConfig, train_cfg: TrainConfig,
                     # so this checkpoint holds the last usable weights
                     _checkpoint(out_path, "last_good", model, it - 1, opt_state, rng)
                     log_fh.flush()
+                    metrics_fh.flush()
                 raise
             if it % log_every == 0 or it == train_cfg.iterations:
                 row = {"iter": it, **breakdown}
@@ -222,11 +251,17 @@ def train(corpus: Corpus, cfg: VtnConfig, train_cfg: TrainConfig,
                 if log_fh is not None:
                     log_fh.write("{iter}\t{main:.10g}\t{dal:.10g}\t{iml:.10g}\t{total:.10g}\n"
                                  .format(**row))
+                    metrics_fh.write(json.dumps({"iter": it, "grad_norm": row["grad_norm"],
+                                                 "clipped": row["clipped"]}) + "\n")
             if out_path is not None and (
                     it % train_cfg.checkpoint_every == 0 or it == train_cfg.iterations):
+                # a resume from this checkpoint keeps the rows up to it
+                log_fh.flush()
+                metrics_fh.flush()
                 tag = f"ckpt_{it:06d}" if it != train_cfg.iterations else "final"
                 _checkpoint(out_path, tag, model, it, opt_state, rng)
     finally:
-        if log_fh is not None:
-            log_fh.close()
+        for fh in (log_fh, metrics_fh):
+            if fh is not None:
+                fh.close()
     return result

@@ -400,16 +400,19 @@ def test_conv1d_segments_must_cover_input():
         ad.conv1d(Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 1, 3))), segs=ad.segments((2, 1)))
 
 
-def _attention_case(rng, n_heads, q_lengths, k_lengths, causal, dh=2):
+def _attention_case(rng, n_heads, q_lengths, k_lengths, dh=2):
     d = n_heads * dh
     qs, ks = ad.segments(q_lengths), ad.segments(k_lengths)
     q = rng.normal(size=(d + 1, qs.n))          # an extra row the op must ignore
     kv = rng.normal(size=(1 + 2 * d, ks.n))     # keys start at row 1
-    rows, cols = np.arange(ks.m)[:, None], np.arange(qs.m)[None, :]
-    mask = np.empty((qs.p, 1, ks.m, qs.m))
-    for p, nk in enumerate(k_lengths):
-        mask[p, 0] = np.where((rows < nk) & ((rows <= cols) if causal else True), 0.0, ad.NEG_INF)
-    return d, qs, ks, q, kv, mask
+    return d, qs, ks, q, kv
+
+
+def _blocks(n_heads, q_lengths, k_lengths):
+    """Pair p's (n_heads, n_k, n_q) block of the ragged attention, as a
+    flat slice."""
+    sizes = [n_heads * nk * nq for nq, nk in zip(q_lengths, k_lengths)]
+    return [np.s_[o:o + n] for o, n in zip(np.cumsum(sizes) - sizes, sizes)]
 
 
 @pytest.mark.parametrize("n_heads", [1, 3])
@@ -418,23 +421,42 @@ def test_attention_matches_per_head_softmax(n_heads, causal):
     rng = np.random.default_rng(60 + n_heads)
     q_lengths = (3, 1, 5)
     k_lengths = q_lengths if causal else (4, 2, 1)
-    d, qs, ks, q, kv, mask = _attention_case(rng, n_heads, q_lengths, k_lengths, causal)
-    out, attn = ad.attention(Tensor(q), Tensor(kv), 1, n_heads, 0.7, qs, ks, mask)
-    assert out.data.shape == (d, qs.n) and attn.data.shape == (3, n_heads, ks.m, qs.m)
+    d, qs, ks, q, kv = _attention_case(rng, n_heads, q_lengths, k_lengths)
+    out, attn = ad.attention(Tensor(q), Tensor(kv), 1, n_heads, 0.7, qs, ks, causal)
+    blocks = _blocks(n_heads, q_lengths, k_lengths)
+    # the ragged attention is exactly the pairs' blocks, one after another
+    assert out.data.shape == (d, qs.n) and attn.data.shape == (blocks[-1].stop,)
     dh = d // n_heads
     q0 = k0 = 0
     for p, (nq, nk) in enumerate(zip(q_lengths, k_lengths)):
+        block = attn.data[blocks[p]].reshape(n_heads, nk, nq)
+        mask = ad.causal_mask(max(nk, nq))[:nk, :nq] if causal else np.zeros((nk, nq))
         for h in range(n_heads):
             qh = q[h * dh:(h + 1) * dh, q0:q0 + nq]
             kh = kv[1 + h * dh:1 + (h + 1) * dh, k0:k0 + nk]
             vh = kv[1 + d + h * dh:1 + d + (h + 1) * dh, k0:k0 + nk]
-            a = ad.masked_softmax_columns(Tensor(0.7 * (kh.T @ qh)), mask[p, 0, :nk, :nq]).data
-            assert np.allclose(attn.data[p, h, :nk, :nq], a, rtol=0, atol=1e-14)
+            a = ad.masked_softmax_columns(Tensor(0.7 * (kh.T @ qh)), mask).data
+            assert np.allclose(block[h], a, rtol=0, atol=1e-14)
             assert np.allclose(out.data[h * dh:(h + 1) * dh, q0:q0 + nq], vh @ a,
                                rtol=0, atol=1e-13)
-        # padding slots, of keys and of queries, are exactly 0
-        assert not attn.data[p, :, nk:, :].any() and not attn.data[p, :, :, nq:].any()
+        # masked keys are exactly 0
+        assert not block[:, mask != 0.0].any()
         q0, k0 = q0 + nq, k0 + nk
+
+
+@pytest.mark.parametrize("causal", [False, True])
+def test_attention_window_of_one_segment(causal):
+    rng = np.random.default_rng(65)
+    d, qs, ks, q, kv = _attention_case(rng, 2, (4,), (4,))
+    window = np.where(rng.random((4, 4)) < 0.5, ad.NEG_INF, 0.0)
+    window[np.arange(4), np.arange(4)] = 0.0      # every query keeps its own key
+    _, attn = ad.attention(Tensor(q), Tensor(kv), 1, 2, 0.7, qs, ks, causal, window)
+    mask = window + (ad.causal_mask(4) if causal else 0.0)
+    for h, block in enumerate(attn.data.reshape(2, 4, 4)):
+        logits = 0.7 * (kv[1 + 2 * h:3 + 2 * h].T @ q[2 * h:2 * h + 2])
+        want = ad.masked_softmax_columns(Tensor(logits), mask).data
+        assert np.allclose(block, want, rtol=0, atol=1e-14)
+        assert not block[mask != 0.0].any()
 
 
 @pytest.mark.parametrize("n_heads", [1, 3])
@@ -443,30 +465,81 @@ def test_attention_gradcheck_ragged_segments(n_heads, causal):
     rng = np.random.default_rng(70 + n_heads)
     q_lengths = (2, 1, 4)
     k_lengths = q_lengths if causal else (3, 1, 2)
-    d, qs, ks, q, kv, mask = _attention_case(rng, n_heads, q_lengths, k_lengths, causal)
+    d, qs, ks, q, kv = _attention_case(rng, n_heads, q_lengths, k_lengths)
     w_out = Tensor(rng.normal(size=(d, qs.n)))
-    w_attn = Tensor(rng.normal(size=(qs.p, n_heads, ks.m, qs.m)))
+    w_attn = Tensor(rng.normal(size=(_blocks(n_heads, q_lengths, k_lengths)[-1].stop,)))
 
-    def loss(q_t, kv_t):
-        out, attn = ad.attention(q_t, kv_t, 1, n_heads, 0.7, qs, ks, mask)
+    def loss(q_t, kv_t, k_row=1, kseg=ks):
+        out, attn = ad.attention(q_t, kv_t, k_row, n_heads, 0.7, qs, kseg, causal)
         return ad.add(ad.sum_all(ad.mul(out, w_out)), ad.sum_all(ad.mul(attn, w_attn)))
 
     assert grad_check(lambda t: loss(t, Tensor(kv)), Tensor(q)) < 1e-6
     assert grad_check(lambda t: loss(Tensor(q), t), Tensor(kv)) < 1e-6
-    # self-attention: queries, keys and values rows of one tensor
+    # self-attention: queries, keys and values rows of one tensor, through
+    # both outputs
+    w_attn = Tensor(rng.normal(size=(_blocks(n_heads, q_lengths, q_lengths)[-1].stop,)))
     qkv = rng.normal(size=(3 * d, qs.n))
-    if causal:
-        assert grad_check(lambda t: ad.sum_all(ad.mul(
-            ad.attention(t, t, d, n_heads, 0.7, qs, qs, mask)[0], w_out)), Tensor(qkv)) < 1e-6
+    assert grad_check(lambda t: loss(t, t, d, qs), Tensor(qkv)) < 1e-6
 
 
 def test_attention_shape_errors():
     segs = ad.segments((2, 3))
-    ok = np.zeros((2, 1, 3, 3))
-    with pytest.raises(ShapeError):   # mask of the wrong shape
+    one = ad.segments((5,))
+    with pytest.raises(ShapeError):   # a window over more than one segment
         ad.attention(Tensor(np.zeros((4, 5))), Tensor(np.zeros((8, 5))), 0, 2, 1.0, segs, segs,
-                     np.zeros((1, 1, 3, 3)))
+                     False, np.zeros((5, 5)))
+    with pytest.raises(ShapeError):   # a window of the wrong shape
+        ad.attention(Tensor(np.zeros((4, 5))), Tensor(np.zeros((8, 5))), 0, 2, 1.0, one, one,
+                     False, np.zeros((5, 4)))
     with pytest.raises(ShapeError):   # d not divisible by the heads
-        ad.attention(Tensor(np.zeros((4, 5))), Tensor(np.zeros((8, 5))), 0, 3, 1.0, segs, segs, ok)
+        ad.attention(Tensor(np.zeros((4, 5))), Tensor(np.zeros((8, 5))), 0, 3, 1.0, segs, segs)
     with pytest.raises(ShapeError):   # segments that do not cover the columns
-        ad.attention(Tensor(np.zeros((4, 6))), Tensor(np.zeros((8, 5))), 0, 2, 1.0, segs, segs, ok)
+        ad.attention(Tensor(np.zeros((4, 6))), Tensor(np.zeros((8, 5))), 0, 2, 1.0, segs, segs)
+
+
+def test_causal_slice_is_a_slice_of_one_mask():
+    assert np.array_equal(ad._causal_slice(3, 5), ad.causal_mask(5)[:3])
+    assert np.array_equal(ad._causal_slice(40, 2), ad.causal_mask(40)[:, :2])
+    assert not ad._causal_slice(2, 2).flags.writeable
+
+
+def _assert_unaliased(tensors):
+    """No two of the tensors' gradients share memory, and mutating one
+    leaves every other unchanged."""
+    grads = [t.grad for t in tensors]
+    for i, gi in enumerate(grads):
+        for gj in grads[i + 1:]:
+            assert not np.shares_memory(gi, gj)
+    before = [g.copy() for g in grads]
+    for i, gi in enumerate(grads):
+        gi += 1.0
+        for j, gj in enumerate(grads):
+            if j != i:
+                assert np.array_equal(gj, before[j])
+        gi[...] = before[i]
+
+
+def test_backward_gradients_do_not_alias():
+    rng = np.random.default_rng(80)
+    a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    b = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    s = ad.add(a, b)
+    ad.sum_all(ad.mul(s, Tensor(rng.normal(size=(2, 3))))).backward()
+    _assert_unaliased([a, b, s])
+
+    c = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    d = Tensor(rng.normal(size=(1, 3)), requires_grad=True)
+    bias = Tensor(rng.normal(size=(3, 1)), requires_grad=True)
+    cat = ad.concat_rows([c, d])
+    shifted = ad.add_bias(cat, bias)
+    flipped = ad.transpose(shifted)
+    ad.sum_all(ad.mul(flipped, Tensor(rng.normal(size=(3, 3))))).backward()
+    _assert_unaliased([c, d, bias, cat, shifted, flipped])
+
+    # the attention op hands q = kv one gradient array of its own
+    qkv = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+    segs = ad.segments((3, 1))
+    out, attn = ad.attention(qkv, qkv, 2, 1, 0.5, segs, segs, True)
+    ad.add(ad.sum_all(ad.mul(out, Tensor(rng.normal(size=(2, 4))))),
+           ad.sum_all(ad.mul(attn, Tensor(rng.normal(size=attn.shape))))).backward()
+    _assert_unaliased([qkv, out, attn])

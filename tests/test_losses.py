@@ -279,9 +279,24 @@ def test_packed_pairs_are_isolated():
     mine = np.s_[cols[i]:cols[i] + segs.lengths[i]]
     assert not np.array_equal(y2.data[:, mine], y.data[:, mine])
     assert np.array_equal(np.delete(y2.data, mine, axis=1), np.delete(y.data, mine, axis=1))
+    sizes = model.config.H * np.asarray(src_segs.lengths) * np.asarray(segs.lengths)
+    starts = np.cumsum(sizes) - sizes
+    block = np.s_[starts[i]:starts[i] + sizes[i]]    # pair i's attention
     for a, a2 in zip(attn, attn2):
-        assert not np.array_equal(a2.data[i], a.data[i])
-        assert np.array_equal(np.delete(a2.data, i, axis=0), np.delete(a.data, i, axis=0))
+        assert not np.array_equal(a2.data[block], a.data[block])
+        assert np.array_equal(np.delete(a2.data, block), np.delete(a.data, block))
+
+
+@pytest.mark.parametrize("extra", [dict(), dict(L=3, H=4)])
+def test_ragged_dal_equals_per_pair_dal(extra):
+    model = _pack_model(**extra)
+    batch = _ragged_batch(np.random.default_rng(37), model)
+    _, attn, src_segs, segs = model.forward_packed(batch)
+    got = losses.pair_dal([a.data for a in attn], src_segs.lengths, segs.lengths,
+                          model.config.H, 0.3)
+    for g, (k, kp, src, tgt0) in zip(got, batch):
+        want = dal(model.forward(src, tgt0, k=k, kp=kp)[1], 0.3).item()
+        assert abs(g - want) <= 1e-12 * abs(want)
 
 
 def test_packed_training_draws_per_pair_dropout():

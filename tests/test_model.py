@@ -69,7 +69,7 @@ def test_tsa_single_source_position():
     x = Tensor(rng.normal(size=(cfg.d, 4)))
     z = Tensor(rng.normal(size=(cfg.d, 1)))
     _, stack = model._tsa("dec.0.tsa", x, z, None, False)
-    attn = model._per_head([stack])[0]
+    attn = model._per_head([stack], z.data.shape[1], x.data.shape[1])[0]
     for a in attn:
         assert np.array_equal(a.data, np.ones((1, 4)))
 
@@ -84,7 +84,7 @@ def test_tsa_forced_attention_row():
     mask[:, 1] = ad.NEG_INF
     mask[3, 1] = 0.0           # only source row 3 allowed in column 1
     _, stack = model._tsa("dec.0.tsa", x, z, mask, False)
-    attn = model._per_head([stack])[0]
+    attn = model._per_head([stack], z.data.shape[1], x.data.shape[1])[0]
     for a in attn:
         assert a.data[3, 1] == 1.0
         assert np.abs(np.delete(a.data[:, 1], 3)).max() == 0.0
@@ -97,7 +97,7 @@ def test_tsa_identity_passes_values_through():
     x = Tensor(rng.normal(size=(cfg.d, 3)))
     z = Tensor(rng.normal(size=(cfg.d, 5)))
     out, stack = model._tsa("dec.0.tsa", x, z, None, True)
-    attn = model._per_head([stack])[0]
+    attn = model._per_head([stack], z.data.shape[1], x.data.shape[1])[0]
     p = {k: v.data for k, v in model.params.items()}
     values = (p["dec.0.tsa.W6"] @ z.data)[cfg.d:, :3]
     assert np.allclose(out.data, p["dec.0.tsa.W7"] @ values, rtol=0, atol=1e-12)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from vtn.errors import ShapeError, TrainingDivergedError
 from vtn.features import compute_stats, gen_synthetic_corpus
 from vtn.losses import total_loss
 from vtn.model import VtnConfig, VtnModel
-from vtn.trainer import (TrainConfig, load_trainer_state, make_batch,
+from vtn.trainer import (TrainConfig, _truncate_log, load_trainer_state, make_batch,
                          save_trainer_state, train, train_step)
 
 
@@ -223,6 +224,47 @@ def test_train_log_format(tmp_path):
         assert int(fields[0]) == i
         for v in fields[1:]:
             float(v)
+
+
+def test_train_metrics_log(tmp_path):
+    corpus = small_corpus()
+    tc = TrainConfig(iterations=4, batch_size=1, seed=17, checkpoint_every=10, grad_clip=0.5)
+    result = train(corpus, tiny_cfg(), tc, out_dir=tmp_path / "run", log_every=2)
+    rows = [json.loads(line)
+            for line in (tmp_path / "run" / "train_metrics.jsonl").read_text().splitlines()]
+    assert [row["iter"] for row in rows] == [2, 4]
+    for row, logged in zip(rows, result.log):
+        assert set(row) == {"iter", "grad_norm", "clipped"}
+        assert row["grad_norm"] == logged["grad_norm"]
+        assert row["clipped"] is (logged["grad_norm"] > 0.5)
+
+
+def test_train_resume_cuts_logs_back_to_checkpoint(tmp_path):
+    corpus = small_corpus()
+    tc = TrainConfig(iterations=5, batch_size=1, seed=19, checkpoint_every=2)
+    train(corpus, tiny_cfg(), tc, out_dir=tmp_path / "full")
+    run = tmp_path / "run"
+    train(corpus, tiny_cfg(), tc, out_dir=run)
+    train(corpus, tiny_cfg(), tc, out_dir=run, resume=run / "ckpt_000002")
+    log = (run / "train_log.tsv").read_text()
+    assert [int(line.split("\t")[0]) for line in log.splitlines()] == [1, 2, 3, 4, 5]
+    assert log == (tmp_path / "full" / "train_log.tsv").read_text()
+    assert ((run / "train_metrics.jsonl").read_bytes()
+            == (tmp_path / "full" / "train_metrics.jsonl").read_bytes())
+    # nothing but the two logs and the checkpoints is left behind
+    assert sorted(p.name for p in run.iterdir()) == sorted(
+        p.name for p in (tmp_path / "full").iterdir())
+
+
+def test_truncate_log_drops_rows_past_checkpoint_and_torn_rows(tmp_path):
+    log = tmp_path / "train_log.tsv"
+    # "1" is what an interrupted write of row 12 leaves behind
+    log.write_bytes(b"1\ta\n2\tb\n1")
+    _truncate_log(log, 2, lambda row: int(row.split(b"\t", 1)[0]))
+    assert log.read_bytes() == b"1\ta\n2\tb\n"
+    _truncate_log(log, 1, lambda row: int(row.split(b"\t", 1)[0]))
+    assert log.read_bytes() == b"1\ta\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["train_log.tsv"]
 
 
 def test_trainer_state_round_trip(tmp_path):
