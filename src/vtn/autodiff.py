@@ -10,13 +10,16 @@ Two evaluation modes exist:
 * fast mode (default) uses whole-matrix numpy/BLAS kernels.  Results are
   deterministic for fixed shapes, but a column of a matrix product is not
   guaranteed to be bit-identical when the matrix width changes.
-* column-exact mode (``with column_exact():``) evaluates every
-  column-parallel primitive one column at a time with fixed-shape kernels,
-  so column n of any causal computation is bit-identical no matter how many
-  columns follow it.  Inference-time decoding runs in this mode; that is
-  what makes incremental decoding reproduce the teacher-forced forward
-  pass exactly.  The mode is inference-only: it records no graph, so its
-  results have no parents and cannot be backpropagated.
+* column-exact mode (``with column_exact():``) keeps one rule: every output
+  column is reduced on its own, with a fixed-shape kernel over contiguous
+  operands that hold exactly what that column depends on.  ``_mm`` makes one
+  gemv per output column, ``layer_norm`` normalises column by column, and
+  ``attention`` lets each query column attend over its own unmasked keys
+  only.  Column n of any causal computation is therefore bit-identical no
+  matter how many columns follow it, which is what makes incremental
+  decoding reproduce the teacher-forced forward pass exactly.  The mode is
+  inference-only: it records no graph, so its results have no parents and
+  cannot be backpropagated.
 """
 
 from __future__ import annotations
@@ -46,10 +49,6 @@ def column_exact():
         yield
     finally:
         _column_exact = prev
-
-
-def is_column_exact() -> bool:
-    return _column_exact
 
 
 class Tensor:
@@ -127,32 +126,17 @@ def _as_tensor(x) -> Tensor:
 
 
 def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product; fixed-shape per-column kernels in column-exact mode.
+    """Matrix product; one gemv per output column in column-exact mode.
 
-    Each output column is a gemv over the nonzero support of the matching
-    input column.  Restricting to the support keeps the reduction length
-    constant for a logical column even when trailing structurally-zero
-    entries (causal attention, zero padding) are appended, which is what
-    makes incremental decoding bit-identical to the batch pass.
+    Column j is a @ (a contiguous copy of b's column j), a reduction whose
+    shape does not depend on how many columns b has, so appending columns
+    leaves the earlier ones bit-identical.
     """
-    if not _column_exact or b.ndim != 2:
+    if not _column_exact:
         return a @ b
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.float64)
-    gathered_all = None
-    for j in range(b.shape[1]):
-        col = b[:, j]
-        nz = col.nonzero()[0]
-        if len(nz) == len(col):
-            # the gather over the full support is the same array for every
-            # dense column, so it is made once per call
-            if gathered_all is None:
-                gathered_all = a[:, nz]
-            out[:, j] = gathered_all @ col[nz]
-        elif len(nz):
-            # always go through the gathered copy: gemv on the original and
-            # on an equal-content copy can disagree in the last bit (the
-            # gather is column-major)
-            out[:, j] = a[:, nz] @ col[nz]
+    out = np.empty((a.shape[0], b.shape[1]))
+    for j, col in enumerate(np.ascontiguousarray(b.T)):
+        out[:, j] = a @ col
     return out
 
 
@@ -327,7 +311,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def masked_softmax_columns(x: Tensor, mask: np.ndarray) -> Tensor:
     """Column-wise softmax with an additive mask of 0 / -1e30 sentinels.
 
-    Masked rows come out exactly 0; every unmasked column sums to 1.
+    Masked rows come out exactly 0; every unmasked column sums to 1.  The
+    model runs its softmax inside ``attention``; this stand-alone op is the
+    reference that op is tested against.
     """
     x = _as_tensor(x)
     mask = np.asarray(mask, dtype=np.float64)
@@ -336,19 +322,10 @@ def masked_softmax_columns(x: Tensor, mask: np.ndarray) -> Tensor:
     keep = mask > _MASKED
     if not keep.any(axis=0).all():
         raise DegenerateColumnError("softmax column has all rows masked")
-
-    if _column_exact:
-        y = np.zeros_like(x.data)
-        for j in range(x.data.shape[1]):
-            idx = keep[:, j].nonzero()[0]
-            z = x.data[idx, j]
-            e = np.exp(z - z.max())
-            y[idx, j] = e / e.sum()
-    else:
-        z = x.data + mask
-        e = np.exp(z - z.max(axis=0, keepdims=True))
-        e[~keep] = 0.0
-        y = e / e.sum(axis=0, keepdims=True)
+    z = x.data + mask
+    e = np.exp(z - z.max(axis=0, keepdims=True))
+    e[~keep] = 0.0
+    y = e / e.sum(axis=0, keepdims=True)
 
     def backward(g):
         gy = y * (g - (g * y).sum(axis=0, keepdims=True))
@@ -450,16 +427,6 @@ def conv1d(x: Tensor, kernel: Tensor, dilation: int = 1, causal: bool = False,
     if segs.n != n:
         raise ShapeError(f"conv1d: segments cover {segs.n} columns, x has {n}")
     xp = np.pad(x.data, ((0, 0), (pad_l, pad_r)))
-
-    if _column_exact:
-        # fixed-shape per-tap kernels keep appended columns from disturbing
-        # earlier ones (see _mm); inference only, so no backward
-        if segs.p != 1:
-            raise ShapeError("column-exact conv1d takes one segment")
-        y = np.zeros((c_out, n), dtype=np.float64)
-        for t in range(k):
-            y += _mm(kernel.data[:, :, t], xp[:, t * dilation:t * dilation + n])
-        return Tensor(y)
     # im2col: one gemm instead of k small ones.  Tap t of output column j
     # reads column j + offsets[t]; where that crosses the edge of j's
     # segment the entry is zeroed, as if each segment were padded alone.
@@ -470,7 +437,7 @@ def conv1d(x: Tensor, kernel: Tensor, dilation: int = 1, causal: bool = False,
         rows[:] = xp[:, t * dilation:t * dilation + n]
         rows[:, segs.outside(o)] = 0.0
     w = kernel.data.transpose(0, 2, 1).reshape(c_out, -1)
-    y = w @ xcol
+    y = _mm(w, xcol)
 
     def backward(g):
         if kernel.requires_grad:
@@ -508,6 +475,30 @@ def _causal_slice(n_k: int, n_q: int) -> np.ndarray:
     return _causal[:n_k, :n_q]
 
 
+def _attention_columns(q: np.ndarray, kv: np.ndarray, k_row: int, n_heads: int,
+                       scale: float, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column-exact attention of one segment; keep[i, j] says whether query j
+    sees key i.  Returns the (d x N_q) head outputs and the (n_heads, N_k, N_q)
+    attention."""
+    d = (kv.shape[0] - k_row) // 2
+    dh = d // n_heads
+    keys, values = kv[k_row:k_row + d], kv[k_row + d:k_row + 2 * d]
+    a = np.zeros((n_heads,) + keep.shape)
+    out = np.empty((d, keep.shape[1]))
+    for j, qj in enumerate(np.ascontiguousarray(q[:d].T)):
+        idx = np.flatnonzero(keep[:, j])
+        kh = keys.take(idx, axis=1).reshape(n_heads, dh, -1)
+        vh = values.take(idx, axis=1).reshape(n_heads, dh, -1)
+        z = np.matmul(kh.swapaxes(1, 2), qj.reshape(n_heads, dh, 1))
+        z *= scale
+        z -= z.max(axis=1, keepdims=True)
+        np.exp(z, out=z)
+        z /= z.sum(axis=1, keepdims=True)
+        a[:, idx, j] = z[:, :, 0]
+        out[:, j] = np.matmul(vh, z).reshape(d)
+    return out, a
+
+
 def attention(q: Tensor, kv: Tensor, k_row: int, n_heads: int, scale: float,
               qs: Segments, ks: Segments, causal: bool = False,
               window: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
@@ -523,15 +514,29 @@ def attention(q: Tensor, kv: Tensor, k_row: int, n_heads: int, scale: float,
     attention: one flat tensor holding segment p's (n_heads, n_k, n_q) block
     right after segment p-1's, column-stochastic over the segment's keys and
     exactly 0 at masked keys.
+
+    Column-exact mode takes one segment and runs each query column on its
+    own: its heads attend over contiguous copies of that column's unmasked
+    keys and values only, so no later column or masked key enters its sums.
     """
     q, kv = _as_tensor(q), _as_tensor(kv)
     d = (kv.data.shape[0] - k_row) // 2
     if (d < 1 or d % n_heads or q.data.shape[0] < d or qs.p != ks.p
             or q.data.shape[1] != qs.n or kv.data.shape[1] != ks.n
-            or (window is not None and (qs.p != 1 or window.shape != (ks.n, qs.n)))):
+            or ((window is not None or _column_exact) and qs.p != 1)
+            or (window is not None and window.shape != (ks.n, qs.n))):
         raise ShapeError(f"attention: q {q.data.shape}, kv {kv.data.shape}, k_row {k_row}, "
                          f"{n_heads} heads, {qs.p}/{ks.p} segments, "
                          f"window {None if window is None else window.shape}")
+    if window is not None or _column_exact:
+        keep = _causal_slice(ks.n, qs.n) == 0 if causal else np.ones((ks.n, qs.n), bool)
+        if window is not None:
+            keep &= window > _MASKED
+            if not keep.any(axis=0).all():
+                raise DegenerateColumnError("attention window masks every key of a query")
+        if _column_exact:
+            out, a = _attention_columns(q.data, kv.data, k_row, n_heads, scale, keep)
+            return Tensor(out), Tensor(a.ravel())
     dh = d // n_heads
     sizes = [n_heads * nk * nq for nk, nq in zip(ks.lengths, qs.lengths)]
     a = np.empty(sum(sizes))

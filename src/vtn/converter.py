@@ -13,8 +13,9 @@ import numpy as np
 from . import autodiff as ad
 from . import container
 from .errors import AdjustmentError, ShapeError, StatsError
-from .features import (FeatureSequence, SpeakerStats, StackedSequence,
-                       adjust_output_stats, denormalize, normalize, stack, unstack)
+from .features import (Corpus, FeatureSequence, SpeakerStats, StackedSequence,
+                       adjust_output_stats, compute_stats, denormalize, normalize,
+                       stack, unstack)
 from .model import VtnModel
 
 
@@ -134,28 +135,11 @@ def convert(model: VtnModel, src: np.ndarray, k: int | None, kp: int | None,
                  for l in range(model.config.L)]
     return ConversionResult(output=prefix[:, 1:], attention=attention,
                             n_hat=n_hat_track, truncated=truncated,
-                            extra={"step_head_columns": step_heads,
-                                   "step_windows": step_windows})
+                            extra={"step_windows": step_windows})
 
 
 # ---------------------------------------------------------------------------
 # pipeline glue
-
-def _self_stats(seq: FeatureSequence) -> SpeakerStats:
-    """Statistics of a single utterance, for source speakers the model never
-    saw (any-to-many conversion from an unseen voice)."""
-    voiced = seq.voiced
-    if voiced.sum() < 2:
-        raise StatsError("utterance has too few voiced frames for self statistics")
-    k = seq.n_mcc + 1
-    sample = seq.data[:k, voiced]
-    sigma = sample.std(axis=1)
-    if (sigma <= 1e-12).any():
-        raise StatsError("zero feature variance in utterance")
-    return SpeakerStats(n_mcc=seq.n_mcc, speakers=[seq.speaker],
-                        mean={seq.speaker: sample.mean(axis=1)},
-                        std={seq.speaker: sigma})
-
 
 def convert_sequence(model: VtnModel, seq: FeatureSequence, target_speaker: str,
                      stats: SpeakerStats, cfg: DecodeConfig | None = None
@@ -174,7 +158,9 @@ def convert_sequence(model: VtnModel, seq: FeatureSequence, target_speaker: str,
     if seq.speaker in stats.mean:
         src_stats = stats
     elif mcfg.mode == "any_to_many":
-        src_stats = _self_stats(seq)
+        # an unseen source voice is normalised by its own statistics
+        src_stats = compute_stats(Corpus([seq.speaker], {seq.speaker: [seq]},
+                                         seq.frame_period_ms))
     else:
         raise StatsError(f"no statistics for source speaker {seq.speaker!r}")
 

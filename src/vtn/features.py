@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import container
-from .errors import AdjustmentError, FormatError, StatsError
+from .errors import AdjustmentError, ConfigError, FormatError, StatsError
 
 VOICED_THRESHOLD = 0.5
 _FEATURES_MAGIC = b"VTNF"
@@ -300,6 +300,14 @@ def gen_synthetic_corpus(n_speakers: int, n_utterances: int, seed: int,
     """
     if n_speakers < 2:
         raise FormatError("synthetic corpus needs at least 2 speakers")
+    if n_utterances < 1:
+        raise ConfigError(f"synthetic corpus: utterances={n_utterances} must be at least 1")
+    lo, hi = raw_len_range
+    if not 1 <= lo <= hi:
+        raise ConfigError(f"synthetic corpus: lengths {lo}..{hi} need 1 <= min <= max")
+    if not 0.0 < warp_range[0] <= warp_range[1] < math.inf:
+        raise ConfigError(f"synthetic corpus: warp ratios {warp_range[0]}..{warp_range[1]} "
+                          "need 0 < min <= max < inf")
     rng = np.random.default_rng(seed)
     p = 8  # latent content dimension
 
@@ -320,7 +328,6 @@ def gen_synthetic_corpus(n_speakers: int, n_utterances: int, seed: int,
 
     utterances: dict[str, list[FeatureSequence]] = {s: [] for s in speakers}
     ratios: dict[str, list[float]] = {s: [] for s in speakers}
-    lo, hi = raw_len_range
     for _ in range(n_utterances):
         n = int(rng.integers(lo, hi + 1))
         content = _smooth(np.cumsum(rng.normal(0.0, 0.3, size=(p, n)), axis=1), 5)

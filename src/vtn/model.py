@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from . import container
 from .autodiff import Tensor, causal_mask  # noqa: F401  (part of this module's API)
-from .errors import DegenerateColumnError, ShapeError, VtnError
+from .errors import ShapeError, VtnError
 
 _MODEL_MAGIC = b"VTNM"
 _MODEL_VERSION = 1
@@ -83,34 +83,23 @@ def positional_encoding(n: int, dim: int) -> np.ndarray:
 
 
 class Layout(NamedTuple):
-    """Which keys each packed query may attend to: query segment p of qs sees
-    key segment p of ks, causal hides the keys past a query's position, and
-    window is an extra additive (N_k x N_q) mask of a one-segment pass."""
+    """Which keys each packed query may attend to, in the order of
+    ``ad.attention``'s arguments: query segment p of qs sees key segment p of
+    ks, causal hides the keys past a query's position, and window is an
+    extra additive (N_k x N_q) mask of a one-segment pass."""
     qs: ad.Segments
     ks: ad.Segments
     causal: bool
     window: np.ndarray | None = None
 
-    def mask(self) -> np.ndarray:
-        """The whole additive (N_k x N_q) mask of a one-segment pass."""
-        n_k, n_q = self.ks.n, self.qs.n
-        mask = ad._causal_slice(n_k, n_q) if self.causal else np.zeros((n_k, n_q))
-        return mask if self.window is None else mask + self.window
-
 
 def _layout(q_lengths: tuple[int, ...], k_lengths: tuple[int, ...], causal: bool,
             window: np.ndarray | None = None) -> Layout:
     """The layout of segments with these lengths; window is for one segment
-    only."""
-    lay = Layout(ad.segments(q_lengths), ad.segments(k_lengths), causal)
-    if window is None:
-        return lay
-    lay = lay._replace(window=np.asarray(window, dtype=np.float64))
-    if len(q_lengths) != 1 or lay.window.shape != (k_lengths[0], q_lengths[0]):
-        raise ShapeError(f"window mask {lay.window.shape} for segments {k_lengths} x {q_lengths}")
-    if not (lay.mask() > ad._MASKED).any(axis=0).all():
-        raise DegenerateColumnError("attention window masks every key of a column")
-    return lay
+    only, and ``ad.attention`` checks it."""
+    if window is not None:
+        window = np.asarray(window, dtype=np.float64)
+    return Layout(ad.segments(q_lengths), ad.segments(k_lengths), causal, window)
 
 
 # ---------------------------------------------------------------------------
@@ -276,45 +265,13 @@ class VtnModel:
         x = ad.glu(self._conv("postnet.1", x, True, PRENET_DILATIONS[1], segs))
         return self._conv("postnet.2", x, True, PRENET_DILATIONS[2], segs)
 
-    def _attend(self, q_all, kv, k_row, lay: Layout):
-        """Every head's attention: head i takes queries from rows i*dh of q_all,
-        keys from rows k_row + i*dh of kv and values d rows below its keys.
-        Returns the stacked head outputs and the ragged attention of
-        ``ad.attention``."""
-        d, h = self.config.d, self.config.H
-        if not ad.is_column_exact():
-            return ad.attention(q_all, kv, k_row, h, 1.0 / math.sqrt(d), lay.qs, lay.ks,
-                                lay.causal, lay.window)
-        # inference path, one segment: per-head fixed-shape kernels
-        dh = d // h
-        mask = lay.mask()
-        heads, attn = [], []
-        for i in range(h):
-            q = ad.slice_rows(q_all, i * dh, (i + 1) * dh)
-            key = ad.slice_rows(kv, k_row + i * dh, k_row + (i + 1) * dh)
-            v = ad.slice_rows(kv, k_row + d + i * dh, k_row + d + (i + 1) * dh)
-            if lay.causal:
-                # key count for column j is always j+1, so the logit gemv
-                # shape never changes as the prefix grows
-                n = q.data.shape[1]
-                ld = np.full((n, n), ad.NEG_INF)
-                for j in range(n):
-                    keys = np.ascontiguousarray(key.data[:, :j + 1])
-                    ld[:j + 1, j] = keys.T @ q.data[:, j].copy()
-                logits = ad.scale(Tensor(ld), 1.0 / math.sqrt(d))
-            else:
-                logits = ad.scale(ad.matmul(ad.transpose(key), q), 1.0 / math.sqrt(d))
-            a = ad.masked_softmax_columns(logits, mask)
-            heads.append(ad.matmul(v, a))
-            attn.append(a.data)
-        return ad.concat_rows(heads), Tensor(np.stack(attn).ravel())
-
     def _sa(self, prefix, x, mask, causal=False):
         """mask: a Layout, or the additive (N x N) mask of one segment."""
         n = x.data.shape[1]
         lay = mask if isinstance(mask, Layout) else _layout((n,), (n,), causal, mask)
+        d = self.config.d
         qkv = ad.matmul(self.params[f"{prefix}.W1"], x)
-        heads, _ = self._attend(qkv, qkv, self.config.d, lay)
+        heads, _ = ad.attention(qkv, qkv, d, self.config.H, 1.0 / math.sqrt(d), *lay)
         return ad.matmul(self.params[f"{prefix}.W2"], heads)
 
     def _tsa(self, prefix, x, z, window_mask, identity):
@@ -323,6 +280,7 @@ class VtnModel:
         n_src, n_tgt = z.data.shape[1], x.data.shape[1]
         lay = (window_mask if isinstance(window_mask, Layout)
                else _layout((n_tgt,), (n_src,), False, window_mask))
+        d, h = self.config.d, self.config.H
         kv = ad.matmul(self.params[f"{prefix}.W6"], z)
         if identity:
             # target position j attends to source position j only, so every
@@ -331,12 +289,11 @@ class VtnModel:
                 raise ShapeError("identity alignment takes one segment")
             if n_tgt > n_src:
                 raise ShapeError("identity alignment needs N_tgt <= N_src")
-            d, h = self.config.d, self.config.H
             heads = ad.index(kv, np.s_[d:2 * d, :n_tgt])
             attn = Tensor(np.broadcast_to(np.eye(n_src, n_tgt), (h, n_src, n_tgt)).ravel())
         else:
             q_all = ad.matmul(self.params[f"{prefix}.W5"], x)
-            heads, attn = self._attend(q_all, kv, 0, lay)
+            heads, attn = ad.attention(q_all, kv, 0, h, 1.0 / math.sqrt(d), *lay)
         return ad.matmul(self.params[f"{prefix}.W7"], heads), attn
 
     def _ffn(self, prefix, x):

@@ -200,6 +200,8 @@ def train(corpus: Corpus, cfg: VtnConfig, train_cfg: TrainConfig,
     path without extension (loads .vtnm + .vtno); both logs in out_dir are
     then cut back to the checkpoint's iteration before training goes on."""
     from .features import compute_stats
+    if log_every < 1:
+        raise ConfigError(f"log_every={log_every} must be at least 1")
     if (train_cfg.train_utterances or 0) > corpus.n_utterances:
         raise ConfigError(f"train config: train_utterances={train_cfg.train_utterances} "
                           f"exceeds the corpus's {corpus.n_utterances} utterances")

@@ -283,8 +283,8 @@ def test_windowing_exact_zero():
     src = np.random.default_rng(21).normal(size=(model.config.D, 30))
     result = convert(model, src, 0, 1, cfg)
     checked = 0
-    for heads, window in zip(result.extra["step_head_columns"],
-                             result.extra["step_windows"]):
+    for m, window in enumerate(result.extra["step_windows"]):
+        heads = np.stack([a[:, m] for layer in result.attention for a in layer])
         lo, hi = window
         outside = np.concatenate([heads[:, :lo - 1], heads[:, hi:]], axis=1)
         assert outside.size == 0 or np.abs(outside).max() == 0.0

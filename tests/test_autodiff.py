@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -284,9 +285,9 @@ def test_column_exact_matches_fast_mode_closely():
     assert np.allclose(fast, exact, atol=1e-12)
 
 
-def test_column_exact_matmul_is_per_column_support_gemv():
-    # each column is a gemv of the gathered support, whether the column is
-    # dense or has zeros, and whatever its neighbours are
+def test_column_exact_matmul_is_one_gemv_per_column():
+    # each column is a gemv on a contiguous copy of that column, whether the
+    # column is dense or has zeros, and whatever its neighbours are
     rng = np.random.default_rng(13)
     a = rng.normal(size=(7, 9))
     b = rng.normal(size=(9, 6))
@@ -295,10 +296,12 @@ def test_column_exact_matmul_is_per_column_support_gemv():
     b[:, 5] = 0.0
     with ad.column_exact():
         out = ad.matmul(Tensor(a), Tensor(b)).data
-    for j in range(6):
-        nz = np.flatnonzero(b[:, j])
-        want = a[:, nz] @ b[nz, j] if len(nz) else np.zeros(7)
-        assert np.array_equal(out[:, j], want)
+        for j in range(6):
+            assert np.array_equal(out[:, j], a @ np.ascontiguousarray(b[:, j]))
+            # the same column between other neighbours
+            others = rng.normal(size=(9, 4))
+            others[:, 2] = b[:, j]
+            assert np.array_equal(ad.matmul(Tensor(a), Tensor(others)).data[:, 2], out[:, j])
 
 
 def test_column_exact_records_no_graph():
@@ -313,7 +316,9 @@ def test_column_exact_records_no_graph():
         return [ad.matmul(Tensor(rng.normal(size=(4, 3)), requires_grad=True), x),
                 ad.conv1d(x, kernel, 1, True),
                 ad.layer_norm(ad.conv1d(x, kernel, 2, True), gain, bias),
-                ad.masked_softmax_columns(x, np.zeros((3, 6)))]
+                ad.masked_softmax_columns(x, np.zeros((3, 6))),
+                *ad.attention(x, ad.matmul(Tensor(rng.normal(size=(5, 3))), x), 1, 1, 0.5,
+                              ad.segments((6,)), ad.segments((6,)), causal=True)]
 
     with ad.column_exact():
         exact = ops()
@@ -325,23 +330,76 @@ def test_column_exact_records_no_graph():
 
 def test_column_exact_prefix_stability():
     # the core decoding property: results for column j never change when
-    # more columns are appended, for matmul / layer_norm / masked softmax
+    # more columns are appended, for matmul / layer_norm / causal conv1d /
+    # causal and windowed attention
     rng = np.random.default_rng(12)
     a = rng.normal(size=(8, 8))
     b = rng.normal(size=(8, 12))
     gain, bias = Tensor(np.ones((8, 1))), Tensor(np.zeros((8, 1)))
+    kernel = Tensor(rng.normal(size=(5, 8, 5)))
     with ad.column_exact():
         full_mm = ad.matmul(Tensor(a), Tensor(b)).data
         full_ln = ad.layer_norm(Tensor(b), gain, bias).data
-        full_sm = ad.masked_softmax_columns(Tensor(b), np.zeros((8, 12))).data
+        full_conv = ad.conv1d(Tensor(b), kernel, 4, True).data
         for w in range(1, 12):
             assert np.array_equal(ad.matmul(Tensor(a), Tensor(b[:, :w])).data,
                                   full_mm[:, :w])
             assert np.array_equal(ad.layer_norm(Tensor(b[:, :w]), gain, bias).data,
                                   full_ln[:, :w])
-            assert np.array_equal(
-                ad.masked_softmax_columns(Tensor(b[:, :w]), np.zeros((8, w))).data,
-                full_sm[:, :w])
+            assert np.array_equal(ad.conv1d(Tensor(b[:, :w]), kernel, 4, True).data,
+                                  full_conv[:, :w])
+
+    # causal self-attention: a query's column is unchanged when queries and
+    # keys are appended, and keys past it get exactly 0
+    n_heads, d = 2, 4
+    q = rng.normal(size=(d, 12))
+    kv = rng.normal(size=(1 + 2 * d, 12))
+
+    def attend(q, kv, causal, window=None):
+        out, attn = ad.attention(Tensor(q), Tensor(kv), 1, n_heads, 0.5,
+                                 ad.segments((q.shape[1],)), ad.segments((kv.shape[1],)),
+                                 causal, window)
+        return out.data, attn.data.reshape(n_heads, kv.shape[1], q.shape[1])
+
+    with ad.column_exact():
+        full_out, full_attn = attend(q, kv, True)
+        assert not full_attn[:, np.tri(12, k=-1, dtype=bool)].any()
+        for w in range(1, 12):
+            out, attn = attend(q[:, :w], kv[:, :w], True)
+            assert np.array_equal(out, full_out[:, :w])
+            assert np.array_equal(attn, full_attn[:, :w, :w])
+
+        # non-causal attention over 9 fixed keys with a window on the newest
+        # query column only, as in windowed decoding
+        keys = kv[:, :9]
+        full_out, full_attn = attend(q, keys, False)
+        for w in range(1, 12):
+            lo, hi = w % 5, w % 5 + 3
+            window = np.zeros((9, w))
+            window[:lo, -1] = window[hi + 1:, -1] = ad.NEG_INF
+            out, attn = attend(q[:, :w], keys, False, window)
+            assert np.array_equal(out[:, :-1], full_out[:, :w - 1])
+            assert np.array_equal(attn[:, :, :-1], full_attn[:, :, :w - 1])
+            assert not attn[:, :lo, -1].any() and not attn[:, hi + 1:, -1].any()
+            # the windowed column equals a pass over its window's keys alone
+            alone_out, alone_attn = attend(q[:, w - 1:w], keys[:, lo:hi + 1], False)
+            assert np.array_equal(out[:, -1], alone_out[:, 0])
+            assert np.array_equal(attn[:, lo:hi + 1, -1], alone_attn[:, :, 0])
+
+
+def test_column_exact_attention_takes_one_segment():
+    with ad.column_exact(), pytest.raises(ShapeError):
+        ad.attention(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 3))), 0, 1, 1.0,
+                     ad.segments((1, 2)), ad.segments((1, 2)))
+
+
+def test_attention_window_must_leave_every_query_a_key():
+    window = np.zeros((3, 2))
+    window[:, 1] = ad.NEG_INF
+    for mode in (contextlib.nullcontext, ad.column_exact):
+        with mode(), pytest.raises(DegenerateColumnError):
+            ad.attention(Tensor(np.zeros((2, 2))), Tensor(np.zeros((4, 3))), 0, 1, 1.0,
+                         ad.segments((2,)), ad.segments((3,)), window=window)
 
 
 def _padded_im2col_conv(x, kernel, dilation, causal):

@@ -172,6 +172,31 @@ def test_stats_train_utterances_outside_corpus(workspace, tmp_path, capsys, coun
     assert not (tmp_path / "s.vtns").exists()
 
 
+@pytest.mark.parametrize("flags, reason", [
+    (("--min-len", "200", "--max-len", "100"), "lengths 200..100"),
+    (("--min-len", "0"), "lengths 0..240"),
+    (("--warp-min", "0"), "warp ratios 0.0..1.4"),
+    (("--warp-min", "1.5", "--warp-max", "1.2"), "warp ratios 1.5..1.2"),
+    (("--utterances", "0"), "utterances=0"),
+])
+def test_gen_data_bad_range_rejected(tmp_path, capsys, flags, reason):
+    rc = main(["gen-data", "--out", str(tmp_path / "d"), *flags])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: synthetic corpus: {reason}")
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("every", ["0", "-3"])
+def test_train_log_every_below_one_rejected(workspace, tmp_path, capsys, every):
+    rc = main(["train", "--data", str(workspace / "data"),
+               "--stats", str(workspace / "stats.vtns"),
+               "--out", str(tmp_path / "run"), *TINY,
+               "--set", "train.iterations=1", "--log-every", every])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: log_every={every} must be at least 1\n"
+    assert not (tmp_path / "run").exists()
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["convert"])  # missing required flags

@@ -89,8 +89,8 @@ def test_windowed_mass_outside_window_exactly_zero():
     n0, n1 = cfg.window_frames(8.0, 3)
     assert (n0, n1) == (2, 3)
     result = convert(model, src, 0, 1, cfg)
-    for heads, window in zip(result.extra["step_head_columns"],
-                             result.extra["step_windows"]):
+    for m, window in enumerate(result.extra["step_windows"]):
+        heads = np.stack([a[:, m] for layer in result.attention for a in layer])
         lo, hi = window
         outside = np.concatenate([heads[:, :lo - 1], heads[:, hi:]], axis=1)
         assert outside.size == 0 or np.abs(outside).max() == 0.0
@@ -194,6 +194,19 @@ def test_any_to_many_accepts_unseen_speaker():
     assert np.isfinite(out.data).all()
     st_len = -(-unseen.n_frames // 3)
     assert result.output.shape[1] <= 2 * st_len
+
+
+@pytest.mark.parametrize("n_voiced", [0, 1])
+def test_any_to_many_unseen_speaker_needs_two_voiced_frames(n_voiced):
+    corpus = gen_synthetic_corpus(3, 1, seed=2, raw_len_range=(30, 40))
+    two_spk = compute_stats(gen_synthetic_corpus(2, 1, seed=2, raw_len_range=(30, 40)))
+    model = VtnModel.init(tiny_cfg(mode="any_to_many"), seed=11,
+                          speakers=["spk0", "spk1"])
+    unseen = corpus.utterances["spk2"][0]
+    unseen.data[-1] = 0.0
+    unseen.data[-1, :n_voiced] = 1.0
+    with pytest.raises(StatsError):
+        convert_sequence(model, unseen, "spk1", two_spk)
 
 
 def test_many_to_many_rejects_unknown_source():
