@@ -3,7 +3,7 @@
 Tensors are 2-D matrices laid out as (feature rows x time columns), plus
 0-d scalars for losses and the flat ragged attention of ``attention``.  The
 graph is recorded through parent links on each tensor; ``Tensor.backward``
-runs one topologically ordered sweep.
+runs one topologically ordered sweep, which frees the graph as it goes.
 
 Two evaluation modes exist:
 
@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateColumnError, ShapeError
+from .errors import DegenerateColumnError, GraphReleasedError, ShapeError
 
 NEG_INF = -1e30
 _MASKED = -1e29  # entries below this are treated as fully masked
@@ -54,7 +54,7 @@ def column_exact():
 class Tensor:
     """Dense float64 array with optional gradient buffer."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -87,7 +87,14 @@ class Tensor:
             self.grad += g
 
     def backward(self):
-        """Backpropagate from a scalar tensor through the recorded graph."""
+        """Backpropagate from a scalar tensor through the recorded graph, once.
+
+        The sweep frees the graph behind it: after a node's closure has passed
+        its gradient on, the node drops its closure and its parents, so an
+        interior node the caller does not hold goes, with its data, its
+        gradient and the arrays its closure captured.  A node the caller holds
+        keeps its data and gradient, but a sweep that reaches it again, from
+        it or from a graph built on it, raises GraphReleasedError."""
         if self.data.shape != ():
             raise ShapeError("backward() must start from a scalar tensor")
         topo: list[Tensor] = []
@@ -100,15 +107,26 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._backward is _swept:
+                raise GraphReleasedError(
+                    "backward() reached a node whose graph has already been swept")
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
                 if id(p) not in seen:
                     stack.append((p, False))
         self.grad = np.ones((), dtype=np.float64)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+        while topo:
+            node = topo.pop()
+            if node._backward is not None:
+                if node.grad is not None:
+                    node._backward(node.grad)
+                node._backward, node._parents = _swept, ()
+
+
+def _swept(g: np.ndarray) -> None:
+    """The closure of a node that has already been backpropagated."""
+    raise GraphReleasedError("this node's graph has already been swept")
 
 
 def _result(data: np.ndarray, parents: Sequence[Tensor],
@@ -403,6 +421,22 @@ def segments(lengths: tuple[int, ...]) -> Segments:
     return Segments(lengths)
 
 
+def _im2col(x: np.ndarray, offsets: list[int], pad_l: int, pad_r: int,
+            segs: Segments) -> np.ndarray:
+    """The (k * c_in, N) im2col of x, so that a conv is one gemm instead of k
+    small ones.  Tap t of output column j reads column j + offsets[t]; where
+    that crosses the edge of j's segment the entry is zeroed, as if each
+    segment were padded alone."""
+    c_in, n = x.shape
+    xp = np.pad(x, ((0, 0), (pad_l, pad_r)))
+    xcol = np.empty((len(offsets) * c_in, n), dtype=np.float64)
+    for t, o in enumerate(offsets):
+        rows = xcol[t * c_in:(t + 1) * c_in]
+        rows[:] = xp[:, o + pad_l:o + pad_l + n]
+        rows[:, segs.outside(o)] = 0.0
+    return xcol
+
+
 def conv1d(x: Tensor, kernel: Tensor, dilation: int = 1, causal: bool = False,
            segs: Segments | None = None) -> Tensor:
     """1-D convolution over the time axis, length-preserving.
@@ -426,30 +460,23 @@ def conv1d(x: Tensor, kernel: Tensor, dilation: int = 1, causal: bool = False,
     segs = segments((n,)) if segs is None else segs
     if segs.n != n:
         raise ShapeError(f"conv1d: segments cover {segs.n} columns, x has {n}")
-    xp = np.pad(x.data, ((0, 0), (pad_l, pad_r)))
-    # im2col: one gemm instead of k small ones.  Tap t of output column j
-    # reads column j + offsets[t]; where that crosses the edge of j's
-    # segment the entry is zeroed, as if each segment were padded alone.
     offsets = [t * dilation - pad_l for t in range(k)]
-    xcol = np.empty((k * c_in, n), dtype=np.float64)
-    for t, o in enumerate(offsets):
-        rows = xcol[t * c_in:(t + 1) * c_in]
-        rows[:] = xp[:, t * dilation:t * dilation + n]
-        rows[:, segs.outside(o)] = 0.0
     w = kernel.data.transpose(0, 2, 1).reshape(c_out, -1)
-    y = _mm(w, xcol)
+    y = _mm(w, _im2col(x.data, offsets, pad_l, pad_r, segs))
 
+    # the backward keeps no im2col: the kernel gradient rebuilds it from x
     def backward(g):
         if kernel.requires_grad:
+            xcol = _im2col(x.data, offsets, pad_l, pad_r, segs)
             gk = (g @ xcol.T).reshape(c_out, k, c_in).transpose(0, 2, 1)
             kernel._accum(np.ascontiguousarray(gk), owned=True)
         if x.requires_grad:
-            gxp = np.zeros_like(xp)
+            gxp = np.zeros((c_in, pad_l + n + pad_r))
             gcol = w.T @ g
             for t, o in enumerate(offsets):
                 rows = gcol[t * c_in:(t + 1) * c_in]
                 rows[:, segs.outside(o)] = 0.0
-                gxp[:, t * dilation:t * dilation + n] += rows
+                gxp[:, o + pad_l:o + pad_l + n] += rows
             x._accum(gxp[:, pad_l:pad_l + n], owned=True)
 
     return _result(y, (x, kernel), backward)

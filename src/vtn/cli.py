@@ -19,7 +19,7 @@ import numpy as np
 
 from .container import parse_json
 from .converter import DecodeConfig, convert_sequence, dump_attention
-from .errors import VtnError
+from .errors import FormatError, VtnError
 from .features import (compute_stats, gen_synthetic_corpus, load_corpus,
                        load_features, load_stats, save_corpus, save_features,
                        save_stats)
@@ -181,12 +181,28 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+def _read_matrix_csv(path: Path) -> np.ndarray:
+    """A CSV matrix of finite numbers; anything else is a FormatError."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows or not rows[0]:
+        raise FormatError(f"{path}: no values")
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise FormatError(f"{path}: rows of different lengths")
+    try:
+        matrix = np.array([[float(v) for v in row] for row in rows])
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+    if not np.isfinite(matrix).all():
+        raise FormatError(f"{path}: non-finite value")
+    return matrix
+
+
 def cmd_inspect(args) -> int:
     mean_path = Path(args.attn) / "mean.csv"
     if not mean_path.exists():
         raise VtnError(f"{mean_path} not found (run convert with --dump-attn)")
-    with open(mean_path, newline="") as fh:
-        matrix = np.array([[float(v) for v in row] for row in csv.reader(fh)])
+    matrix = _read_matrix_csv(mean_path)
     peaks = matrix.argmax(axis=0)
     steps = np.diff(peaks)
     monotone = bool((steps >= 0).all()) if len(steps) else True

@@ -25,6 +25,10 @@ class MetricUndefinedError(VtnError):
     """An objective metric is undefined for the given pair."""
 
 
+class GraphReleasedError(VtnError):
+    """backward() reached a graph that an earlier backward() has swept."""
+
+
 class TrainingDivergedError(VtnError):
     """The training loss became non-finite."""
 

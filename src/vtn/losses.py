@@ -102,7 +102,7 @@ def pair_dal(attn: list[np.ndarray], src_lengths: tuple[int, ...],
 
 
 def total_loss(model, batch, weights: LossWeights, training: bool = False,
-               rng: np.random.Generator | None = None) -> tuple[Tensor, dict[str, float]]:
+               rng: np.random.Generator | None = None) -> tuple[Tensor, dict]:
     """Mean composite loss over cross-speaker pairs plus lambda_iml times the
     mean composite over identity pairs, a pair's composite being its
     ``main_loss`` plus lambda_dal times its ``dal``.  batch items are
@@ -111,7 +111,11 @@ def total_loss(model, batch, weights: LossWeights, training: bool = False,
     The contributing pairs, cross pairs first, run through one
     ``forward_packed`` pass.  Each pair's weight in the total is folded into
     a per-column weight matrix over the packed output and a flat vector of
-    guided weights over each decoder layer's ragged attention."""
+    guided weights over each decoder layer's ragged attention.
+
+    The breakdown reports the cross pairs' mean main loss and DAL, the
+    identity pairs' mean composite (iml), the total, and dal_layers, the
+    cross pairs' mean DAL in each decoder layer, whose mean is dal."""
     cross = [item for item in batch if item[0] != item[1]]
     ident = [item for item in batch if item[0] == item[1]]
     if not cross and not ident:
@@ -156,11 +160,14 @@ def total_loss(model, batch, weights: LossWeights, training: bool = False,
     col_err[ends - 1] = 0.0
     main = np.add.reduceat(col_err, segs.starts) / n_out
     dal_ = pair_dal([a.data for a in attn], src_segs.lengths, segs.lengths, cfg.H, weights.nu)
+    layer_dal = [pair_dal([a.data], src_segs.lengths, segs.lengths, cfg.H, weights.nu)
+                 for a in attn]
     comp = main + weights.lambda_dal * dal_
     breakdown = {
         "main": float(main[:n_cross].mean()) if n_cross else 0.0,
         "dal": float(dal_[:n_cross].mean()) if n_cross else 0.0,
         "iml": float(comp[n_cross:].mean()) if use_iml else 0.0,
         "total": float(total.data),
+        "dal_layers": [float(d[:n_cross].mean()) if n_cross else 0.0 for d in layer_dal],
     }
     return total, breakdown

@@ -51,21 +51,15 @@ class TrainConfig:
                            nu=self.nu, gamma=default_feature_weights(n_mcc))
 
 
-def prepare_pair(corpus: Corpus, stats: SpeakerStats, cfg: VtnConfig,
-                 k: int, kp: int, utt: int) -> BatchItem:
-    """Normalized, stacked source plus zero-prepended normalized stacked target."""
-    src_seq = corpus.utterances[corpus.speakers[k]][utt]
-    tgt_seq = corpus.utterances[corpus.speakers[kp]][utt]
-    src = stack(normalize(src_seq, stats), cfg.r).data
-    tgt = stack(normalize(tgt_seq, stats), cfg.r).data
-    tgt0 = np.concatenate([np.zeros((tgt.shape[0], 1)), tgt], axis=1)
-    return (k, kp, src, tgt0)
-
-
 def make_batch(corpus: Corpus, stats: SpeakerStats, cfg: VtnConfig,
                train_cfg: TrainConfig, rng: np.random.Generator) -> list[BatchItem]:
     """One mini-batch: a single ordered speaker pair, batch_size utterances,
-    plus the matching identity pairs for the identity mapping term."""
+    plus the matching identity pairs for the identity mapping term.
+
+    An item (k, kp, src, tgt0) holds speaker k's normalised, stacked
+    utterance and speaker kp's, with a zero column prepended.  Each distinct
+    (speaker, utterance) is prepared once, and the items that use it share
+    its arrays."""
     n_spk = len(corpus.speakers)
     if cfg.mode == "one_to_one":
         k, kp = 0, 1
@@ -79,14 +73,21 @@ def make_batch(corpus: Corpus, stats: SpeakerStats, cfg: VtnConfig,
         if kp >= k:
             kp += 1
     n_train = train_cfg.train_utterances or corpus.n_utterances
-    utts = rng.integers(n_train, size=train_cfg.batch_size)
-    batch: list[BatchItem] = []
-    for u in utts:
-        batch.append(prepare_pair(corpus, stats, cfg, k, kp, int(u)))
+    utts = [int(u) for u in rng.integers(n_train, size=train_cfg.batch_size)]
+    prepared: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+
+    def item(src_spk: int, tgt_spk: int, utt: int) -> BatchItem:
+        for spk in (src_spk, tgt_spk):
+            if (spk, utt) not in prepared:
+                seq = corpus.utterances[corpus.speakers[spk]][utt]
+                x = stack(normalize(seq, stats), cfg.r).data
+                prepared[spk, utt] = x, np.concatenate([np.zeros((x.shape[0], 1)), x], axis=1)
+        return (src_spk, tgt_spk, prepared[src_spk, utt][0], prepared[tgt_spk, utt][1])
+
+    batch = [item(k, kp, u) for u in utts]
     if cfg.mode != "one_to_one" and train_cfg.lambda_iml != 0.0:
         for u in utts:
-            batch.append(prepare_pair(corpus, stats, cfg, k, k, int(u)))
-            batch.append(prepare_pair(corpus, stats, cfg, kp, kp, int(u)))
+            batch += [item(k, k, u), item(kp, kp, u)]
     return batch
 
 
@@ -195,8 +196,9 @@ def train(corpus: Corpus, cfg: VtnConfig, train_cfg: TrainConfig,
           log_every: int = 1) -> TrainResult:
     """Run the full loop.  With out_dir set, writes checkpoints each cadence
     and two append-only logs with a row per logged step: train_log.tsv holds
-    the loss terms, train_metrics.jsonl the gradient norm before clipping and
-    whether clipping scaled the gradients.  resume points at a checkpoint tag
+    the loss terms, train_metrics.jsonl the gradient norm before clipping,
+    whether clipping scaled the gradients, and each decoder layer's mean DAL
+    over the cross pairs.  resume points at a checkpoint tag
     path without extension (loads .vtnm + .vtno); both logs in out_dir are
     then cut back to the checkpoint's iteration before training goes on."""
     from .features import compute_stats
@@ -254,7 +256,8 @@ def train(corpus: Corpus, cfg: VtnConfig, train_cfg: TrainConfig,
                     log_fh.write("{iter}\t{main:.10g}\t{dal:.10g}\t{iml:.10g}\t{total:.10g}\n"
                                  .format(**row))
                     metrics_fh.write(json.dumps({"iter": it, "grad_norm": row["grad_norm"],
-                                                 "clipped": row["clipped"]}) + "\n")
+                                                 "clipped": row["clipped"],
+                                                 "dal_layers": row["dal_layers"]}) + "\n")
             if out_path is not None and (
                     it % train_cfg.checkpoint_every == 0 or it == train_cfg.iterations):
                 # a resume from this checkpoint keeps the rows up to it

@@ -1,12 +1,13 @@
 import contextlib
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from vtn import autodiff as ad
 from vtn.autodiff import AdamState, Tensor, grad_check
-from vtn.errors import DegenerateColumnError, ShapeError
+from vtn.errors import DegenerateColumnError, GraphReleasedError, ShapeError, VtnError
 
 
 def test_matmul_identity():
@@ -601,3 +602,39 @@ def test_backward_gradients_do_not_alias():
     ad.add(ad.sum_all(ad.mul(out, Tensor(rng.normal(size=(2, 4))))),
            ad.sum_all(ad.mul(attn, Tensor(rng.normal(size=attn.shape))))).backward()
     _assert_unaliased([qkv, out, attn])
+
+
+def test_backward_frees_interior_nodes_as_it_sweeps():
+    rng = np.random.default_rng(81)
+    x = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+    kernel = Tensor(rng.normal(size=(2, 3, 3)), requires_grad=True)
+    held = ad.conv1d(x, kernel, 1, True)
+    gated = ad.glu(held)
+    loss = ad.sum_all(ad.mul(gated, Tensor(rng.normal(size=(1, 5)))))
+    # the node goes once its gradient has moved on to held, before held's
+    # own gradient reaches x
+    x_grad_when_freed = []
+    gone = weakref.ref(gated, lambda _: x_grad_when_freed.append(x.grad))
+    del gated
+    loss.backward()
+    assert gone() is None and x_grad_when_freed == [None]
+    assert held.grad is not None and held.grad.shape == held.data.shape
+    assert x.grad is not None and kernel.grad is not None
+
+
+def test_swept_graph_cannot_be_backpropagated_again():
+    assert issubclass(GraphReleasedError, VtnError)
+    rng = np.random.default_rng(82)
+    x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    part = ad.sum_all(ad.mul(x, x))
+    loss = ad.scale(part, 3.0)
+    loss.backward()
+    want = x.grad.copy()
+    with pytest.raises(GraphReleasedError):
+        loss.backward()
+    # from a released interior node, and from a new graph built on one
+    with pytest.raises(GraphReleasedError):
+        part.backward()
+    with pytest.raises(GraphReleasedError):
+        ad.add(part, ad.sum_all(x)).backward()
+    assert np.array_equal(x.grad, want)

@@ -276,6 +276,15 @@ def test_inspect_reads_dump(workspace, tmp_path, capsys):
     assert "monotone:" in text
 
 
+@pytest.mark.parametrize("text", ["0.5,x\n0.5,1\n", "0.5,0.5\n0.5\n", "", "0.5,nan\n0.5,1\n"],
+                         ids=["non-numeric", "ragged", "empty", "non-finite"])
+def test_inspect_malformed_mean_csv(tmp_path, capsys, text):
+    (tmp_path / "mean.csv").write_text(text)
+    assert main(["inspect", "--attn", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "mean.csv" in err
+
+
 def test_convert_realtime_preserves_length(workspace, tmp_path, capsys):
     run = tmp_path / "run"
     assert main(["train", "--data", str(workspace / "data"),

@@ -319,13 +319,17 @@ def test_packed_breakdown_terms():
     weights = LossWeights(lambda_dal=30.0, lambda_iml=0.6, gamma=default_feature_weights(1))
     batch = _ragged_batch(np.random.default_rng(36), model)
     total, bd = total_loss(model, batch, weights)
-    mains, dals, comps = [], [], []
+    mains, dals, comps, layer_dals = [], [], [], []
     for k, kp, src, tgt0 in batch:
         y, attn = model.forward(src, tgt0, k=k, kp=kp)
         mains.append(main_loss(y, tgt0, weights.gamma, 1).item())
         dals.append(dal(attn, weights.nu).item())
         comps.append(mains[-1] + 30.0 * dals[-1])
+        layer_dals.append([dal([layer], weights.nu).item() for layer in attn])
     assert bd["main"] == pytest.approx(np.mean(mains[:3]), rel=1e-12)
     assert bd["dal"] == pytest.approx(np.mean(dals[:3]), rel=1e-12)
     assert bd["iml"] == pytest.approx(np.mean(comps[3:]), rel=1e-12)
     assert bd["total"] == total.item()
+    # each decoder layer's DAL over the cross pairs; their mean is the dal
+    assert bd["dal_layers"] == pytest.approx(np.mean(layer_dals[:3], axis=0), rel=1e-12)
+    assert np.mean(bd["dal_layers"]) == pytest.approx(bd["dal"], rel=1e-12)

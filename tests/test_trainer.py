@@ -1,12 +1,14 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from vtn import trainer
 from vtn.autodiff import AdamState, Tensor
 from vtn.errors import ShapeError, TrainingDivergedError
-from vtn.features import compute_stats, gen_synthetic_corpus
+from vtn.features import compute_stats, gen_synthetic_corpus, normalize, stack
 from vtn.losses import total_loss
 from vtn.model import VtnConfig, VtnModel
 from vtn.trainer import (TrainConfig, _truncate_log, load_trainer_state, make_batch,
@@ -65,6 +67,47 @@ def test_make_batch_deterministic():
             assert (k1, kp1) == (k2, kp2)
             assert np.array_equal(s1, s2)
             assert np.array_equal(t1, t2)
+
+
+def test_make_batch_prepares_each_utterance_once(monkeypatch):
+    # batch 6 from 3 utterances repeats some; the reference prepares every
+    # item's source and target on their own, as one pair at a time would
+    corpus = small_corpus()
+    stats = compute_stats(corpus)
+    cfg = tiny_cfg()
+    tc = TrainConfig(batch_size=6)
+
+    def prepared(spk, utt):
+        return stack(normalize(corpus.utterances[corpus.speakers[spk]][utt], stats), cfg.r).data
+
+    calls = []
+    real_normalize = trainer.normalize
+    monkeypatch.setattr(trainer, "normalize",
+                        lambda seq, st: calls.append(seq) or real_normalize(seq, st))
+    for seed in range(5):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        calls.clear()
+        batch = make_batch(corpus, stats, cfg, tc, rng)
+        k = int(ref_rng.integers(2))
+        kp = int(ref_rng.integers(1))
+        kp += kp >= k
+        utts = [int(u) for u in ref_rng.integers(corpus.n_utterances, size=tc.batch_size)]
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        want = ([(k, kp, u) for u in utts]
+                + [item for u in utts for item in ((k, k, u), (kp, kp, u))])
+        assert len(batch) == len(want)
+        for (a, b, src, tgt0), (wa, wb, u) in zip(batch, want):
+            assert (a, b) == (wa, wb)
+            assert np.array_equal(src, prepared(wa, u))
+            assert np.array_equal(tgt0[:, 1:], prepared(wb, u))
+            assert np.array_equal(tgt0[:, 0], np.zeros(cfg.D))
+        assert len(calls) == 2 * len(set(utts))
+        # a cross pair shares its source with its source-side identity pair
+        # and its target with its target-side one
+        for i in range(tc.batch_size):
+            _, _, src, tgt0 = batch[i]
+            assert batch[tc.batch_size + 2 * i][2] is src
+            assert batch[tc.batch_size + 2 * i + 1][3] is tgt0
 
 
 def test_make_batch_one_to_one_fixed_pair():
@@ -153,6 +196,27 @@ def test_train_step_overfits_single_batch():
     assert losses[-1] < 0.8 * losses[0]
 
 
+def test_train_step_memory():
+    # one batch-4 step (12 pairs) of the acceptance gate's model on its
+    # corpus, dropout on.  Traced peak: about 51 MB when backward frees the
+    # graph as it sweeps it and conv1d keeps no im2col, about 107 MB when
+    # the whole graph lives until the step returns.
+    corpus = gen_synthetic_corpus(2, 20, seed=7, raw_len_range=(120, 240))
+    stats = compute_stats(corpus)
+    cfg = VtnConfig(L=2, H=2, d=32, d_ffn=64, n_mcc=28, r=3, e=8, n_speakers=2)
+    model = VtnModel.init(cfg, seed=0, speakers=corpus.speakers)
+    tc = TrainConfig(lr=1e-3, batch_size=4, seed=0)
+    rng = np.random.default_rng(0)
+    batch = make_batch(corpus, stats, cfg, tc, rng)
+    tracemalloc.start()
+    try:
+        train_step(model, batch, AdamState(), tc, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 75e6
+
+
 def test_train_step_reports_pre_clip_grad_norm():
     corpus = small_corpus()
     stats = compute_stats(corpus)
@@ -234,9 +298,12 @@ def test_train_metrics_log(tmp_path):
             for line in (tmp_path / "run" / "train_metrics.jsonl").read_text().splitlines()]
     assert [row["iter"] for row in rows] == [2, 4]
     for row, logged in zip(rows, result.log):
-        assert set(row) == {"iter", "grad_norm", "clipped"}
+        assert set(row) == {"iter", "grad_norm", "clipped", "dal_layers"}
         assert row["grad_norm"] == logged["grad_norm"]
         assert row["clipped"] is (logged["grad_norm"] > 0.5)
+        assert row["dal_layers"] == logged["dal_layers"]
+        assert len(row["dal_layers"]) == tiny_cfg().L
+        assert np.mean(row["dal_layers"]) == pytest.approx(logged["dal"], rel=1e-12)
 
 
 def test_train_resume_cuts_logs_back_to_checkpoint(tmp_path):
