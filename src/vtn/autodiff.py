@@ -177,7 +177,17 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    return add(a, scale(b, -1.0))
+    a, b = _as_tensor(a), _as_tensor(b)
+    if a.data.shape != b.data.shape:
+        raise ShapeError(f"sub: {a.data.shape} vs {b.data.shape}")
+
+    def backward(g):
+        if a.requires_grad:
+            a._accum(g)
+        if b.requires_grad:
+            b._accum(np.negative(g), owned=True)
+
+    return _result(a.data - b.data, (a, b), backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -370,24 +380,43 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             s = 1.0 / math.sqrt(var + eps)
             inv_std[0, j] = s
             xhat[:, j] = c * s
+        y = np.empty_like(xhat)
     else:
-        mu = x.data.mean(axis=0, keepdims=True)
-        c = x.data - mu
-        var = (c * c).mean(axis=0, keepdims=True)
-        inv_std = 1.0 / np.sqrt(var + eps)
-        xhat = c * inv_std
-    y = gain.data * xhat + bias.data
+        # x.mean, c = x - mu, (c * c).mean, 1 / sqrt(var + eps) and
+        # c * inv_std, in that order, in place; y's array holds c * c until
+        # y is written
+        mu = np.add.reduce(x.data, axis=0, keepdims=True)
+        mu /= d
+        xhat = np.subtract(x.data, mu)
+        y = np.multiply(xhat, xhat)
+        inv_std = np.add.reduce(y, axis=0, keepdims=True)
+        inv_std /= d
+        inv_std += eps
+        np.sqrt(inv_std, out=inv_std)
+        np.divide(1.0, inv_std, out=inv_std)
+        xhat *= inv_std
+    np.multiply(gain.data, xhat, out=y)
+    y += bias.data
 
     def backward(g):
+        t = np.multiply(g, xhat)
         if gain.requires_grad:
-            gain._accum((g * xhat).sum(axis=1, keepdims=True), owned=True)
+            gain._accum(np.add.reduce(t, axis=1, keepdims=True), owned=True)
         if bias.requires_grad:
-            bias._accum(g.sum(axis=1, keepdims=True), owned=True)
+            bias._accum(np.add.reduce(g, axis=1, keepdims=True), owned=True)
         if x.requires_grad:
-            gx_hat = g * gain.data
-            m1 = gx_hat.mean(axis=0, keepdims=True)
-            m2 = (gx_hat * xhat).mean(axis=0, keepdims=True)
-            x._accum(inv_std * (gx_hat - m1 - xhat * m2), owned=True)
+            # inv_std * (gx_hat - mean(gx_hat) - xhat * mean(gx_hat * xhat))
+            gx = np.multiply(g, gain.data)
+            m1 = np.add.reduce(gx, axis=0, keepdims=True)
+            m1 /= d
+            np.multiply(gx, xhat, out=t)
+            m2 = np.add.reduce(t, axis=0, keepdims=True)
+            m2 /= d
+            gx -= m1
+            np.multiply(xhat, m2, out=t)
+            gx -= t
+            gx *= inv_std
+            x._accum(gx, owned=True)
 
     return _result(y, (x, gain, bias), backward)
 
@@ -421,65 +450,92 @@ def segments(lengths: tuple[int, ...]) -> Segments:
     return Segments(lengths)
 
 
-def _im2col(x: np.ndarray, offsets: list[int], pad_l: int, pad_r: int,
-            segs: Segments) -> np.ndarray:
-    """The (k * c_in, N) im2col of x, so that a conv is one gemm instead of k
-    small ones.  Tap t of output column j reads column j + offsets[t]; where
-    that crosses the edge of j's segment the entry is zeroed, as if each
-    segment were padded alone."""
-    c_in, n = x.shape
-    xp = np.pad(x, ((0, 0), (pad_l, pad_r)))
+def _in_range(o: int, n: int) -> tuple[int, int]:
+    """The output columns [lo, hi) whose neighbour o columns away lies in
+    [0, n); lo == hi when |o| >= n."""
+    lo = min(max(0, -o), n)
+    return lo, max(min(n, n - o), lo)
+
+
+def _im2col(blocks: list[np.ndarray], offsets: list[int], segs: Segments) -> np.ndarray:
+    """The (k * c_in, N) im2col of the row blocks that stack to x, so that a
+    conv is one gemm instead of k small ones.  Tap t of output column j
+    reads column j + offsets[t]; where that crosses the edge of j's segment
+    the entry is zeroed, as if each segment were padded alone.  Every
+    column outside [0, N) is outside its segment, so the zeroing also
+    covers the columns no copy reaches."""
+    c_in, n = sum(b.shape[0] for b in blocks), blocks[0].shape[1]
     xcol = np.empty((len(offsets) * c_in, n), dtype=np.float64)
     for t, o in enumerate(offsets):
         rows = xcol[t * c_in:(t + 1) * c_in]
-        rows[:] = xp[:, o + pad_l:o + pad_l + n]
+        lo, hi = _in_range(o, n)
+        r = 0
+        for b in blocks:
+            rows[r:r + b.shape[0], lo:hi] = b[:, lo + o:hi + o]
+            r += b.shape[0]
         rows[:, segs.outside(o)] = 0.0
     return xcol
 
 
-def conv1d(x: Tensor, kernel: Tensor, dilation: int = 1, causal: bool = False,
-           segs: Segments | None = None) -> Tensor:
+def conv1d(x: Tensor | Sequence[Tensor], kernel: Tensor, dilation: int = 1,
+           causal: bool = False, segs: Segments | None = None) -> Tensor:
     """1-D convolution over the time axis, length-preserving.
 
-    x is (c_in, N); kernel is (c_out, c_in, K).  Non-causal convs need odd K
-    and pad symmetrically; causal convs pad (K-1)*dilation on the left only.
+    x is (c_in, N), or a sequence of row blocks that stack to it, which the
+    conv reads in place and backpropagates into only where they need a
+    gradient.  kernel is (c_out, c_in, K).  Non-causal convs need odd K and
+    pad symmetrically; causal convs pad (K-1)*dilation on the left only.
     With segs, x holds segments packed along time and each segment is
     zero-padded at its own edges, so no tap reads across a boundary.
     """
-    x, kernel = _as_tensor(x), _as_tensor(kernel)
-    if x.data.ndim != 2 or kernel.data.ndim != 3 or kernel.data.shape[1] != x.data.shape[0]:
-        raise ShapeError(f"conv1d: x {x.data.shape}, kernel {kernel.data.shape}")
+    blocks = [_as_tensor(b) for b in (x if isinstance(x, (list, tuple)) else [x])]
+    kernel = _as_tensor(kernel)
+    rows = [b.data.shape[0] for b in blocks]
+    if (kernel.data.ndim != 3 or any(b.data.ndim != 2 for b in blocks)
+            or len({b.data.shape[1] for b in blocks}) != 1 or kernel.data.shape[1] != sum(rows)):
+        raise ShapeError(f"conv1d: x {[b.data.shape for b in blocks]}, "
+                         f"kernel {kernel.data.shape}")
     c_out, c_in, k = kernel.data.shape
-    n = x.data.shape[1]
+    n = blocks[0].data.shape[1]
     if causal:
-        pad_l, pad_r = (k - 1) * dilation, 0
+        pad_l = (k - 1) * dilation
     else:
         if k % 2 == 0:
             raise ShapeError("non-causal conv1d requires odd kernel size")
-        pad_l = pad_r = (k - 1) // 2 * dilation
+        pad_l = (k - 1) // 2 * dilation
     segs = segments((n,)) if segs is None else segs
     if segs.n != n:
         raise ShapeError(f"conv1d: segments cover {segs.n} columns, x has {n}")
     offsets = [t * dilation - pad_l for t in range(k)]
-    w = kernel.data.transpose(0, 2, 1).reshape(c_out, -1)
-    y = _mm(w, _im2col(x.data, offsets, pad_l, pad_r, segs))
+    starts = np.cumsum(rows) - rows
 
-    # the backward keeps no im2col: the kernel gradient rebuilds it from x
+    def flat_kernel():
+        """The (c_out, k * c_in) kernel in im2col's row order."""
+        return kernel.data.transpose(0, 2, 1).reshape(c_out, -1)
+
+    y = _mm(flat_kernel(), _im2col([b.data for b in blocks], offsets, segs))
+
+    # the backward keeps neither the im2col nor the flat kernel: it rebuilds
+    # them from x and the kernel, which are its parents
     def backward(g):
         if kernel.requires_grad:
-            xcol = _im2col(x.data, offsets, pad_l, pad_r, segs)
+            xcol = _im2col([b.data for b in blocks], offsets, segs)
             gk = (g @ xcol.T).reshape(c_out, k, c_in).transpose(0, 2, 1)
             kernel._accum(np.ascontiguousarray(gk), owned=True)
-        if x.requires_grad:
-            gxp = np.zeros((c_in, pad_l + n + pad_r))
-            gcol = w.T @ g
+        need = [(b, r0, r0 + r) for b, r0, r in zip(blocks, starts, rows) if b.requires_grad]
+        if need:
+            gx = [np.zeros((r1 - r0, n)) for _, r0, r1 in need]
+            gcol = flat_kernel().T @ g
             for t, o in enumerate(offsets):
-                rows = gcol[t * c_in:(t + 1) * c_in]
-                rows[:, segs.outside(o)] = 0.0
-                gxp[:, o + pad_l:o + pad_l + n] += rows
-            x._accum(gxp[:, pad_l:pad_l + n], owned=True)
+                lo, hi = _in_range(o, n)
+                for (_, r0, r1), gb in zip(need, gx):
+                    part = gcol[t * c_in + r0:t * c_in + r1]
+                    part[:, segs.outside(o)] = 0.0
+                    gb[:, lo + o:hi + o] += part[:, lo:hi]
+            for (b, _, _), gb in zip(need, gx):
+                b._accum(gb, owned=True)
 
-    return _result(y, (x, kernel), backward)
+    return _result(y, (*blocks, kernel), backward)
 
 
 def causal_mask(n: int) -> np.ndarray:
@@ -569,7 +625,8 @@ def attention(q: Tensor, kv: Tensor, k_row: int, n_heads: int, scale: float,
     a = np.empty(sum(sizes))
     out = np.empty((d, qs.n))
     # per segment: its query and key columns, its heads' (H, dh, n) views of
-    # q, k and v, and its (H, n_k, n_q) block of a
+    # q, k and v, and its (H, n_k, n_q) block of a.  The softmax's
+    # element-wise steps run once over every block of a.
     blocks = []
     for q0, nq, k0, nk, o in zip(qs.starts, qs.lengths, ks.starts, ks.lengths,
                                  np.cumsum(sizes) - sizes):
@@ -579,16 +636,18 @@ def attention(q: Tensor, kv: Tensor, k_row: int, n_heads: int, scale: float,
         vh = kv.data[k_row + d:k_row + 2 * d, kc].reshape(n_heads, dh, nk)
         ap = a[o:o + n_heads * nk * nq].reshape(n_heads, nk, nq)
         np.matmul(kh.swapaxes(1, 2), qh, out=ap)
-        ap *= scale
+        blocks.append((qc, kc, qh, kh, vh, ap, o))
+    a *= scale
+    for qc, kc, qh, kh, vh, ap, o in blocks:
         if causal:
-            ap += _causal_slice(nk, nq)
+            ap += _causal_slice(*ap.shape[1:])
         if window is not None:
             ap += window
         ap -= ap.max(axis=1, keepdims=True)
-        np.exp(ap, out=ap)
+    np.exp(a, out=a)
+    for qc, kc, qh, kh, vh, ap, o in blocks:
         ap /= ap.sum(axis=1, keepdims=True)
-        out[:, qc] = np.matmul(vh, ap).reshape(d, nq)
-        blocks.append((qc, kc, qh, kh, vh, ap, o))
+        out[:, qc] = np.matmul(vh, ap).reshape(d, -1)
     grads: dict[int, tuple[Tensor, np.ndarray]] = {}
 
     def grad_rows(t):
@@ -610,16 +669,21 @@ def attention(q: Tensor, kv: Tensor, k_row: int, n_heads: int, scale: float,
         attn._accum(ga, owned=True)
 
     def attn_backward(ga):
+        # (ga - sum over keys of ga * a) * a * scale, block by block
+        gz = np.multiply(ga, a)
         for qc, kc, qh, kh, vh, ap, o in blocks:
-            gz = ga[o:o + ap.size].reshape(ap.shape)
-            gz = gz - (gz * ap).sum(axis=1, keepdims=True)
-            gz *= ap
-            gz *= scale
+            gb = gz[o:o + ap.size].reshape(ap.shape)
+            np.subtract(ga[o:o + ap.size].reshape(ap.shape),
+                        np.add.reduce(gb, axis=1, keepdims=True), out=gb)
+        gz *= a
+        gz *= scale
+        for qc, kc, qh, kh, vh, ap, o in blocks:
+            gb = gz[o:o + ap.size].reshape(ap.shape)
             if q.requires_grad:
-                grad_rows(q)[:d, qc] = np.matmul(kh, gz).reshape(d, -1)
+                grad_rows(q)[:d, qc] = np.matmul(kh, gb).reshape(d, -1)
             if kv.requires_grad:
                 grad_rows(kv)[k_row:k_row + d, kc] = \
-                    np.matmul(qh, gz.swapaxes(1, 2)).reshape(d, -1)
+                    np.matmul(qh, gb.swapaxes(1, 2)).reshape(d, -1)
         for t, g in grads.values():
             t._accum(g, owned=True)
         grads.clear()
@@ -635,14 +699,23 @@ def glu(x: Tensor) -> Tensor:
     if d2 % 2 != 0:
         raise ShapeError(f"glu needs an even number of rows, got {d2}")
     c = d2 // 2
-    a, b = x.data[:c], x.data[c:]
-    sig = 1.0 / (1.0 + np.exp(-b))
+    a = x.data[:c]
+    sig = np.negative(x.data[c:])    # 1 / (1 + exp(-b)), in place
+    np.exp(sig, out=sig)
+    sig += 1.0
+    np.divide(1.0, sig, out=sig)
     y = a * sig
 
     def backward(g):
+        # values: g * sig; gates: g * a * sig * (1 - sig), with the gate
+        # half's (1 - sig) held in the value half until that is written
         gx = np.empty_like(x.data)
-        gx[:c] = g * sig
-        gx[c:] = g * a * sig * (1.0 - sig)
+        ga, gb = gx[:c], gx[c:]
+        np.subtract(1.0, sig, out=ga)
+        np.multiply(g, a, out=gb)
+        gb *= sig
+        gb *= ga
+        np.multiply(g, sig, out=ga)
         x._accum(gx, owned=True)
 
     return _result(y, (x,), backward)
@@ -665,16 +738,18 @@ def weight_norm_apply(direction: Tensor, w_scale: Tensor, eps: float = 1e-12) ->
     w = (w_scale.data / denom).reshape(shp) * direction.data
 
     def backward(g):
-        gflat = g.reshape(c_out, -1)
-        dot = (gflat * flat).sum(axis=1)
+        t = np.multiply(g.reshape(c_out, -1), flat)
+        dot = np.add.reduce(t, axis=1)
         if w_scale.requires_grad:
             w_scale._accum(dot / denom, owned=True)
         if direction.requires_grad:
-            coef = (w_scale.data / denom).reshape(shp)
-            # d(1/denom)/d(dir) = -dir / (denom^2 * norm); guard norm == 0
+            # coef * g - corr * direction, with d(1/denom)/d(dir) =
+            # -dir / (denom^2 * norm); guard norm == 0
+            gd = np.multiply((w_scale.data / denom).reshape(shp), g)
             safe = np.where(norm > 0.0, norm, 1.0)
             corr = (w_scale.data * dot / (denom * denom * safe)).reshape(shp)
-            direction._accum(coef * g - corr * direction.data, owned=True)
+            gd -= np.multiply(corr, direction.data, out=t.reshape(direction.data.shape))
+            direction._accum(gd, owned=True)
 
     return _result(w, (direction, w_scale), backward)
 
@@ -683,35 +758,108 @@ def weight_norm_apply(direction: Tensor, w_scale: Tensor, eps: float = 1e-12) ->
 # optimizer and gradient checking
 
 class AdamState:
-    """First/second moment buffers plus the shared step counter."""
+    """Adam's step counter and moments, over one flat store.
+
+    The store binds a parameter dict: each parameter's data and gradient,
+    and its first and second moments, become views into four flat buffers
+    laid out in the dict's order, so an update is one element-wise sweep.
+    m and v map each parameter name to its moment's view; they are what a
+    .vtno holds.  The binding is rebuilt from the current values when the
+    dict no longer holds the bound Tensors with their bound data: after a
+    Tensor is swapped in, a model is loaded, or data is reassigned.  Moments
+    set before the first binding (a loaded state) must match the parameters'
+    names and shapes; with none, every moment starts at zero.
+    """
 
     def __init__(self):
         self.step = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
+        # name -> (tensor, its data view, its gradient view)
+        self._bound: dict[str, tuple[Tensor, np.ndarray, np.ndarray]] = {}
+        self._flat: tuple[np.ndarray, ...] = ()   # data, gradient, m, v
+
+    def _bind(self, params: dict[str, Tensor]) -> None:
+        if list(params) == list(self._bound) and all(
+                params[name] is t and t.data is data
+                for name, (t, data, _) in self._bound.items()):
+            return
+        shapes = {name: t.data.shape for name, t in params.items()}
+        for kind, moments in (("first", self.m), ("second", self.v)):
+            if moments and {name: a.shape for name, a in moments.items()} != shapes:
+                raise ShapeError(f"Adam's {kind} moments do not match the parameters' "
+                                 f"names and shapes")
+        n = sum(t.data.size for t in params.values())
+        flat = (np.empty(n), np.zeros(n), np.zeros(n), np.zeros(n))
+        views: list[dict[str, np.ndarray]] = [{}, {}, {}, {}]
+        o = 0
+        for name, t in params.items():
+            for buf, view in zip(flat, views):
+                view[name] = buf[o:o + t.data.size].reshape(t.data.shape)
+            o += t.data.size
+            views[0][name][...] = t.data
+            t.data = views[0][name]
+            if self.m:
+                views[2][name][...] = self.m[name]
+                views[3][name][...] = self.v[name]
+        self._bound = {name: (t, views[0][name], views[1][name]) for name, t in params.items()}
+        self._flat = flat
+        self.m, self.v = views[2], views[3]
+
+    def gradient(self, params: dict[str, Tensor]) -> np.ndarray:
+        """The flat gradient of params, binding them first if need be.  Each
+        gradient is copied into its view once and its tensor then holds the
+        view, so scaling the flat gradient scales every tensor's gradient; a
+        gradient of None reads as zeros and stays None."""
+        self._bind(params)
+        for t, _, g in self._bound.values():
+            if t.grad is None:
+                g[...] = 0.0
+            elif t.grad is not g:
+                g[...] = t.grad
+                t.grad = g
+        return self._flat[1]
+
+
+# Elements per block of Adam's sweep: the six arrays a block touches take
+# 1.5 MB, which stays in a 2 MB L2 cache from one operation to the next.
+# Swept whole, the 1.6 MB arrays of a 200k-parameter model stream through
+# memory at every operation, and the update took as long as one per
+# parameter; in blocks it took half that.
+_ADAM_BLOCK = 32768
 
 
 def adam_step(params: dict[str, Tensor], state: AdamState, lr: float,
               beta1: float, beta2: float = 0.999, eps: float = 1e-8) -> None:
-    """One in-place Adam update over every parameter with a gradient."""
+    """One in-place Adam update of every parameter, a parameter without a
+    gradient taking a zero one: one element-wise sweep over the flat store,
+    block by block, with the operations of the per-parameter update in its
+    order."""
+    grad = state.gradient(params)
     state.step += 1
     t = state.step
     bc1 = 1.0 - beta1 ** t
     bc2 = 1.0 - beta2 ** t
-    for name, p in params.items():
-        g = p.grad
-        if g is None:
-            g = np.zeros_like(p.data)
-        if name not in state.m:
-            state.m[name] = np.zeros_like(p.data)
-            state.v[name] = np.zeros_like(p.data)
-        m = state.m[name]
-        v = state.v[name]
+    scratch = np.empty((2, min(grad.size, _ADAM_BLOCK)))
+    for o in range(0, grad.size, _ADAM_BLOCK):
+        p, g, m, v = (buf[o:o + _ADAM_BLOCK] for buf in state._flat)
+        a, b = scratch[:, :g.size]
+        # m = beta1 m + (1 - beta1) g;  v = beta2 v + (1 - beta2) g g
         m *= beta1
-        m += (1.0 - beta1) * g
+        np.multiply(g, 1.0 - beta1, out=a)
+        m += a
         v *= beta2
-        v += (1.0 - beta2) * g * g
-        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        np.multiply(g, 1.0 - beta2, out=a)
+        a *= g
+        v += a
+        # p -= lr (m / bc1) / (sqrt(v / bc2) + eps)
+        np.divide(m, bc1, out=a)
+        a *= lr
+        np.divide(v, bc2, out=b)
+        np.sqrt(b, out=b)
+        b += eps
+        a /= b
+        p -= a
 
 
 def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5,

@@ -72,7 +72,11 @@ def dal(attn_set: list[list[Tensor]], nu: float) -> Tensor:
     return ad.scale(total, 1.0 / (n_src * n_tgt * n_heads * n_layers))
 
 
-@functools.lru_cache(maxsize=64)
+# A corpus of S speakers and U parallel utterances trains on up to S * S * U
+# pair shapes (cross pairs and identity pairs): 80 for the acceptance gate's
+# corpus.  A cache with fewer entries than that keeps evicting shapes that
+# later batches need again, each miss an exp over N_src x N_tgt cells.
+@functools.lru_cache(maxsize=256)
 def _guided(n_src: int, n_tgt: int, nu: float) -> np.ndarray:
     g = guided_weight_matrix(n_src, n_tgt, nu)
     g.flags.writeable = False
@@ -92,13 +96,14 @@ def ragged_guided(src_lengths: tuple[int, ...], tgt_lengths: tuple[int, ...], n_
 
 
 def pair_dal(attn: list[np.ndarray], src_lengths: tuple[int, ...],
-             tgt_lengths: tuple[int, ...], n_heads: int, nu: float) -> np.ndarray:
-    """Each packed pair's ``dal``, from the ragged attention of every decoder
-    layer."""
+             tgt_lengths: tuple[int, ...], n_heads: int,
+             nu: float) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Each packed pair's ``dal``, and its ``dal`` in each decoder layer
+    alone, from the ragged attention of every decoder layer."""
     guided = ragged_guided(src_lengths, tgt_lengths, n_heads, nu)
     sizes = n_heads * np.asarray(src_lengths) * np.asarray(tgt_lengths)
-    return sum(np.add.reduceat(guided * a, np.cumsum(sizes) - sizes)
-               for a in attn) / (sizes * len(attn))
+    sums = [np.add.reduceat(guided * a, np.cumsum(sizes) - sizes) for a in attn]
+    return sum(sums) / (sizes * len(attn)), [s / sizes for s in sums]
 
 
 def total_loss(model, batch, weights: LossWeights, training: bool = False,
@@ -159,9 +164,8 @@ def total_loss(model, batch, weights: LossWeights, training: bool = False,
     col_err = feat_w @ err.data
     col_err[ends - 1] = 0.0
     main = np.add.reduceat(col_err, segs.starts) / n_out
-    dal_ = pair_dal([a.data for a in attn], src_segs.lengths, segs.lengths, cfg.H, weights.nu)
-    layer_dal = [pair_dal([a.data], src_segs.lengths, segs.lengths, cfg.H, weights.nu)
-                 for a in attn]
+    dal_, layer_dal = pair_dal([a.data for a in attn], src_segs.lengths, segs.lengths, cfg.H,
+                               weights.nu)
     comp = main + weights.lambda_dal * dal_
     breakdown = {
         "main": float(main[:n_cross].mean()) if n_cross else 0.0,

@@ -241,26 +241,32 @@ class VtnModel:
         cols = ad.matmul(ad.transpose(self.params["emb"]), Tensor(one_hot))
         return ad.tile_cols(cols, segs.lengths)
 
-    def _condition(self, x: Tensor, spk) -> Tensor:
-        """x with speaker rows appended; spk is None, the speaker columns of a
-        pass, or a speaker index for every column of x."""
+    def _conditioned_rows(self, x: Tensor, spk) -> list[Tensor]:
+        """x and, unless spk is None, its speaker rows: spk is None, the
+        speaker columns of a pass, or a speaker index for every column of x.
+        A conv reads the blocks in place."""
         if spk is None:
-            return x
+            return [x]
         if not isinstance(spk, Tensor):
             spk = self._speaker_columns([spk], ad.segments((x.data.shape[1],)))
-        return ad.concat_rows([x, spk])
+        return [x, spk]
+
+    def _condition(self, x: Tensor, spk) -> Tensor:
+        """x with speaker rows appended, as one tensor for a matrix product."""
+        rows = self._conditioned_rows(x, spk)
+        return rows[0] if len(rows) == 1 else ad.concat_rows(rows)
 
     def _ln(self, name, x):
         return ad.layer_norm(x, self.params[f"{name}.gain"], self.params[f"{name}.bias"])
 
     def _prenet(self, name, x, spk, causal, segs=None):
-        x = self._condition(x, spk)
+        x = self._conditioned_rows(x, spk)
         for i, dil in enumerate(PRENET_DILATIONS):
             x = ad.glu(self._conv(f"{name}.{i}", x, causal, dil, segs))
         return x
 
     def _postnet(self, x, spk, segs=None):
-        x = self._condition(x, spk)
+        x = self._conditioned_rows(x, spk)
         x = ad.glu(self._conv("postnet.0", x, True, PRENET_DILATIONS[0], segs))
         x = ad.glu(self._conv("postnet.1", x, True, PRENET_DILATIONS[1], segs))
         return self._conv("postnet.2", x, True, PRENET_DILATIONS[2], segs)

@@ -91,17 +91,18 @@ def make_batch(corpus: Corpus, stats: SpeakerStats, cfg: VtnConfig,
     return batch
 
 
-def clip_global_norm(model: VtnModel, max_norm: float) -> float:
+def clip_global_norm(model: VtnModel, opt_state: AdamState, max_norm: float) -> float:
+    """The global norm of model's gradients, summed tensor by tensor in
+    parameter order.  Above max_norm (when positive), the flat gradient in
+    opt_state is scaled once so that the norm is max_norm."""
+    grad = opt_state.gradient(model.params)
     total = 0.0
     for t in model.params.values():
         if t.grad is not None:
             total += float((t.grad * t.grad).sum())
     norm = float(np.sqrt(total))
     if max_norm > 0.0 and norm > max_norm:
-        factor = max_norm / norm
-        for t in model.params.values():
-            if t.grad is not None:
-                t.grad *= factor
+        grad *= max_norm / norm
     return norm
 
 
@@ -116,7 +117,7 @@ def train_step(model: VtnModel, batch: list[BatchItem], opt_state: AdamState,
     if not np.isfinite(loss.data):
         raise TrainingDivergedError(f"non-finite loss at step {opt_state.step + 1}: {breakdown}")
     loss.backward()
-    norm = clip_global_norm(model, train_cfg.grad_clip)
+    norm = clip_global_norm(model, opt_state, train_cfg.grad_clip)
     if not np.isfinite(norm):
         # a NaN norm skips clipping, and Adam would write NaN into every weight
         raise TrainingDivergedError(
@@ -163,6 +164,24 @@ def load_trainer_state(path) -> tuple[int, AdamState, dict]:
     if state.m.keys() != state.v.keys():
         container.fail(path, "first and second moments cover different parameters")
     return iteration, state, rng_state
+
+
+def _check_moments(path, opt_state: AdamState, params: dict) -> None:
+    """A resumed optimizer state holds a first and a second moment of each
+    parameter's name and shape, or, before its first step, none at all."""
+    if opt_state.step == 0 and not opt_state.m:
+        return
+    want = {name: p.data.shape for name, p in params.items()}
+    for kind, moments in (("first", opt_state.m), ("second", opt_state.v)):
+        got = {name: a.shape for name, a in moments.items()}
+        if got == want:
+            continue
+        missing, unknown = sorted(want.keys() - got.keys()), sorted(got.keys() - want.keys())
+        wrong = [f"{name} {got[name]} for {want[name]}"
+                 for name in want.keys() & got.keys() if got[name] != want[name]]
+        container.fail(path, f"{kind} moments do not match the model's parameters after "
+                             f"{opt_state.step} steps: missing {missing}, unknown {unknown}, "
+                             f"wrong shapes {sorted(wrong)}")
 
 
 def _checkpoint(out_dir: Path, tag: str, model: VtnModel, iteration: int,
@@ -217,6 +236,7 @@ def train(corpus: Corpus, cfg: VtnConfig, train_cfg: TrainConfig,
         resume = Path(resume)
         model = VtnModel.load(resume.with_suffix(".vtnm"))
         start_iter, opt_state, rng_state = load_trainer_state(resume.with_suffix(".vtno"))
+        _check_moments(resume.with_suffix(".vtno"), opt_state, model.params)
         rng.bit_generator.state = rng_state
     elif model is None:
         model = VtnModel.init(cfg, seed=train_cfg.seed, speakers=list(corpus.speakers))

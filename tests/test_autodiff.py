@@ -8,6 +8,7 @@ import pytest
 from vtn import autodiff as ad
 from vtn.autodiff import AdamState, Tensor, grad_check
 from vtn.errors import DegenerateColumnError, GraphReleasedError, ShapeError, VtnError
+from vtn.trainer import load_trainer_state, save_trainer_state
 
 
 def test_matmul_identity():
@@ -638,3 +639,284 @@ def test_swept_graph_cannot_be_backpropagated_again():
     with pytest.raises(GraphReleasedError):
         ad.add(part, ad.sum_all(x)).backward()
     assert np.array_equal(x.grad, want)
+
+
+# -- bit-for-bit oracles: the expressions these primitives had before they
+# wrote into arrays of their own, and the per-parameter Adam update
+
+def _same_bits(a, b):
+    """Byte-equal arrays of one shape: unlike array_equal, -0.0 != 0.0."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _signed_zeros(rng, shape):
+    """Normal draws with a few entries set to 0.0 and a few to -0.0."""
+    x = rng.normal(size=shape)
+    x.flat[rng.choice(x.size, size=max(1, x.size // 8), replace=False)] = 0.0
+    x.flat[rng.choice(x.size, size=max(1, x.size // 8), replace=False)] = -0.0
+    return x
+
+
+def _ref_layer_norm(x, gain, bias, g, eps=1e-5):
+    mu = x.mean(axis=0, keepdims=True)
+    c = x - mu
+    var = (c * c).mean(axis=0, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = c * inv_std
+    y = gain * xhat + bias
+    gx_hat = g * gain
+    m1 = gx_hat.mean(axis=0, keepdims=True)
+    m2 = (gx_hat * xhat).mean(axis=0, keepdims=True)
+    return (y, (g * xhat).sum(axis=1, keepdims=True), g.sum(axis=1, keepdims=True),
+            inv_std * (gx_hat - m1 - xhat * m2))
+
+
+def _ref_glu(x, g):
+    c = x.shape[0] // 2
+    a, b = x[:c], x[c:]
+    sig = 1.0 / (1.0 + np.exp(-b))
+    gx = np.empty_like(x)
+    gx[:c] = g * sig
+    gx[c:] = g * a * sig * (1.0 - sig)
+    return a * sig, gx
+
+
+def _ref_conv(x, kernel, dilation, causal, segs, g):
+    """The padded im2col conv and its gradients."""
+    c_out, c_in, k = kernel.shape
+    n = x.shape[1]
+    pad_l = (k - 1) * dilation if causal else (k - 1) // 2 * dilation
+    pad_r = 0 if causal else pad_l
+    offsets = [t * dilation - pad_l for t in range(k)]
+    xp = np.pad(x, ((0, 0), (pad_l, pad_r)))
+    xcol = np.empty((k * c_in, n))
+    for t, o in enumerate(offsets):
+        rows = xcol[t * c_in:(t + 1) * c_in]
+        rows[:] = xp[:, o + pad_l:o + pad_l + n]
+        rows[:, segs.outside(o)] = 0.0
+    w = kernel.transpose(0, 2, 1).reshape(c_out, -1)
+    gk = np.ascontiguousarray((g @ xcol.T).reshape(c_out, k, c_in).transpose(0, 2, 1))
+    gxp = np.zeros((c_in, pad_l + n + pad_r))
+    gcol = w.T @ g
+    for t, o in enumerate(offsets):
+        rows = gcol[t * c_in:(t + 1) * c_in]
+        rows[:, segs.outside(o)] = 0.0
+        gxp[:, o + pad_l:o + pad_l + n] += rows
+    return w @ xcol, gk, gxp[:, pad_l:pad_l + n]
+
+
+def _grads_of(out, g, *inputs):
+    """Backpropagate g from out alone; the inputs' gradients."""
+    for t in inputs:
+        t.zero_grad()
+    out.grad = g
+    out._backward(g)
+    return [t.grad for t in inputs]
+
+
+# packed lengths with one-column segments, and a segment shorter than the
+# widest dilated tap reaches (offsets up to 16 at dilation 4)
+PACKED = [(7,), (1, 5, 1), (3, 1, 6, 2), (20, 2, 9), (1,), (2, 17)]
+
+
+@pytest.mark.parametrize("lengths", PACKED)
+def test_layer_norm_glu_match_reference_bitwise(lengths):
+    rng = np.random.default_rng(sum(lengths))
+    n = sum(lengths)
+    x = Tensor(_signed_zeros(rng, (6, n)), requires_grad=True)
+    gain = Tensor(_signed_zeros(rng, (6, 1)), requires_grad=True)
+    bias = Tensor(_signed_zeros(rng, (6, 1)), requires_grad=True)
+    g = _signed_zeros(rng, (6, n))
+    y = ad.layer_norm(x, gain, bias)
+    want = _ref_layer_norm(x.data, gain.data, bias.data, g)
+    assert _same_bits(y.data, want[0])
+    for got, ref in zip(_grads_of(y, g, gain, bias, x), want[1:]):
+        assert _same_bits(got, ref)
+
+    y = ad.glu(x)
+    want = _ref_glu(x.data, g[:3])
+    assert _same_bits(y.data, want[0])
+    assert _same_bits(_grads_of(y, g[:3], x)[0], want[1])
+
+
+@pytest.mark.parametrize("lengths", PACKED)
+@pytest.mark.parametrize("dilation, causal", [(1, False), (2, True), (4, False), (4, True)])
+def test_conv1d_matches_padded_reference_bitwise(lengths, dilation, causal):
+    rng = np.random.default_rng(100 * dilation + sum(lengths))
+    segs = ad.segments(lengths)
+    x = Tensor(_signed_zeros(rng, (3, segs.n)), requires_grad=True)
+    kernel = Tensor(_signed_zeros(rng, (4, 3, 5)), requires_grad=True)
+    g = _signed_zeros(rng, (4, segs.n))
+    y = ad.conv1d(x, kernel, dilation, causal, segs)
+    want = _ref_conv(x.data, kernel.data, dilation, causal, segs, g)
+    assert _same_bits(y.data, want[0])
+    gk, gx = _grads_of(y, g, kernel, x)
+    assert _same_bits(gk, want[1])
+    assert _same_bits(gx, want[2])
+
+
+def _ref_adam(params, m, v, step, lr, beta1, beta2=0.999, eps=1e-8):
+    """The per-parameter Adam update over separate arrays."""
+    bc1 = 1.0 - beta1 ** step
+    bc2 = 1.0 - beta2 ** step
+    for name, p in params.items():
+        g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        m.setdefault(name, np.zeros_like(p.data))
+        v.setdefault(name, np.zeros_like(p.data))
+        m[name] *= beta1
+        m[name] += (1.0 - beta1) * g
+        v[name] *= beta2
+        v[name] += (1.0 - beta2) * g * g
+        p.data -= lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)
+
+
+def test_flat_adam_matches_per_parameter_update_bitwise(tmp_path, monkeypatch):
+    # blocks of 7 elements make the sweep cross parameter boundaries mid-block
+    monkeypatch.setattr(ad, "_ADAM_BLOCK", 7)
+    rng = np.random.default_rng(90)
+    shapes = {"w": (3, 4), "s": (), "k": (2, 3, 2), "none": (5,), "b": (4, 1)}
+    init = {name: _signed_zeros(rng, shape) for name, shape in shapes.items()}
+    flat = {name: Tensor(a.copy(), requires_grad=True) for name, a in init.items()}
+    ref = {name: Tensor(a.copy(), requires_grad=True) for name, a in init.items()}
+    state, m, v = AdamState(), {}, {}
+    for step in range(1, 6):
+        if step == 3:
+            # a Tensor swapped in between steps is bound on the next step
+            swapped = _signed_zeros(rng, shapes["k"])
+            flat["k"] = Tensor(swapped.copy(), requires_grad=True)
+            ref["k"] = Tensor(swapped.copy(), requires_grad=True)
+        for name in shapes:
+            g = None if name == "none" else _signed_zeros(rng, shapes[name])
+            flat[name].grad, ref[name].grad = g, None if g is None else g.copy()
+        ad.adam_step(flat, state, lr=0.01, beta1=0.9)
+        _ref_adam(ref, m, v, step, lr=0.01, beta1=0.9)
+        assert state.step == step
+        for name in shapes:
+            assert _same_bits(flat[name].data, ref[name].data)
+            assert _same_bits(state.m[name], m[name]) and _same_bits(state.v[name], v[name])
+        assert flat["none"].grad is None
+        # parameters are views into one buffer
+        store = flat["w"].data.base
+        assert store is not None and all(p.data.base is store for p in flat.values())
+
+    # the moments' views write the bytes per-parameter arrays would
+    path, again = tmp_path / "flat.vtno", tmp_path / "again.vtno"
+    save_trainer_state(path, 5, state, np.random.default_rng(0))
+    per_param = AdamState()
+    per_param.step, per_param.m, per_param.v = 5, m, v
+    save_trainer_state(again, 5, per_param, np.random.default_rng(0))
+    assert path.read_bytes() == again.read_bytes()
+    _, loaded, _ = load_trainer_state(path)
+    save_trainer_state(again, 5, loaded, np.random.default_rng(0))
+    assert path.read_bytes() == again.read_bytes()
+
+    # a loaded state takes the next step on fresh copies of the parameters
+    copies = {name: Tensor(p.data.copy(), requires_grad=True) for name, p in flat.items()}
+    for name in shapes:
+        g = None if name == "none" else _signed_zeros(rng, shapes[name])
+        copies[name].grad, ref[name].grad = g, None if g is None else g.copy()
+    ad.adam_step(copies, loaded, lr=0.01, beta1=0.9)
+    _ref_adam(ref, m, v, 6, lr=0.01, beta1=0.9)
+    for name in shapes:
+        assert _same_bits(copies[name].data, ref[name].data)
+
+
+def test_adam_moments_must_match_parameters():
+    p = {"w": Tensor(np.zeros((2, 2)), requires_grad=True)}
+    for m in ({"w": np.zeros((2, 3))}, {"x": np.zeros((2, 2))}):
+        state = AdamState()
+        state.step, state.m, state.v = 1, m, dict(m)
+        with pytest.raises(ShapeError, match="moments"):
+            ad.adam_step(p, state, lr=0.1, beta1=0.9)
+        assert state.step == 1
+
+
+def _ref_attention(q, kv, k_row, n_heads, scale, qs, ks, causal, g_out, g_attn):
+    """Attention and its softmax backward segment by segment, each step on
+    one segment's own block; returns out, a and the gradients of q and kv
+    (q and kv distinct)."""
+    d = (kv.shape[0] - k_row) // 2
+    dh = d // n_heads
+    out, parts, gq, gkv = np.empty((d, qs.n)), [], np.zeros_like(q), np.zeros_like(kv)
+    o = 0
+    for q0, nq, k0, nk in zip(qs.starts, qs.lengths, ks.starts, ks.lengths):
+        qc, kc = np.s_[q0:q0 + nq], np.s_[k0:k0 + nk]
+        qh = q[:d, qc].reshape(n_heads, dh, nq)
+        kh = kv[k_row:k_row + d, kc].reshape(n_heads, dh, nk)
+        vh = kv[k_row + d:k_row + 2 * d, kc].reshape(n_heads, dh, nk)
+        ap = np.matmul(kh.swapaxes(1, 2), qh)
+        ap *= scale
+        if causal:
+            ap += ad.causal_mask(max(nk, nq))[:nk, :nq]
+        ap -= ap.max(axis=1, keepdims=True)
+        np.exp(ap, out=ap)
+        ap /= ap.sum(axis=1, keepdims=True)
+        out[:, qc] = np.matmul(vh, ap).reshape(d, nq)
+        parts.append(ap.ravel())
+        gh = g_out[:, qc].reshape(n_heads, dh, -1)
+        ga = np.matmul(vh.swapaxes(1, 2), gh) + g_attn[o:o + ap.size].reshape(ap.shape)
+        gkv[k_row + d:k_row + 2 * d, kc] = np.matmul(gh, ap.swapaxes(1, 2)).reshape(d, -1)
+        gz = ga - (ga * ap).sum(axis=1, keepdims=True)
+        gz *= ap
+        gz *= scale
+        gq[:d, qc] = np.matmul(kh, gz).reshape(d, -1)
+        gkv[k_row:k_row + d, kc] = np.matmul(qh, gz.swapaxes(1, 2)).reshape(d, -1)
+        o += ap.size
+    return out, np.concatenate(parts), gq, gkv
+
+
+@pytest.mark.parametrize("causal", [False, True])
+def test_attention_matches_per_segment_reference_bitwise(causal):
+    rng = np.random.default_rng(66)
+    q_lengths = (3, 1, 5, 2)
+    k_lengths = q_lengths if causal else (4, 2, 1, 6)
+    d, qs, ks, q, kv = _attention_case(rng, 2, q_lengths, k_lengths)
+    q_t, kv_t = Tensor(q, requires_grad=True), Tensor(kv, requires_grad=True)
+    out, attn = ad.attention(q_t, kv_t, 1, 2, 0.7, qs, ks, causal)
+    g_out, g_attn = _signed_zeros(rng, out.shape), _signed_zeros(rng, attn.shape)
+    ad.add(ad.sum_all(ad.mul(out, Tensor(g_out))),
+           ad.sum_all(ad.mul(attn, Tensor(g_attn)))).backward()
+    want = _ref_attention(q, kv, 1, 2, 0.7, qs, ks, causal, g_out, g_attn)
+    for got, ref in zip((out.data, attn.data, q_t.grad, kv_t.grad), want):
+        assert _same_bits(got, ref)
+
+
+def test_weight_norm_matches_reference_bitwise():
+    rng = np.random.default_rng(67)
+    direction = Tensor(_signed_zeros(rng, (4, 3, 5)), requires_grad=True)
+    direction.data[2] = 0.0                  # a zero-norm channel
+    scale = Tensor(_signed_zeros(rng, (4,)), requires_grad=True)
+    g = _signed_zeros(rng, (4, 3, 5))
+    w = ad.weight_norm_apply(direction, scale)
+    flat = direction.data.reshape(4, -1)
+    norm = np.sqrt((flat * flat).sum(axis=1))
+    denom = norm + 1e-12
+    assert _same_bits(w.data, (scale.data / denom).reshape(4, 1, 1) * direction.data)
+    dot = (g.reshape(4, -1) * flat).sum(axis=1)
+    corr = (scale.data * dot / (denom * denom * np.where(norm > 0.0, norm, 1.0))).reshape(4, 1, 1)
+    gs, gd = _grads_of(w, g, scale, direction)
+    assert _same_bits(gs, dot / denom)
+    assert _same_bits(gd, (scale.data / denom).reshape(4, 1, 1) * g - corr * direction.data)
+
+
+@pytest.mark.parametrize("lengths", [(5,), (3, 1, 6, 2)])
+def test_conv1d_row_blocks_are_the_stacked_input(lengths):
+    """A conv over row blocks is the conv over their stack, bit for bit, and
+    backpropagates into only the blocks that need a gradient."""
+    rng = np.random.default_rng(68)
+    segs = ad.segments(lengths)
+    data = Tensor(_signed_zeros(rng, (5, segs.n)))
+    spk = Tensor(_signed_zeros(rng, (2, segs.n)), requires_grad=True)
+    kernel = Tensor(_signed_zeros(rng, (4, 7, 3)), requires_grad=True)
+    g = _signed_zeros(rng, (4, segs.n))
+    stacked = Tensor(np.concatenate([data.data, spk.data]), requires_grad=True)
+    want = ad.conv1d(stacked, kernel, 2, True, segs)
+    want_k, want_x = _grads_of(want, g, kernel, stacked)
+    got = ad.conv1d([data, spk], kernel, 2, True, segs)
+    assert _same_bits(got.data, want.data)
+    got_k, got_spk = _grads_of(got, g, kernel, spk)
+    assert _same_bits(got_k, want_k) and _same_bits(got_spk, want_x[5:])
+    assert data.grad is None
+    with pytest.raises(ShapeError):
+        ad.conv1d([data, Tensor(np.zeros((2, segs.n + 1)))], kernel, segs=segs)

@@ -7,6 +7,7 @@ import pytest
 from vtn.cli import main
 from vtn.features import load_corpus, load_features, save_features
 from vtn.model import VtnModel
+from vtn.trainer import load_trainer_state, save_trainer_state
 
 TINY = [
     "--set", "model.L=1", "--set", "model.H=2", "--set", "model.d=8",
@@ -234,6 +235,23 @@ def test_train_divergence_exit_and_salvage(workspace, tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
     salvage = VtnModel.load(run / "last_good.vtnm")
     assert np.isnan(salvage.params["enc.0.sa.W1"].data[0, 0])
+
+
+def test_train_resume_with_mismatched_moments_exits_1(workspace, tmp_path, capsys):
+    run = tmp_path / "run"
+    assert main(["train", "--data", str(workspace / "data"),
+                 "--stats", str(workspace / "stats.vtns"), "--out", str(run), *TINY,
+                 "--set", "train.iterations=1", "--set", "train.batch_size=1"]) == 0
+    iteration, state, _ = load_trainer_state(run / "final.vtno")
+    state.m["emb"] = state.v["emb"] = np.zeros((3, 3))
+    save_trainer_state(run / "final.vtno", iteration, state, np.random.default_rng(0))
+    rc = main(["train", "--data", str(workspace / "data"),
+               "--stats", str(workspace / "stats.vtns"), "--out", str(run), *TINY,
+               "--set", "train.iterations=2", "--set", "train.batch_size=1",
+               "--resume", str(run / "final")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "first moments do not match" in err and "Traceback" not in err
 
 
 def _convert(workspace, out, extra=()):

@@ -292,11 +292,16 @@ def test_ragged_dal_equals_per_pair_dal(extra):
     model = _pack_model(**extra)
     batch = _ragged_batch(np.random.default_rng(37), model)
     _, attn, src_segs, segs = model.forward_packed(batch)
-    got = losses.pair_dal([a.data for a in attn], src_segs.lengths, segs.lengths,
-                          model.config.H, 0.3)
-    for g, (k, kp, src, tgt0) in zip(got, batch):
-        want = dal(model.forward(src, tgt0, k=k, kp=kp)[1], 0.3).item()
-        assert abs(g - want) <= 1e-12 * abs(want)
+    got, per_layer = losses.pair_dal([a.data for a in attn], src_segs.lengths, segs.lengths,
+                                     model.config.H, 0.3)
+    assert len(per_layer) == model.config.L
+    for i, (k, kp, src, tgt0) in enumerate(batch):
+        attn_set = model.forward(src, tgt0, k=k, kp=kp)[1]
+        want = dal(attn_set, 0.3).item()
+        assert abs(got[i] - want) <= 1e-12 * abs(want)
+        for layer, heads in zip(per_layer, attn_set):
+            want = dal([heads], 0.3).item()
+            assert abs(layer[i] - want) <= 1e-12 * abs(want)
 
 
 def test_packed_training_draws_per_pair_dropout():

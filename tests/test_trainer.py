@@ -7,7 +7,7 @@ import pytest
 
 from vtn import trainer
 from vtn.autodiff import AdamState, Tensor
-from vtn.errors import ShapeError, TrainingDivergedError
+from vtn.errors import FormatError, ShapeError, TrainingDivergedError
 from vtn.features import compute_stats, gen_synthetic_corpus, normalize, stack
 from vtn.losses import total_loss
 from vtn.model import VtnConfig, VtnModel
@@ -198,9 +198,11 @@ def test_train_step_overfits_single_batch():
 
 def test_train_step_memory():
     # one batch-4 step (12 pairs) of the acceptance gate's model on its
-    # corpus, dropout on.  Traced peak: about 51 MB when backward frees the
-    # graph as it sweeps it and conv1d keeps no im2col, about 107 MB when
-    # the whole graph lives until the step returns.
+    # corpus, dropout on.  Traced peak: about 48 MB when backward frees the
+    # graph as it sweeps it and conv1d keeps neither an im2col, a stacked
+    # copy of its speaker-conditioned input nor a transposed kernel; about
+    # 51 MB with those two copies, and about 107 MB when the whole graph
+    # lives until the step returns.
     corpus = gen_synthetic_corpus(2, 20, seed=7, raw_len_range=(120, 240))
     stats = compute_stats(corpus)
     cfg = VtnConfig(L=2, H=2, d=32, d_ffn=64, n_mcc=28, r=3, e=8, n_speakers=2)
@@ -274,6 +276,42 @@ def test_train_resume_replay(tmp_path):
            (tmp_path / "full" / "final.vtnm").read_bytes()
     assert (tmp_path / "resumed" / "final.vtno").read_bytes() == \
            (tmp_path / "full" / "final.vtno").read_bytes()
+
+
+def _resume_with_moments(tmp_path, edit):
+    """Resume a 2-step checkpoint whose .vtno moments edit(m, v) has changed."""
+    corpus = small_corpus()
+    tc = TrainConfig(iterations=2, batch_size=1, seed=13, checkpoint_every=2)
+    train(corpus, tiny_cfg(), tc, out_dir=tmp_path / "run")
+    tag = tmp_path / "run" / "final"
+    iteration, state, rng_state = load_trainer_state(tag.with_suffix(".vtno"))
+    edit(state.m, state.v)
+    rng = np.random.default_rng(0)
+    rng.bit_generator.state = rng_state
+    save_trainer_state(tag.with_suffix(".vtno"), iteration, state, rng)
+    more = TrainConfig(iterations=3, batch_size=1, seed=13, checkpoint_every=2)
+    return lambda: train(corpus, tiny_cfg(), more, out_dir=tmp_path / "run", resume=tag)
+
+
+def test_train_resume_rejects_moments_of_the_wrong_shape(tmp_path):
+    def edit(m, v):
+        m["enc.0.sa.W1"] = v["enc.0.sa.W1"] = np.zeros((3, 3))
+
+    with pytest.raises(FormatError, match=r"wrong shapes \['enc.0.sa.W1 \(3, 3\) for"):
+        _resume_with_moments(tmp_path, edit)()
+
+
+def test_train_resume_rejects_missing_moments(tmp_path):
+    def edit(m, v):
+        del m["emb"], v["emb"]
+
+    with pytest.raises(FormatError, match=r"missing \['emb'\]"):
+        _resume_with_moments(tmp_path, edit)()
+
+
+def test_train_resume_rejects_no_moments_after_a_step(tmp_path):
+    with pytest.raises(FormatError, match="after 2 steps"):
+        _resume_with_moments(tmp_path, lambda m, v: (m.clear(), v.clear()))()
 
 
 def test_train_log_format(tmp_path):
