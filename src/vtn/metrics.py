@@ -12,7 +12,7 @@ from .features import FeatureSequence, VOICED_THRESHOLD
 
 MCD_CONST = 10.0 / math.log(10.0)
 LDR_WINDOW = 10  # aligned path steps per local-slope estimate
-DTW_BLOCK_ELEMENTS = 1 << 16  # elements per (rows, N_b, D) difference block: 512 KiB, cache-sized
+DTW_BLOCK_ELEMENTS = 1 << 15  # elements per (rows, N_b, D) difference block: 256 KiB, cache-sized
 
 
 @dataclass
@@ -29,13 +29,12 @@ def dtw(a: np.ndarray, b: np.ndarray) -> tuple[WarpPath, float]:
     """Minimal-cost monotone alignment of two (D x N) sequences under
     Euclidean local cost, steps {(1,1), (1,0), (0,1)} with ties broken in
     that order."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 2 or a.shape[0] != b.shape[0]:
         raise ShapeError(f"dtw: incompatible shapes {a.shape}, {b.shape}")
     n_a, n_b = a.shape[1], b.shape[1]
-    if n_a == 0 or n_b == 0:
-        raise ShapeError("dtw: empty sequence")
+    if n_a == 0 or n_b == 0 or a.shape[0] == 0:
+        raise ShapeError(f"dtw: empty sequence or no feature rows {a.shape}, {b.shape}")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise MetricUndefinedError("dtw: non-finite value in an input sequence")
 
@@ -43,47 +42,49 @@ def dtw(a: np.ndarray, b: np.ndarray) -> tuple[WarpPath, float]:
     # replaces it by the accumulated cost; row 0 and column 0 are the inf
     # border that stands in for the missing predecessors of the first row and
     # column.  Each row block keeps the (rows, N_b, D) difference layout of
-    # the whole-matrix expression, so the sums over D add in the same order.
+    # the whole-matrix expression, squared in place, so the sums over D add
+    # in the same order.  A block has two rows or more (unless N_a is 1):
+    # numpy lays out a one-row block without regard to its row axis, which
+    # for a C-ordered a and a frame-contiguous b changes that order.
     w = n_b + 1
     acc = np.full((n_a + 1, w), np.inf)
     at, bt = a.T, b.T
-    rows = max(1, DTW_BLOCK_ELEMENTS // max(1, n_b * a.shape[0]))
-    for i0 in range(0, n_a, rows):
-        diff = at[i0:i0 + rows, None, :] - bt[None, :, :]
-        np.sqrt((diff * diff).sum(axis=2), out=acc[i0 + 1:i0 + 1 + rows, 1:])
+    blocks = max(1, n_a // max(2, DTW_BLOCK_ELEMENTS // (n_b * a.shape[0])))
+    for k in range(blocks):
+        i0, i1 = k * n_a // blocks, (k + 1) * n_a // blocks
+        diff = at[i0:i1, None, :] - bt[None, :, :]
+        np.multiply(diff, diff, out=diff)
+        np.sqrt(np.add.reduce(diff, axis=2), out=acc[i0 + 1:i1 + 1, 1:])
 
     # Sweep anti-diagonals s = i + j. Cell (i, s - i) sits at flat index
     # i * N_b + s + w + 1, so each diagonal and its three predecessor sets
-    # are stride-N_b slices; move[i + 1, j + 1] follows the same layout.
-    # Ties: the diagonal when it is <= both others, else the a step when it
-    # is <= the b step, else the b step.
+    # are stride-N_b slices.
     flat = acc.ravel()
-    move = np.zeros((n_a + 1, w), dtype=np.int8)  # 0=diag, 1=from-left(a step), 2=from-below(b step)
-    moves = move.ravel()
+    best = np.empty(min(n_a, n_b))
     for s in range(1, n_a + n_b - 1):
-        lo = s + w + 1 + max(0, s - n_b + 1) * n_b
-        hi = s + w + 1 + min(s, n_a - 1) * n_b + 1
-        diag = flat[lo - w - 1:hi - w - 1:n_b]
-        up = flat[lo - w:hi - w:n_b]
-        left = flat[lo - 1:hi - 1:n_b]
-        diag_up = np.minimum(diag, up)
-        step = moves[lo:hi:n_b]
-        step[...] = up < diag
-        step[left < diag_up] = 2
+        i_lo, i_hi = max(0, s - n_b + 1), min(s, n_a - 1)
+        lo, hi = s + w + 1 + i_lo * n_b, s + w + 2 + i_hi * n_b
+        t = best[:i_hi - i_lo + 1]
+        np.minimum(flat[lo - w - 1:hi - w - 1:n_b], flat[lo - w:hi - w:n_b], out=t)
+        np.minimum(t, flat[lo - 1:hi - 1:n_b], out=t)
         cell = flat[lo:hi:n_b]
-        np.add(np.minimum(diag_up, left), cell, out=cell)
-    move = move[1:, 1:]
+        np.add(t, cell, out=cell)
+    if acc[-1, -1] == np.inf:
+        raise MetricUndefinedError("dtw: the alignment cost overflows float64")
 
-    pairs = [(n_a - 1, n_b - 1)]
+    # Trace back over the final accumulated costs with the sweep's rule: the
+    # b step when it is below both others, else the a step when it is below
+    # the diagonal, else the diagonal.  The inf border keeps the path inside.
     i, j = n_a - 1, n_b - 1
-    while (i, j) != (0, 0):
-        m = move[i, j]
-        if m == 0:
-            i, j = i - 1, j - 1
-        elif m == 1:
+    pairs = [(i, j)]
+    while i or j:
+        diag, up, left = acc.item(i, j), acc.item(i, j + 1), acc.item(i + 1, j)
+        if left < min(diag, up):
+            j -= 1
+        elif up < diag:
             i -= 1
         else:
-            j -= 1
+            i, j = i - 1, j - 1
         pairs.append((i, j))
     pairs.reverse()
     return WarpPath(np.asarray(pairs, dtype=np.int64)), float(acc[-1, -1])
@@ -137,15 +138,14 @@ def ldr_deviation(path: WarpPath, window: int = LDR_WINDOW) -> float:
     """
     if len(path) <= window:
         raise MetricUndefinedError(f"path of {len(path)} steps too short for window {window}")
-    slopes = []
-    for start in range(0, len(path) - window, window):
-        a0, b0 = path.pairs[start]
-        a1, b1 = path.pairs[start + window]
-        if b1 > b0:
-            slopes.append((a1 - a0) / (b1 - b0))
-    if not slopes:
+    starts = np.arange(0, len(path) - window, window)
+    a0, b0 = path.pairs[starts].T
+    a1, b1 = path.pairs[starts + window].T
+    moved = b1 > b0
+    if not moved.any():
         raise MetricUndefinedError("no reference progress inside any window")
-    return float(np.abs(np.asarray(slopes) - 1.0).mean() * 100.0)
+    slopes = (a1 - a0)[moved] / (b1 - b0)[moved]
+    return float(np.abs(slopes - 1.0).mean() * 100.0)
 
 
 def evaluate_pair(converted: FeatureSequence, reference: FeatureSequence) -> dict[str, float | None]:

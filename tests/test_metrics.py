@@ -6,7 +6,8 @@ import pytest
 
 from vtn.errors import MetricUndefinedError, ShapeError
 from vtn.features import FeatureSequence, _warp, gen_synthetic_corpus
-from vtn.metrics import MCD_CONST, dtw, evaluate_pair, lfc, ldr_deviation, mcd
+from vtn.metrics import (DTW_BLOCK_ELEMENTS, MCD_CONST, WarpPath, dtw, evaluate_pair, lfc,
+                         ldr_deviation, mcd)
 
 
 def loop_dtw(a, b):
@@ -96,6 +97,8 @@ def test_dtw_empty_rejected():
         dtw(np.zeros((3, 0)), np.zeros((3, 4)))
     with pytest.raises(ShapeError):
         dtw(np.zeros((3, 4)), np.zeros((2, 4)))
+    with pytest.raises(ShapeError):   # no feature rows
+        dtw(np.zeros((0, 4)), np.zeros((0, 5)))
 
 
 def test_dtw_duplicated_frames_slope():
@@ -159,6 +162,46 @@ def test_dtw_matches_loop_oracle_bitwise():
     assert moves == {(1, 1), (1, 0), (0, 1)}
 
 
+def _multi_block_cases():
+    """Pairs at the real MCC count whose local costs take several fill blocks
+    of a few rows each, N_a not a multiple of the rows, with both sequences
+    C-ordered, both frame-contiguous (Fortran-ordered) and one of each.
+
+    Along a long path the accumulated cost absorbs a last-bit change in a
+    local cost, so most cases copy a's frames into b (a monotone warp, zero
+    cost along the path) and perturb one b frame aligned with the first, a
+    middle or the last row of a: the cost is then that one local cost.
+    """
+    rng = np.random.default_rng(20)
+    dim = 28
+    for rows in (2, 3, 5):
+        n_b = DTW_BLOCK_ELEMENTS // (rows * dim)
+        assert DTW_BLOCK_ELEMENTS // (n_b * dim) == rows
+        n_a = 3 * rows + 1
+        pairs = [(rng.integers(-1, 2, size=(dim, n_a)).astype(float),   # equal predecessors
+                  rng.integers(-1, 2, size=(dim, n_b)).astype(float)),
+                 (rng.normal(size=(dim, n_a)), rng.normal(size=(dim, n_b)))]
+        source = np.linspace(0, n_a - 1, n_b).round().astype(int)
+        for i in (0, rows + 1, n_a - 1):
+            for _ in range(6):   # a reordered sum changes about a third of the costs
+                a = rng.normal(size=(dim, n_a))
+                b = np.ascontiguousarray(a[:, source])
+                b[:, rng.choice(np.flatnonzero(source == i))] += rng.normal(0, 0.1, size=dim)
+                pairs.append((a, b))
+        for a, b in pairs:
+            yield a, b
+            yield np.asfortranarray(a), np.asfortranarray(b)
+            yield a, np.asfortranarray(b)
+
+
+def test_dtw_multi_block_matches_loop_oracle_bitwise():
+    for a, b in _multi_block_cases():
+        path, cost = dtw(a, b)
+        want_pairs, want_cost = loop_dtw(a, b)
+        assert np.array_equal(path.pairs, want_pairs)
+        assert cost == want_cost
+
+
 def test_dtw_tie_break_branches():
     # the (1, 1) step wins a three-way tie
     path, _ = dtw(np.zeros((1, 2)), np.zeros((1, 2)))
@@ -179,7 +222,9 @@ def test_dtw_long_pair_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 100e6
+    # The (2001 x 2001) float64 cost matrix is 32.0 MB and the peak 33.0 MB;
+    # a second dense matrix, even an int8 one of 4.0 MB, goes over the bound.
+    assert peak < 35e6
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -194,6 +239,13 @@ def test_dtw_non_finite_rejected(bad):
         dtw(a_bad, b)
     with pytest.raises(MetricUndefinedError):
         dtw(a, b_bad)
+
+
+def test_dtw_cost_overflow_rejected():
+    a = np.array([[1e200, -1e200, 1e200]])
+    b = np.array([[-1e200, 1e200]])
+    with np.errstate(over="ignore"), pytest.raises(MetricUndefinedError):
+        dtw(a, b)
 
 
 def test_dtw_path_monotone_unit_steps():
@@ -300,6 +352,46 @@ def test_ldr_short_path_rejected():
     from vtn.metrics import align
     with pytest.raises(MetricUndefinedError):
         ldr_deviation(align(seq, seq))
+
+
+def loop_ldr_deviation(path, window):
+    """Reference local duration ratio: one Python step per window."""
+    slopes = []
+    for start in range(0, len(path) - window, window):
+        a0, b0 = path.pairs[start]
+        a1, b1 = path.pairs[start + window]
+        if b1 > b0:
+            slopes.append((a1 - a0) / (b1 - b0))
+    if not slopes:
+        raise MetricUndefinedError("no reference progress inside any window")
+    return float(np.abs(np.asarray(slopes) - 1.0).mean() * 100.0)
+
+
+def _random_path(rng, steps, moves):
+    picks = rng.integers(0, len(moves), size=steps - 1)
+    walk = np.concatenate([[[0, 0]], np.asarray(moves)[picks]]).cumsum(axis=0)
+    return WarpPath(walk.astype(np.int64))
+
+
+def test_ldr_matches_loop_oracle_bitwise():
+    rng = np.random.default_rng(21)
+    for case in range(200):
+        steps = int(rng.integers(2, 120))
+        window = int(rng.integers(1, 15))
+        moves = [(1, 1), (1, 0), (0, 1)] if case % 4 else [(1, 0), (1, 0), (1, 1)]
+        path = _random_path(rng, steps, moves)
+        try:
+            want = loop_ldr_deviation(path, window)
+        except MetricUndefinedError:
+            with pytest.raises(MetricUndefinedError):
+                ldr_deviation(path, window)
+            continue
+        assert ldr_deviation(path, window) == want
+    no_progress = _random_path(rng, 40, [(1, 0)])
+    with pytest.raises(MetricUndefinedError):
+        loop_ldr_deviation(no_progress, 10)
+    with pytest.raises(MetricUndefinedError):
+        ldr_deviation(no_progress, 10)
 
 
 def test_identical_pair_fixed_points():
