@@ -34,7 +34,6 @@ import numpy as np
 from .errors import DegenerateColumnError, GraphReleasedError, ShapeError
 
 NEG_INF = -1e30
-_MASKED = -1e29  # entries below this are treated as fully masked
 
 _column_exact = False
 
@@ -267,14 +266,6 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _result(a.data.reshape(shape), (a,), backward)
 
 
-def slice_rows(a: Tensor, i0: int, i1: int) -> Tensor:
-    return index(a, np.s_[i0:i1])
-
-
-def slice_cols(a: Tensor, j0: int, j1: int) -> Tensor:
-    return index(a, np.s_[:, j0:j1])
-
-
 def index(a: Tensor, key) -> Tensor:
     """a.data[key] for a basic (slice and integer) key, as a new tensor."""
     a = _as_tensor(a)
@@ -334,32 +325,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             b._accum(a.data.T @ g, owned=True)
 
     return _result(out_data, (a, b), backward)
-
-
-def masked_softmax_columns(x: Tensor, mask: np.ndarray) -> Tensor:
-    """Column-wise softmax with an additive mask of 0 / -1e30 sentinels.
-
-    Masked rows come out exactly 0; every unmasked column sums to 1.  The
-    model runs its softmax inside ``attention``; this stand-alone op is the
-    reference that op is tested against.
-    """
-    x = _as_tensor(x)
-    mask = np.asarray(mask, dtype=np.float64)
-    if mask.shape != x.data.shape:
-        raise ShapeError(f"mask shape {mask.shape} != input {x.data.shape}")
-    keep = mask > _MASKED
-    if not keep.any(axis=0).all():
-        raise DegenerateColumnError("softmax column has all rows masked")
-    z = x.data + mask
-    e = np.exp(z - z.max(axis=0, keepdims=True))
-    e[~keep] = 0.0
-    y = e / e.sum(axis=0, keepdims=True)
-
-    def backward(g):
-        gy = y * (g - (g * y).sum(axis=0, keepdims=True))
-        x._accum(gy, owned=True)
-
-    return _result(y, (x,), backward)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -584,16 +549,17 @@ def _attention_columns(q: np.ndarray, kv: np.ndarray, k_row: int, n_heads: int,
 
 def attention(q: Tensor, kv: Tensor, k_row: int, n_heads: int, scale: float,
               qs: Segments, ks: Segments, causal: bool = False,
-              window: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
+              window: tuple[int, int] | None = None) -> tuple[Tensor, Tensor]:
     """Scaled dot-product attention of every head and every segment.
 
     With d = (rows of kv - k_row) / 2 and dh = d / n_heads, head i takes its
     queries from rows i*dh.. of q, its keys from rows k_row + i*dh.. of kv and
     its values d rows below its keys.  Query segment p of qs attends to key
     segment p of ks only, at that pair's own size: causal hides keys past a
-    query's position, and window, for one segment only, is an extra additive
-    (N_k x N_q) mask of 0 and NEG_INF sentinels that must leave every query a
-    key.  Returns the stacked head outputs (d x N_q) and the ragged
+    query's position, and window = (lo, hi), for one segment only, limits
+    the last query column to the keys [lo, hi) (0-based, half-open; the
+    window of one windowed decoding step).  Every query must keep a key.
+    Returns the stacked head outputs (d x N_q) and the ragged
     attention: one flat tensor holding segment p's (n_heads, n_k, n_q) block
     right after segment p-1's, column-stochastic over the segment's keys and
     exactly 0 at masked keys.
@@ -607,14 +573,13 @@ def attention(q: Tensor, kv: Tensor, k_row: int, n_heads: int, scale: float,
     if (d < 1 or d % n_heads or q.data.shape[0] < d or qs.p != ks.p
             or q.data.shape[1] != qs.n or kv.data.shape[1] != ks.n
             or ((window is not None or _column_exact) and qs.p != 1)
-            or (window is not None and window.shape != (ks.n, qs.n))):
+            or (window is not None and not 0 <= window[0] <= window[1] <= ks.n)):
         raise ShapeError(f"attention: q {q.data.shape}, kv {kv.data.shape}, k_row {k_row}, "
-                         f"{n_heads} heads, {qs.p}/{ks.p} segments, "
-                         f"window {None if window is None else window.shape}")
+                         f"{n_heads} heads, {qs.p}/{ks.p} segments, window {window}")
     if window is not None or _column_exact:
         keep = _causal_slice(ks.n, qs.n) == 0 if causal else np.ones((ks.n, qs.n), bool)
         if window is not None:
-            keep &= window > _MASKED
+            keep[:window[0], -1] = keep[window[1]:, -1] = False
             if not keep.any(axis=0).all():
                 raise DegenerateColumnError("attention window masks every key of a query")
         if _column_exact:
@@ -642,7 +607,7 @@ def attention(q: Tensor, kv: Tensor, k_row: int, n_heads: int, scale: float,
         if causal:
             ap += _causal_slice(*ap.shape[1:])
         if window is not None:
-            ap += window
+            ap[:, :window[0], -1] = ap[:, window[1]:, -1] = NEG_INF
         ap -= ap.max(axis=1, keepdims=True)
     np.exp(a, out=a)
     for qc, kc, qh, kh, vh, ap, o in blocks:

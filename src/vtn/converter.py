@@ -50,23 +50,15 @@ class ConversionResult:
                                        # the attention decode step m+1 used
     n_hat: list[int]                   # 1-based attended source position per step
     truncated: bool = False
-    extra: dict = field(default_factory=dict)
+    # per step, the 1-based inclusive source range its window allowed, or
+    # None when decoding is not windowed
+    windows: list[tuple[int, int] | None] = field(default_factory=list)
+    stats_adjusted: bool | None = None  # set by convert_sequence
 
     @property
     def mean_attention(self) -> np.ndarray:
         """Mean over layers and heads, (N_src x N_out)."""
         return _head_mean([a for layer in self.attention for a in layer])
-
-
-def _window_mask(n_src: int, n_cols: int, n_hat: int, n0: int, n1: int) -> np.ndarray:
-    """Additive mask restricting only the newest column to source positions
-    [n_hat - n0, n_hat + n1] (1-based, clipped to the sequence)."""
-    mask = np.zeros((n_src, n_cols))
-    lo = max(1, n_hat - n0)
-    hi = min(n_hat + n1, n_src)
-    mask[:lo - 1, -1] = ad.NEG_INF
-    mask[hi:, -1] = ad.NEG_INF
-    return mask
 
 
 def convert(model: VtnModel, src: np.ndarray, k: int | None, kp: int | None,
@@ -76,7 +68,10 @@ def convert(model: VtnModel, src: np.ndarray, k: int | None, kp: int | None,
 
     Decoding happens in the column-exact evaluation mode, so every generated
     column is bit-identical to what a full teacher-forced pass over the same
-    prefix would produce.
+    prefix would produce.  In windowed mode each step's target-to-source
+    attention sees only the source positions [n_hat - N0, n_hat + N1]
+    (1-based, clipped to the source) around the previous step's n_hat,
+    starting from 1; ``ConversionResult.windows`` records each step's range.
     """
     cfg = cfg or DecodeConfig()
     src = np.asarray(src, dtype=np.float64)
@@ -101,20 +96,16 @@ def convert(model: VtnModel, src: np.ndarray, k: int | None, kp: int | None,
         n_hat = 1
         truncated = False
         step_heads: list[np.ndarray] = []   # per step, (L*H, N_src) newest-column attention
-        step_windows: list[tuple[int, int] | None] = []
+        windows: list[tuple[int, int] | None] = []
         if cfg.mode == "realtime":
             max_steps = n_src
         else:
             max_steps = cfg.max_len_factor * n_src
         for step in range(1, max_steps + 1):
-            mask = None
-            if windowed:
-                mask = _window_mask(n_src, prefix.shape[1], n_hat, n0, n1)
-                step_windows.append((max(1, n_hat - n0), min(n_hat + n1, n_src)))
-            else:
-                step_windows.append(None)
+            lo, hi = max(1, n_hat - n0), min(n_hat + n1, n_src)
+            windows.append((lo, hi) if windowed else None)
             y, attn_set = model.decode(prefix, z, kp=kp, training=False,
-                                       window_mask=mask,
+                                       window=(lo - 1, hi) if windowed else None,
                                        tsa_identity=(cfg.mode == "realtime"))
             prefix = np.concatenate([prefix, y.data[:, -1:]], axis=1)
             last = prefix.shape[1] - 2
@@ -134,8 +125,7 @@ def convert(model: VtnModel, src: np.ndarray, k: int | None, kp: int | None,
     attention = [list(columns[l * n_heads:(l + 1) * n_heads])
                  for l in range(model.config.L)]
     return ConversionResult(output=prefix[:, 1:], attention=attention,
-                            n_hat=n_hat_track, truncated=truncated,
-                            extra={"step_windows": step_windows})
+                            n_hat=n_hat_track, truncated=truncated, windows=windows)
 
 
 # ---------------------------------------------------------------------------
@@ -176,11 +166,11 @@ def convert_sequence(model: VtnModel, seq: FeatureSequence, target_speaker: str,
     out.data[-1] = np.clip(out.data[-1], 0.0, 1.0)
     try:
         out = adjust_output_stats(out, stats)
-        result.extra["stats_adjusted"] = True
+        result.stats_adjusted = True
     except AdjustmentError:
         # untrained or badly converged models can emit (almost) no voiced
         # frames; emit the unadjusted output rather than failing outright
-        result.extra["stats_adjusted"] = False
+        result.stats_adjusted = False
     return out, result
 
 

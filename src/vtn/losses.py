@@ -31,45 +31,11 @@ class LossWeights:
     gamma: np.ndarray = field(default_factory=default_feature_weights)
 
 
-def main_loss(y: Tensor, x_tgt: np.ndarray, gamma: np.ndarray, r: int) -> Tensor:
-    """One-step-ahead weighted L1: compares output columns 0..N'-1 against
-    target columns 1..N' of the zero-prepended target (0-based)."""
-    x_tgt = np.asarray(x_tgt, dtype=np.float64)
-    if y.data.shape != x_tgt.shape:
-        raise ShapeError(f"main_loss: {y.data.shape} vs {x_tgt.shape}")
-    d, n1 = x_tgt.shape
-    n = n1 - 1
-    if d != len(gamma) * r:
-        raise ShapeError(f"main_loss: {d} rows incompatible with {len(gamma)} weights x r={r}")
-    # stacked column = r sub-frames of (I+3) features; weight each sub-frame by gamma/r
-    w = np.tile(gamma, r)[:, None] / r
-    diff = ad.sub(ad.slice_cols(y, 0, n), Tensor(x_tgt[:, 1:n + 1]))
-    weighted = ad.mul(ad.absolute(diff), Tensor(np.repeat(w, n, axis=1)))
-    return ad.scale(ad.sum_all(weighted), 1.0 / n)
-
-
 def guided_weight_matrix(n_src: int, n_tgt: int, nu: float) -> np.ndarray:
     """Gaussian-complement weights, exactly 0 on the relative-position diagonal."""
     n = np.arange(1, n_src + 1)[:, None] / n_src
     m = np.arange(1, n_tgt + 1)[None, :] / n_tgt
     return 1.0 - np.exp(-((n - m) ** 2) / (2.0 * nu * nu))
-
-
-def dal(attn_set: list[list[Tensor]], nu: float) -> Tensor:
-    """Diagonal attention loss over every decoder head, normalized by
-    source length, target length, head count and layer count."""
-    n_src, n_tgt = attn_set[0][0].data.shape
-    g = Tensor(guided_weight_matrix(n_src, n_tgt, nu))
-    total = None
-    for layer in attn_set:
-        for a in layer:
-            if a.data.shape != (n_src, n_tgt):
-                raise ShapeError("attention matrices in one set must share a shape")
-            term = ad.sum_all(ad.mul(g, ad.absolute(a)))
-            total = term if total is None else ad.add(total, term)
-    n_layers = len(attn_set)
-    n_heads = len(attn_set[0])
-    return ad.scale(total, 1.0 / (n_src * n_tgt * n_heads * n_layers))
 
 
 # A corpus of S speakers and U parallel utterances trains on up to S * S * U
@@ -98,8 +64,9 @@ def ragged_guided(src_lengths: tuple[int, ...], tgt_lengths: tuple[int, ...], n_
 def pair_dal(attn: list[np.ndarray], src_lengths: tuple[int, ...],
              tgt_lengths: tuple[int, ...], n_heads: int,
              nu: float) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Each packed pair's ``dal``, and its ``dal`` in each decoder layer
-    alone, from the ragged attention of every decoder layer."""
+    """Each packed pair's diagonal attention loss (the guided-weighted mean
+    of its attention over every decoder layer and head), and that loss in
+    each decoder layer alone, from the ragged attention of every layer."""
     guided = ragged_guided(src_lengths, tgt_lengths, n_heads, nu)
     sizes = n_heads * np.asarray(src_lengths) * np.asarray(tgt_lengths)
     sums = [np.add.reduceat(guided * a, np.cumsum(sizes) - sizes) for a in attn]
@@ -110,8 +77,9 @@ def total_loss(model, batch, weights: LossWeights, training: bool = False,
                rng: np.random.Generator | None = None) -> tuple[Tensor, dict]:
     """Mean composite loss over cross-speaker pairs plus lambda_iml times the
     mean composite over identity pairs, a pair's composite being its
-    ``main_loss`` plus lambda_dal times its ``dal``.  batch items are
-    (k, kp, src, tgt0) tuples; identity items have k == kp.
+    one-step-ahead weighted L1 main loss plus lambda_dal times its diagonal
+    attention loss.  batch items are (k, kp, src, tgt0) tuples; identity
+    items have k == kp.
 
     The contributing pairs, cross pairs first, run through one
     ``forward_packed`` pass.  Each pair's weight in the total is folded into

@@ -85,20 +85,19 @@ def positional_encoding(n: int, dim: int) -> np.ndarray:
 class Layout(NamedTuple):
     """Which keys each packed query may attend to, in the order of
     ``ad.attention``'s arguments: query segment p of qs sees key segment p of
-    ks, causal hides the keys past a query's position, and window is an
-    extra additive (N_k x N_q) mask of a one-segment pass."""
+    ks, causal hides the keys past a query's position, and window, for a
+    one-segment pass, is the 0-based half-open key range [lo, hi) of its
+    last query column."""
     qs: ad.Segments
     ks: ad.Segments
     causal: bool
-    window: np.ndarray | None = None
+    window: tuple[int, int] | None = None
 
 
 def _layout(q_lengths: tuple[int, ...], k_lengths: tuple[int, ...], causal: bool,
-            window: np.ndarray | None = None) -> Layout:
-    """The layout of segments with these lengths; window is for one segment
-    only, and ``ad.attention`` checks it."""
-    if window is not None:
-        window = np.asarray(window, dtype=np.float64)
+            window: tuple[int, int] | None = None) -> Layout:
+    """The layout of segments with these lengths; ``ad.attention`` checks
+    the window."""
     return Layout(ad.segments(q_lengths), ad.segments(k_lengths), causal, window)
 
 
@@ -271,21 +270,15 @@ class VtnModel:
         x = ad.glu(self._conv("postnet.1", x, True, PRENET_DILATIONS[1], segs))
         return self._conv("postnet.2", x, True, PRENET_DILATIONS[2], segs)
 
-    def _sa(self, prefix, x, mask, causal=False):
-        """mask: a Layout, or the additive (N x N) mask of one segment."""
-        n = x.data.shape[1]
-        lay = mask if isinstance(mask, Layout) else _layout((n,), (n,), causal, mask)
+    def _sa(self, prefix, x, lay: Layout):
         d = self.config.d
         qkv = ad.matmul(self.params[f"{prefix}.W1"], x)
         heads, _ = ad.attention(qkv, qkv, d, self.config.H, 1.0 / math.sqrt(d), *lay)
         return ad.matmul(self.params[f"{prefix}.W2"], heads)
 
-    def _tsa(self, prefix, x, z, window_mask, identity):
-        """window_mask: a Layout, or None or the additive (N_src x N_tgt)
-        mask of one segment.  Returns the output and the ragged attention."""
+    def _tsa(self, prefix, x, z, lay: Layout, identity):
+        """The output and the ragged attention."""
         n_src, n_tgt = z.data.shape[1], x.data.shape[1]
-        lay = (window_mask if isinstance(window_mask, Layout)
-               else _layout((n_tgt,), (n_src,), False, window_mask))
         d, h = self.config.d, self.config.H
         kv = ad.matmul(self.params[f"{prefix}.W6"], z)
         if identity:
@@ -377,14 +370,15 @@ class VtnModel:
 
     def _decode(self, x: Tensor, z: Tensor, segs: ad.Segments, src_segs: ad.Segments,
                 spk: Tensor | None, drops: list[np.ndarray] | None,
-                window_mask: np.ndarray | None, tsa_identity: bool) -> tuple[Tensor, list[Tensor]]:
+                window: tuple[int, int] | None, tsa_identity: bool
+                ) -> tuple[Tensor, list[Tensor]]:
         cfg = self.config
         x = ad.add(x, Tensor(self._positions(segs.lengths)))
         if drops is not None:
             x = ad.mul(x, Tensor(drops[0]))
         x = self._prenet("tgt_prenet", x, spk, True, segs)
         self_lay = _layout(segs.lengths, segs.lengths, True)
-        tsa_lay = _layout(segs.lengths, src_segs.lengths, False, window_mask)
+        tsa_lay = _layout(segs.lengths, src_segs.lengths, False, window)
         attn = []
         for l in range(cfg.L):
             x, a = self.decoder_layer(l, x, z, spk, self_lay, tsa_lay, tsa_identity)
@@ -412,24 +406,27 @@ class VtnModel:
 
     def decode(self, tgt_in, z: Tensor, kp: int | None = None,
                training: bool = False, rng: np.random.Generator | None = None,
-               window_mask: np.ndarray | None = None,
+               window: tuple[int, int] | None = None,
                tsa_identity: bool = False) -> tuple[Tensor, list[list[Tensor]]]:
+        """One pass of the decoder over tgt_in against the encoded source z.
+        window: the source range [lo, hi) (0-based) that the last column's
+        target-to-source attention may see; tsa_identity: attend from target
+        position j to source position j alone (realtime decoding)."""
         cfg = self.config
         tgt_in = tgt_in if isinstance(tgt_in, Tensor) else Tensor(tgt_in)
         segs = ad.segments((tgt_in.data.shape[1],))
         spk = self._speaker_columns([self._speaker(kp, cfg.tgt_conditioned, "target")], segs)
         drops = self._dropout(training, rng, [[(cfg.D, segs.n), (cfg.d, segs.n)]])
         y, attn = self._decode(tgt_in, z, segs, ad.segments((z.data.shape[1],)), spk, drops,
-                               window_mask, tsa_identity)
+                               window, tsa_identity)
         return y, self._per_head(attn, z.data.shape[1], segs.n)
 
     def forward(self, src, tgt_in, k: int | None = None, kp: int | None = None,
-                training: bool = False, rng: np.random.Generator | None = None,
-                window_mask: np.ndarray | None = None,
-                tsa_identity: bool = False) -> tuple[Tensor, list[list[Tensor]]]:
+                training: bool = False, rng: np.random.Generator | None = None
+                ) -> tuple[Tensor, list[list[Tensor]]]:
         """Teacher-forced pass: src (D x N_src), tgt_in (D x N_tgt+1, zero-prepended)."""
         z = self.encode(src, k, training, rng)
-        return self.decode(tgt_in, z, kp, training, rng, window_mask, tsa_identity)
+        return self.decode(tgt_in, z, kp, training, rng)
 
     def forward_packed(self, pairs, training: bool = False,
                        rng: np.random.Generator | None = None

@@ -10,6 +10,8 @@ from vtn.autodiff import AdamState, Tensor, grad_check
 from vtn.errors import DegenerateColumnError, GraphReleasedError, ShapeError, VtnError
 from vtn.trainer import load_trainer_state, save_trainer_state
 
+from oracles import _MASKED, masked_softmax_columns
+
 
 def test_matmul_identity():
     a = Tensor(np.eye(2))
@@ -37,13 +39,13 @@ def test_matmul_shape_error():
 
 
 def test_softmax_symmetric_column():
-    y = ad.masked_softmax_columns(Tensor([[0.0], [0.0]]), np.zeros((2, 1)))
+    y = masked_softmax_columns(Tensor([[0.0], [0.0]]), np.zeros((2, 1)))
     assert np.allclose(y.data, [[0.5], [0.5]], atol=1e-15)
 
 
 def test_softmax_forced_row():
     mask = np.array([[0.0], [ad.NEG_INF]])
-    y = ad.masked_softmax_columns(Tensor([[5.0], [5.0]]), mask)
+    y = masked_softmax_columns(Tensor([[5.0], [5.0]]), mask)
     assert y.data[0, 0] == 1.0
     assert y.data[1, 0] == 0.0  # exactly
 
@@ -53,9 +55,9 @@ def test_softmax_column_sums_and_masked_zeros():
     x = rng.normal(size=(6, 5))
     mask = np.where(rng.random((6, 5)) < 0.4, ad.NEG_INF, 0.0)
     mask[0] = 0.0  # keep every column alive
-    y = ad.masked_softmax_columns(Tensor(x), mask).data
+    y = masked_softmax_columns(Tensor(x), mask).data
     assert np.abs(y.sum(axis=0) - 1.0).max() < 1e-12
-    assert (y[mask < ad._MASKED] == 0.0).all()
+    assert (y[mask < _MASKED] == 0.0).all()
 
 
 def test_softmax_gradcheck():
@@ -65,14 +67,14 @@ def test_softmax_gradcheck():
     mask = np.zeros((4, 3))
     mask[3, 1] = ad.NEG_INF
     err = grad_check(
-        lambda t: ad.sum_all(ad.mul(ad.masked_softmax_columns(t, mask), Tensor(w))), x)
+        lambda t: ad.sum_all(ad.mul(masked_softmax_columns(t, mask), Tensor(w))), x)
     assert err < 1e-5
 
 
 def test_softmax_degenerate_column():
     mask = np.full((3, 1), ad.NEG_INF)
     with pytest.raises(DegenerateColumnError):
-        ad.masked_softmax_columns(Tensor(np.zeros((3, 1))), mask)
+        masked_softmax_columns(Tensor(np.zeros((3, 1))), mask)
 
 
 def _ln(x):
@@ -267,7 +269,7 @@ def test_primitive_gradchecks_five_seeds(seed):
         # keep abs away from its kink: inputs are N(0,1), shift by 5
         lambda t: ad.sum_all(ad.absolute(ad.add(t, Tensor(np.full((3, 4), 5.0))))),
         lambda t: ad.sum_all(ad.mul(ad.transpose(t), Tensor(w.T))),
-        lambda t: ad.sum_all(ad.mul(ad.masked_softmax_columns(t, np.zeros((3, 4))),
+        lambda t: ad.sum_all(ad.mul(masked_softmax_columns(t, np.zeros((3, 4))),
                                     Tensor(w))),
         lambda t: ad.sum_all(ad.mul(_ln(t), Tensor(w))),
         lambda t: ad.sum_all(ad.mul(ad.glu(ad.concat_rows([t, Tensor(w)])), Tensor(w[:3]))),
@@ -318,7 +320,7 @@ def test_column_exact_records_no_graph():
         return [ad.matmul(Tensor(rng.normal(size=(4, 3)), requires_grad=True), x),
                 ad.conv1d(x, kernel, 1, True),
                 ad.layer_norm(ad.conv1d(x, kernel, 2, True), gain, bias),
-                ad.masked_softmax_columns(x, np.zeros((3, 6))),
+                masked_softmax_columns(x, np.zeros((3, 6))),
                 *ad.attention(x, ad.matmul(Tensor(rng.normal(size=(5, 3))), x), 1, 1, 0.5,
                               ad.segments((6,)), ad.segments((6,)), causal=True)]
 
@@ -377,9 +379,7 @@ def test_column_exact_prefix_stability():
         full_out, full_attn = attend(q, keys, False)
         for w in range(1, 12):
             lo, hi = w % 5, w % 5 + 3
-            window = np.zeros((9, w))
-            window[:lo, -1] = window[hi + 1:, -1] = ad.NEG_INF
-            out, attn = attend(q[:, :w], keys, False, window)
+            out, attn = attend(q[:, :w], keys, False, (lo, hi + 1))
             assert np.array_equal(out[:, :-1], full_out[:, :w - 1])
             assert np.array_equal(attn[:, :, :-1], full_attn[:, :, :w - 1])
             assert not attn[:, :lo, -1].any() and not attn[:, hi + 1:, -1].any()
@@ -396,12 +396,33 @@ def test_column_exact_attention_takes_one_segment():
 
 
 def test_attention_window_must_leave_every_query_a_key():
-    window = np.zeros((3, 2))
-    window[:, 1] = ad.NEG_INF
     for mode in (contextlib.nullcontext, ad.column_exact):
         with mode(), pytest.raises(DegenerateColumnError):
             ad.attention(Tensor(np.zeros((2, 2))), Tensor(np.zeros((4, 3))), 0, 1, 1.0,
-                         ad.segments((2,)), ad.segments((3,)), window=window)
+                         ad.segments((2,)), ad.segments((3,)), window=(1, 1))
+
+
+@pytest.mark.parametrize("mode", [contextlib.nullcontext, ad.column_exact])
+def test_attention_window_bounds(mode):
+    def attend(window, q_lengths=(2,), k_lengths=(3,)):
+        qs, ks = ad.segments(q_lengths), ad.segments(k_lengths)
+        return ad.attention(Tensor(np.zeros((2, qs.n))), Tensor(np.zeros((4, ks.n))), 0, 1,
+                            1.0, qs, ks, window=window)
+
+    with mode():
+        for bad in [(0, 4), (2, 1), (-1, 2)]:   # past N_k, lo > hi, before key 0
+            with pytest.raises(ShapeError):
+                attend(bad)
+        for empty in [(0, 0), (2, 2), (3, 3)]:
+            with pytest.raises(DegenerateColumnError):
+                attend(empty)
+        with pytest.raises(ShapeError):       # a window over two segments
+            attend((0, 1), (1, 1), (1, 2))
+        # the whole key range and one key are both fine
+        _, attn = attend((0, 3))
+        assert np.allclose(attn.data.reshape(3, 2).sum(axis=0), 1.0)
+        _, attn = attend((1, 2))
+        assert np.array_equal(attn.data.reshape(3, 2)[:, 1], [0.0, 1.0, 0.0])
 
 
 def _padded_im2col_conv(x, kernel, dilation, causal):
@@ -495,7 +516,7 @@ def test_attention_matches_per_head_softmax(n_heads, causal):
             qh = q[h * dh:(h + 1) * dh, q0:q0 + nq]
             kh = kv[1 + h * dh:1 + (h + 1) * dh, k0:k0 + nk]
             vh = kv[1 + d + h * dh:1 + d + (h + 1) * dh, k0:k0 + nk]
-            a = ad.masked_softmax_columns(Tensor(0.7 * (kh.T @ qh)), mask).data
+            a = masked_softmax_columns(Tensor(0.7 * (kh.T @ qh)), mask).data
             assert np.allclose(block[h], a, rtol=0, atol=1e-14)
             assert np.allclose(out.data[h * dh:(h + 1) * dh, q0:q0 + nq], vh @ a,
                                rtol=0, atol=1e-13)
@@ -508,15 +529,16 @@ def test_attention_matches_per_head_softmax(n_heads, causal):
 def test_attention_window_of_one_segment(causal):
     rng = np.random.default_rng(65)
     d, qs, ks, q, kv = _attention_case(rng, 2, (4,), (4,))
-    window = np.where(rng.random((4, 4)) < 0.5, ad.NEG_INF, 0.0)
-    window[np.arange(4), np.arange(4)] = 0.0      # every query keeps its own key
-    _, attn = ad.attention(Tensor(q), Tensor(kv), 1, 2, 0.7, qs, ks, causal, window)
-    mask = window + (ad.causal_mask(4) if causal else 0.0)
-    for h, block in enumerate(attn.data.reshape(2, 4, 4)):
-        logits = 0.7 * (kv[1 + 2 * h:3 + 2 * h].T @ q[2 * h:2 * h + 2])
-        want = ad.masked_softmax_columns(Tensor(logits), mask).data
-        assert np.allclose(block, want, rtol=0, atol=1e-14)
-        assert not block[mask != 0.0].any()
+    for lo, hi in [(0, 4), (0, 1), (1, 3), (2, 3), (3, 4)]:
+        _, attn = ad.attention(Tensor(q), Tensor(kv), 1, 2, 0.7, qs, ks, causal, (lo, hi))
+        window = np.zeros((4, 4))
+        window[:lo, -1] = window[hi:, -1] = ad.NEG_INF   # the last query column only
+        mask = window + (ad.causal_mask(4) if causal else 0.0)
+        for h, block in enumerate(attn.data.reshape(2, 4, 4)):
+            logits = 0.7 * (kv[1 + 2 * h:3 + 2 * h].T @ q[2 * h:2 * h + 2])
+            want = masked_softmax_columns(Tensor(logits), mask).data
+            assert np.allclose(block, want, rtol=0, atol=1e-14)
+            assert not block[mask != 0.0].any()
 
 
 @pytest.mark.parametrize("n_heads", [1, 3])
@@ -547,10 +569,10 @@ def test_attention_shape_errors():
     one = ad.segments((5,))
     with pytest.raises(ShapeError):   # a window over more than one segment
         ad.attention(Tensor(np.zeros((4, 5))), Tensor(np.zeros((8, 5))), 0, 2, 1.0, segs, segs,
-                     False, np.zeros((5, 5)))
-    with pytest.raises(ShapeError):   # a window of the wrong shape
+                     False, (0, 5))
+    with pytest.raises(ShapeError):   # a window past the keys
         ad.attention(Tensor(np.zeros((4, 5))), Tensor(np.zeros((8, 5))), 0, 2, 1.0, one, one,
-                     False, np.zeros((5, 4)))
+                     False, (0, 6))
     with pytest.raises(ShapeError):   # d not divisible by the heads
         ad.attention(Tensor(np.zeros((4, 5))), Tensor(np.zeros((8, 5))), 0, 3, 1.0, segs, segs)
     with pytest.raises(ShapeError):   # segments that do not cover the columns

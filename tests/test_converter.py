@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from vtn import autodiff as ad
-from vtn.converter import (ConversionResult, DecodeConfig, _window_mask,
-                           convert, convert_sequence, dump_attention)
+from vtn.converter import (ConversionResult, DecodeConfig, convert, convert_sequence,
+                           dump_attention)
 from vtn.errors import ShapeError, StatsError
 from vtn.features import compute_stats, gen_synthetic_corpus
 from vtn.model import VtnConfig, VtnModel
@@ -27,18 +27,6 @@ def _src(rng, model, n=10):
 def test_window_frames_paper_values():
     cfg = DecodeConfig(mode="windowed")
     assert cfg.window_frames(8.0, 3) == (7, 13)
-
-
-def test_window_mask_boundaries():
-    # n_hat=1, N0=0, N1=1 -> only source rows 1..2 (1-based) open
-    mask = _window_mask(5, 3, 1, 0, 1)
-    assert np.array_equal(mask[:, :2], np.zeros((5, 2)))  # only last column masked
-    assert np.array_equal(mask[:, 2], [0.0, 0.0, ad.NEG_INF, ad.NEG_INF, ad.NEG_INF])
-
-
-def test_window_mask_degenerate_is_open():
-    mask = _window_mask(4, 2, 2, 10, 10)
-    assert np.array_equal(mask, np.zeros((4, 2)))
 
 
 def test_convert_caps_at_twice_source_length():
@@ -89,7 +77,7 @@ def test_windowed_mass_outside_window_exactly_zero():
     n0, n1 = cfg.window_frames(8.0, 3)
     assert (n0, n1) == (2, 3)
     result = convert(model, src, 0, 1, cfg)
-    for m, window in enumerate(result.extra["step_windows"]):
+    for m, window in enumerate(result.windows):
         heads = np.stack([a[:, m] for layer in result.attention for a in layer])
         lo, hi = window
         outside = np.concatenate([heads[:, :lo - 1], heads[:, hi:]], axis=1)
@@ -102,7 +90,7 @@ def test_windowed_dumped_attention_zero_outside_each_steps_window(tmp_path):
     cfg = DecodeConfig(mode="windowed", window_back_ms=48.0, window_fwd_ms=72.0)
     result = convert(model, src, 0, 1, cfg)
     files = dump_attention(result, tmp_path / "attn")
-    windows = result.extra["step_windows"]
+    windows = result.windows
     assert len(windows) > 1
     for path in files:
         matrix = np.loadtxt(path, delimiter=",", ndmin=2)
@@ -118,7 +106,10 @@ def test_windowed_n_hat_confined():
     result = convert(model, src, 0, 1, cfg)
     n0, n1 = 2, 3
     prev = 1
-    for n_hat in result.n_hat:
+    assert len(result.windows) == len(result.n_hat)
+    for window, n_hat in zip(result.windows, result.n_hat):
+        # each step's window is clipped to the source around the last n_hat
+        assert window == (max(1, prev - n0), min(prev + n1, 12))
         assert max(1, prev - n0) <= n_hat <= min(prev + n1, 12)
         prev = n_hat
 
@@ -172,7 +163,7 @@ def test_convert_sequence_pipeline():
     assert out.data.shape[0] == 31
     assert np.isfinite(out.data).all()
     assert (out.data[-1] >= 0.0).all() and (out.data[-1] <= 1.0).all()
-    assert "stats_adjusted" in result.extra
+    assert result.stats_adjusted in (True, False)
 
 
 def test_convert_sequence_unknown_target():

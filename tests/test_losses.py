@@ -7,9 +7,10 @@ from vtn import autodiff as ad
 from vtn import losses
 from vtn.autodiff import Tensor
 from vtn.errors import ShapeError
-from vtn.losses import (LossWeights, dal, default_feature_weights,
-                        guided_weight_matrix, main_loss, total_loss)
+from vtn.losses import LossWeights, default_feature_weights, guided_weight_matrix, total_loss
 from vtn.model import VtnConfig, VtnModel
+
+from oracles import dal, main_loss, masked_softmax_columns
 
 
 def scalar_main_loss(y, x_tgt, gamma, r):
@@ -142,7 +143,7 @@ def test_loss_gradchecks():
     assert err < 1e-4
     logits = Tensor(rng.normal(size=(4, 5)))
     err = ad.grad_check(
-        lambda t: dal([[ad.masked_softmax_columns(t, np.zeros((4, 5)))]], 0.3), logits)
+        lambda t: dal([[masked_softmax_columns(t, np.zeros((4, 5)))]], 0.3), logits)
     assert err < 1e-4
 
 

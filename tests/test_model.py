@@ -6,7 +6,7 @@ import pytest
 from vtn import autodiff as ad
 from vtn.autodiff import Tensor
 from vtn.errors import ShapeError
-from vtn.model import VtnConfig, VtnModel, causal_mask, positional_encoding
+from vtn.model import VtnConfig, VtnModel, _layout, causal_mask, positional_encoding
 
 
 def tiny_config(**kw):
@@ -57,7 +57,7 @@ def test_sa_uniform_attention():
     model.params["enc.0.sa.W1"] = Tensor(w1, requires_grad=True)
     model.params["enc.0.sa.W2"] = Tensor(np.eye(d), requires_grad=True)
     x = np.random.default_rng(0).normal(size=(d, 5))
-    y = model._sa("enc.0.sa", Tensor(x), np.zeros((5, 5)))
+    y = model._sa("enc.0.sa", Tensor(x), _layout((5,), (5,), False))
     expect = np.repeat(x.mean(axis=1, keepdims=True), 5, axis=1)
     assert np.abs(y.data - expect).max() < 1e-12
 
@@ -68,7 +68,7 @@ def test_tsa_single_source_position():
     rng = np.random.default_rng(2)
     x = Tensor(rng.normal(size=(cfg.d, 4)))
     z = Tensor(rng.normal(size=(cfg.d, 1)))
-    _, stack = model._tsa("dec.0.tsa", x, z, None, False)
+    _, stack = model._tsa("dec.0.tsa", x, z, _layout((4,), (1,), False), False)
     attn = model._per_head([stack], z.data.shape[1], x.data.shape[1])[0]
     for a in attn:
         assert np.array_equal(a.data, np.ones((1, 4)))
@@ -80,10 +80,8 @@ def test_tsa_forced_attention_row():
     rng = np.random.default_rng(4)
     x = Tensor(rng.normal(size=(cfg.d, 2)))
     z = Tensor(rng.normal(size=(cfg.d, 6)))
-    mask = np.zeros((6, 2))
-    mask[:, 1] = ad.NEG_INF
-    mask[3, 1] = 0.0           # only source row 3 allowed in column 1
-    _, stack = model._tsa("dec.0.tsa", x, z, mask, False)
+    # only source row 3 allowed in column 1, the last
+    _, stack = model._tsa("dec.0.tsa", x, z, _layout((2,), (6,), False, (3, 4)), False)
     attn = model._per_head([stack], z.data.shape[1], x.data.shape[1])[0]
     for a in attn:
         assert a.data[3, 1] == 1.0
@@ -96,7 +94,7 @@ def test_tsa_identity_passes_values_through():
     rng = np.random.default_rng(5)
     x = Tensor(rng.normal(size=(cfg.d, 3)))
     z = Tensor(rng.normal(size=(cfg.d, 5)))
-    out, stack = model._tsa("dec.0.tsa", x, z, None, True)
+    out, stack = model._tsa("dec.0.tsa", x, z, _layout((3,), (5,), False), True)
     attn = model._per_head([stack], z.data.shape[1], x.data.shape[1])[0]
     p = {k: v.data for k, v in model.params.items()}
     values = (p["dec.0.tsa.W6"] @ z.data)[cfg.d:, :3]
@@ -176,7 +174,7 @@ def test_postln_encoder_layer_residual_identity():
     assert np.array_equal(y.data, model._ln("enc.0.ln2", model._ln("enc.0.ln1", x)).data)
     # with live sub-layers, each layer norm comes after its residual add
     model = VtnModel.init(cfg, seed=9)
-    u = model._ln("enc.0.ln1", ad.add(x, model._sa("enc.0.sa", x, np.zeros((5, 5)))))
+    u = model._ln("enc.0.ln1", ad.add(x, model._sa("enc.0.sa", x, _layout((5,), (5,), False))))
     want = model._ln("enc.0.ln2", ad.add(u, model._ffn("enc.0.ffn", u)))
     assert np.array_equal(model.encoder_layer(0, x, None).data, want.data)
 
