@@ -13,9 +13,11 @@ Two evaluation modes exist:
 * column-exact mode (``with column_exact():``) keeps one rule: every output
   column is reduced on its own, with a fixed-shape kernel over contiguous
   operands that hold exactly what that column depends on.  ``_mm`` makes one
-  gemv per output column, ``layer_norm`` normalises column by column, and
-  ``attention`` lets each query column attend over its own unmasked keys
-  only.  Column n of any causal computation is therefore bit-identical no
+  gemv per output column, ``layer_norm`` reduces each column as one
+  contiguous row of a transposed copy, and ``attention`` lets each query
+  column attend over its own key range only.  The kernels run many columns
+  per numpy call, each column still its own reduction of a fixed shape.
+  Column n of any causal computation is therefore bit-identical no
   matter how many columns follow it, which is what makes incremental
   decoding reproduce the teacher-forced forward pass exactly.  The mode is
   inference-only: it records no graph, so its results have no parents and
@@ -147,14 +149,12 @@ def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Column j is a @ (a contiguous copy of b's column j), a reduction whose
     shape does not depend on how many columns b has, so appending columns
-    leaves the earlier ones bit-identical.
+    leaves the earlier ones bit-identical.  The gemvs run as one stacked
+    matmul, whose stack items numpy multiplies one at a time.
     """
     if not _column_exact:
         return a @ b
-    out = np.empty((a.shape[0], b.shape[1]))
-    for j, col in enumerate(np.ascontiguousarray(b.T)):
-        out[:, j] = a @ col
-    return out
+    return np.matmul(a, np.ascontiguousarray(b.T)[:, :, None])[:, :, 0].T
 
 
 # ---------------------------------------------------------------------------
@@ -335,17 +335,20 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         raise ShapeError("layer_norm gain/bias must be (d, 1) columns")
 
     if _column_exact:
-        xhat = np.empty_like(x.data)
-        inv_std = np.empty((1, n))
-        for j in range(n):
-            col = x.data[:, j]
-            mu = col.sum() / d
-            c = col - mu
-            var = (c * c).sum() / d
-            s = 1.0 / math.sqrt(var + eps)
-            inv_std[0, j] = s
-            xhat[:, j] = c * s
-        y = np.empty_like(xhat)
+        # each column's mean and variance reduce one contiguous row of the
+        # transposed copy, as a sum over that column alone would
+        c = x.data.T.copy()
+        mu = np.add.reduce(c, axis=1, keepdims=True)
+        mu /= d
+        c -= mu
+        var = np.add.reduce(c * c, axis=1, keepdims=True)
+        var /= d
+        var += eps
+        np.sqrt(var, out=var)
+        np.divide(1.0, var, out=var)
+        c *= var
+        xhat, inv_std = c.T, var.T
+        y = np.empty((d, n))
     else:
         # x.mean, c = x - mu, (c * c).mean, 1 / sqrt(var + eps) and
         # c * inv_std, in that order, in place; y's array holds c * c until
@@ -523,27 +526,49 @@ def _causal_slice(n_k: int, n_q: int) -> np.ndarray:
     return _causal[:n_k, :n_q]
 
 
+def _key_ranges(n_k: int, n_q: int, causal: bool,
+                window: tuple[int, int] | None) -> tuple[np.ndarray, np.ndarray]:
+    """The key range [lo[j], hi[j]) that query column j of one segment sees:
+    the causal prefix or all keys, cut to the window for the last column."""
+    lo = np.zeros(n_q, dtype=np.intp)
+    hi = np.minimum(np.arange(1, n_q + 1), n_k) if causal else np.full(n_q, n_k)
+    if window is not None:
+        lo[-1], hi[-1] = window[0], min(hi[-1], window[1])
+        if lo[-1] >= hi[-1]:
+            raise DegenerateColumnError("attention window masks every key of a query")
+    return lo, hi
+
+
 def _attention_columns(q: np.ndarray, kv: np.ndarray, k_row: int, n_heads: int,
-                       scale: float, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Column-exact attention of one segment; keep[i, j] says whether query j
-    sees key i.  Returns the (d x N_q) head outputs and the (n_heads, N_k, N_q)
-    attention."""
+                       scale: float, lo: np.ndarray, hi: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Column-exact attention of one segment, query column j attending over
+    the keys [lo[j], hi[j]).  Returns the (d x N_q) head outputs and the
+    (n_heads, N_k, N_q) attention.
+
+    Each run of consecutive columns that share a key range is one group: its
+    heads' products run as one stacked matmul against a contiguous copy of
+    those keys and values, whose stack items are each one column's gemv of
+    one head, and its softmax reduces each of those columns on its own."""
     d = (kv.shape[0] - k_row) // 2
     dh = d // n_heads
+    n_q = len(lo)
     keys, values = kv[k_row:k_row + d], kv[k_row + d:k_row + 2 * d]
-    a = np.zeros((n_heads,) + keep.shape)
-    out = np.empty((d, keep.shape[1]))
-    for j, qj in enumerate(np.ascontiguousarray(q[:d].T)):
-        idx = np.flatnonzero(keep[:, j])
-        kh = keys.take(idx, axis=1).reshape(n_heads, dh, -1)
-        vh = values.take(idx, axis=1).reshape(n_heads, dh, -1)
-        z = np.matmul(kh.swapaxes(1, 2), qj.reshape(n_heads, dh, 1))
+    qt = np.ascontiguousarray(q[:d].T)
+    a = np.zeros((n_heads, kv.shape[1], n_q))
+    out = np.empty((d, n_q))
+    bounds = np.flatnonzero((lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])) + 1
+    for j0, j1 in zip([0, *bounds], [*bounds, n_q]):
+        k0, k1 = lo[j0], hi[j0]
+        kh = np.ascontiguousarray(keys[:, k0:k1]).reshape(n_heads, dh, -1)
+        vh = np.ascontiguousarray(values[:, k0:k1]).reshape(n_heads, dh, -1)
+        z = np.matmul(kh.swapaxes(1, 2), qt[j0:j1].reshape(-1, n_heads, dh, 1))
         z *= scale
-        z -= z.max(axis=1, keepdims=True)
+        z -= z.max(axis=2, keepdims=True)
         np.exp(z, out=z)
-        z /= z.sum(axis=1, keepdims=True)
-        a[:, idx, j] = z[:, :, 0]
-        out[:, j] = np.matmul(vh, z).reshape(d)
+        z /= z.sum(axis=2, keepdims=True)
+        a[:, k0:k1, j0:j1] = z[..., 0].transpose(1, 2, 0)
+        out[:, j0:j1] = np.matmul(vh, z).reshape(-1, d).T
     return out, a
 
 
@@ -564,9 +589,9 @@ def attention(q: Tensor, kv: Tensor, k_row: int, n_heads: int, scale: float,
     right after segment p-1's, column-stochastic over the segment's keys and
     exactly 0 at masked keys.
 
-    Column-exact mode takes one segment and runs each query column on its
-    own: its heads attend over contiguous copies of that column's unmasked
-    keys and values only, so no later column or masked key enters its sums.
+    Column-exact mode takes one segment and gives each query column its own
+    key range: its heads attend over contiguous copies of that range's keys
+    and values only, so no later column or masked key enters its sums.
     """
     q, kv = _as_tensor(q), _as_tensor(kv)
     d = (kv.data.shape[0] - k_row) // 2
@@ -577,13 +602,10 @@ def attention(q: Tensor, kv: Tensor, k_row: int, n_heads: int, scale: float,
         raise ShapeError(f"attention: q {q.data.shape}, kv {kv.data.shape}, k_row {k_row}, "
                          f"{n_heads} heads, {qs.p}/{ks.p} segments, window {window}")
     if window is not None or _column_exact:
-        keep = _causal_slice(ks.n, qs.n) == 0 if causal else np.ones((ks.n, qs.n), bool)
-        if window is not None:
-            keep[:window[0], -1] = keep[window[1]:, -1] = False
-            if not keep.any(axis=0).all():
-                raise DegenerateColumnError("attention window masks every key of a query")
+        # the ranges also check that the window leaves its column a key
+        lo, hi = _key_ranges(ks.n, qs.n, causal, window)
         if _column_exact:
-            out, a = _attention_columns(q.data, kv.data, k_row, n_heads, scale, keep)
+            out, a = _attention_columns(q.data, kv.data, k_row, n_heads, scale, lo, hi)
             return Tensor(out), Tensor(a.ravel())
     dh = d // n_heads
     sizes = [n_heads * nk * nq for nk, nq in zip(ks.lengths, qs.lengths)]

@@ -87,6 +87,7 @@ def convert(model: VtnModel, src: np.ndarray, k: int | None, kp: int | None,
     n_src = src.shape[1]
     d_rows = model.config.D
     windowed = cfg.mode == "windowed"
+    realtime = cfg.mode == "realtime"
     n0, n1 = cfg.window_frames(frame_period_ms, model.config.r)
 
     with ad.column_exact():
@@ -97,33 +98,40 @@ def convert(model: VtnModel, src: np.ndarray, k: int | None, kp: int | None,
         truncated = False
         step_heads: list[np.ndarray] = []   # per step, (L*H, N_src) newest-column attention
         windows: list[tuple[int, int] | None] = []
-        if cfg.mode == "realtime":
-            max_steps = n_src
-        else:
-            max_steps = cfg.max_len_factor * n_src
+        max_steps = n_src if realtime else cfg.max_len_factor * n_src
         for step in range(1, max_steps + 1):
             lo, hi = max(1, n_hat - n0), min(n_hat + n1, n_src)
             windows.append((lo, hi) if windowed else None)
             y, attn_set = model.decode(prefix, z, kp=kp, training=False,
                                        window=(lo - 1, hi) if windowed else None,
-                                       tsa_identity=(cfg.mode == "realtime"))
+                                       tsa_identity=realtime)
             prefix = np.concatenate([prefix, y.data[:, -1:]], axis=1)
-            last = prefix.shape[1] - 2
-            heads = np.stack([a.data[:, last] for layer in attn_set for a in layer])
-            step_heads.append(heads)
-            n_hat = int(np.argmax(_head_mean(heads))) + 1
+            if realtime:
+                # step m attends to source position m alone in every head
+                n_hat = step
+            else:
+                last = prefix.shape[1] - 2
+                heads = np.stack([a.data[:, last] for layer in attn_set for a in layer])
+                step_heads.append(heads)
+                n_hat = int(np.argmax(_head_mean(heads))) + 1
             n_hat_track.append(n_hat)
-            if cfg.mode != "realtime" and n_hat == n_src:
+            if not realtime and n_hat == n_src:
                 break
         else:
-            truncated = cfg.mode != "realtime"
+            truncated = not realtime
 
-    # earlier columns of a later step's re-run lose their windows, so the
-    # attention reported is assembled from each step's own newest column
-    columns = np.stack(step_heads, axis=-1)
     n_heads = model.config.H
-    attention = [list(columns[l * n_heads:(l + 1) * n_heads])
-                 for l in range(model.config.L)]
+    if realtime:
+        # one read-only identity stands for every layer's and head's attention
+        eye = np.eye(n_src, len(n_hat_track))
+        eye.flags.writeable = False
+        attention = [[eye] * n_heads for _ in range(model.config.L)]
+    else:
+        # earlier columns of a later step's re-run lose their windows, so the
+        # attention reported is assembled from each step's own newest column
+        columns = np.stack(step_heads, axis=-1)
+        attention = [list(columns[l * n_heads:(l + 1) * n_heads])
+                     for l in range(model.config.L)]
     return ConversionResult(output=prefix[:, 1:], attention=attention,
                             n_hat=n_hat_track, truncated=truncated, windows=windows)
 

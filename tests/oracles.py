@@ -5,9 +5,16 @@ runs its softmax inside ``autodiff.attention``, and ``losses.total_loss``
 evaluates the weighted L1 and the diagonal attention loss of a whole packed
 batch at once.  The stand-alone versions here are differentiable autodiff
 graphs of one pair or one matrix, written the direct way.
+
+The column-exact references run the package's column-exact kernels one
+output column at a time in a Python loop, each column a numpy call of its
+own; the package's kernels, which run many columns per call, must equal
+them bitwise.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -79,3 +86,52 @@ def dal(attn_set: list[list[Tensor]], nu: float) -> Tensor:
     n_layers = len(attn_set)
     n_heads = len(attn_set[0])
     return ad.scale(total, 1.0 / (n_src * n_tgt * n_heads * n_layers))
+
+
+def column_exact_mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b as one gemv per output column, on a contiguous copy of it."""
+    out = np.empty((a.shape[0], b.shape[1]))
+    for j, col in enumerate(np.ascontiguousarray(b.T)):
+        out[:, j] = a @ col
+    return out
+
+
+def column_exact_layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
+                            eps: float = 1e-5) -> np.ndarray:
+    """Layer norm with each column's statistics summed over that column alone."""
+    d, n = x.shape
+    xhat = np.empty_like(x)
+    for j in range(n):
+        col = x[:, j]
+        mu = col.sum() / d
+        c = col - mu
+        var = (c * c).sum() / d
+        xhat[:, j] = c * (1.0 / math.sqrt(var + eps))
+    y = np.empty_like(xhat)
+    np.multiply(gain, xhat, out=y)
+    y += bias
+    return y
+
+
+def column_exact_attention(q: np.ndarray, kv: np.ndarray, k_row: int, n_heads: int,
+                           scale: float, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Attention of one segment, query column by query column; keep[i, j]
+    says whether query j sees key i.  Returns the (d x N_q) head outputs and
+    the (n_heads, N_k, N_q) attention."""
+    d = (kv.shape[0] - k_row) // 2
+    dh = d // n_heads
+    keys, values = kv[k_row:k_row + d], kv[k_row + d:k_row + 2 * d]
+    a = np.zeros((n_heads,) + keep.shape)
+    out = np.empty((d, keep.shape[1]))
+    for j, qj in enumerate(np.ascontiguousarray(q[:d].T)):
+        idx = np.flatnonzero(keep[:, j])
+        kh = keys.take(idx, axis=1).reshape(n_heads, dh, -1)
+        vh = values.take(idx, axis=1).reshape(n_heads, dh, -1)
+        z = np.matmul(kh.swapaxes(1, 2), qj.reshape(n_heads, dh, 1))
+        z *= scale
+        z -= z.max(axis=1, keepdims=True)
+        np.exp(z, out=z)
+        z /= z.sum(axis=1, keepdims=True)
+        a[:, idx, j] = z[:, :, 0]
+        out[:, j] = np.matmul(vh, z).reshape(d)
+    return out, a

@@ -178,7 +178,8 @@ def test_causality_suite():
 
 
 # ---------------------------------------------------------------------------
-# criterion 3: loss oracles on 20 random shapes, 1e-12
+# criterion 3: loss oracles on 20 random shapes and the package's loss of 20
+# one-pair batches, 1e-12
 
 def _main_loss_oracle(y, tgt0, gamma, r):
     d, n1 = tgt0.shape
@@ -222,12 +223,32 @@ def test_loss_oracles():
         mats = [rng.random((n_src, n_tgt)) for _ in range(heads)]
         got = dal([[Tensor(m) for m in mats]], 0.3).data
         worst = max(worst, abs(got - _dal_oracle(mats, 0.3)))
+
+    # the package's loss: total_loss's breakdown of a one-pair batch is that
+    # pair's main loss and DAL
+    for case in range(20):
+        r, n_layers, n_heads = (int(rng.integers(1, 4)) for _ in range(3))
+        model = VtnModel.init(tiny_cfg(n_mcc=2, r=r, L=n_layers, H=n_heads, d=4 * n_heads),
+                              seed=case, speakers=["a", "b"])
+        weights = LossWeights(lambda_dal=float(rng.integers(1, 3000)), nu=0.3,
+                              gamma=rng.random(5) + 0.1)
+        src = rng.normal(size=(model.config.D, int(rng.integers(1, 8))))
+        tgt0 = np.concatenate([np.zeros((model.config.D, 1)),
+                               rng.normal(size=(model.config.D, int(rng.integers(1, 8))))],
+                              axis=1)
+        _, breakdown = total_loss(model, [(0, 1, src, tgt0)], weights)
+        y, attn = model.forward(src, tgt0, k=0, kp=1)
+        want_main = main_loss(y, tgt0, weights.gamma, r).item()
+        want_dal = dal(attn, weights.nu).item()
+        worst = max(worst, abs(breakdown["main"] - want_main), abs(breakdown["dal"] - want_dal),
+                    abs(breakdown["total"] - (want_main + weights.lambda_dal * want_dal)))
     assert worst < 1e-12
 
     diag_ok = all(guided_weight_matrix(n, n, 0.3)[np.arange(n), np.arange(n)].max() == 0.0
                   for n in (2, 5, 9))
     _report("loss-oracles", diag_ok,
-            f"20 shapes, worst abs err {worst:.1e} (< 1e-12), diagonal exactly 0: {diag_ok}")
+            f"20 shapes and 20 one-pair total_loss batches, worst abs err {worst:.1e} "
+            f"(< 1e-12), diagonal exactly 0: {diag_ok}")
 
 
 # ---------------------------------------------------------------------------

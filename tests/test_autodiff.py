@@ -10,7 +10,8 @@ from vtn.autodiff import AdamState, Tensor, grad_check
 from vtn.errors import DegenerateColumnError, GraphReleasedError, ShapeError, VtnError
 from vtn.trainer import load_trainer_state, save_trainer_state
 
-from oracles import _MASKED, masked_softmax_columns
+from oracles import (_MASKED, column_exact_attention, column_exact_layer_norm, column_exact_mm,
+                     masked_softmax_columns)
 
 
 def test_matmul_identity():
@@ -387,6 +388,63 @@ def test_column_exact_prefix_stability():
             alone_out, alone_attn = attend(q[:, w - 1:w], keys[:, lo:hi + 1], False)
             assert np.array_equal(out[:, -1], alone_out[:, 0])
             assert np.array_equal(attn[:, lo:hi + 1, -1], alone_attn[:, :, 0])
+
+
+def test_column_exact_matmul_matches_per_column_oracle():
+    rng = np.random.default_rng(15)
+    for m, k, n in [(1, 1, 1), (1, 5, 3), (7, 9, 1), (31, 93, 40), (64, 505, 17)]:
+        a, b = _signed_zeros(rng, (m, k)), _signed_zeros(rng, (k, n))
+        with ad.column_exact():
+            out = ad.matmul(Tensor(a), Tensor(b)).data
+        assert _same_bits(out, column_exact_mm(a, b))
+
+
+@pytest.mark.parametrize("d", [1, 7, 8, 127, 128, 129, 512, 1024])
+def test_column_exact_layer_norm_matches_per_column_oracle(d):
+    rng = np.random.default_rng(16 + d)
+    for n in (1, 2, 40):
+        x = _signed_zeros(rng, (d, n)) * 3.0 + 0.5
+        gain, bias = rng.normal(size=(d, 1)), rng.normal(size=(d, 1))
+        before = x.copy()
+        with ad.column_exact():
+            y = ad.layer_norm(Tensor(x), Tensor(gain), Tensor(bias)).data
+        assert _same_bits(y, column_exact_layer_norm(x, gain, bias))
+        assert _same_bits(x, before)     # the input is read, not normalised in place
+
+
+@pytest.mark.parametrize("n_heads", [1, 2, 3, 4])
+@pytest.mark.parametrize("causal", [False, True])
+def test_column_exact_attention_matches_per_column_oracle(n_heads, causal):
+    # key ranges shared by runs of columns, one column each (causal), and a
+    # last column cut to a window at either edge or to a single key
+    rng = np.random.default_rng(17 + n_heads)
+    d = 3 * n_heads
+    for n_q, n_k in [(1, 1), (9, 9), (6, 11), (12, 5)]:
+        qkv = rng.normal(size=(3 * d, n_q)) * 2.0
+        kv = np.concatenate([rng.normal(size=(1, n_k)), rng.normal(size=(2 * d, n_k)) * 2.0])
+        last = min(n_q, n_k) if causal else n_k     # keys the last column may see
+        windows = {None, (0, last), (0, 1), (last - 1, last), (0, max(1, last - 2)),
+                   (min(2, last - 1), last), (last // 2, last // 2 + 1)}
+        for (q, kv_, k_row) in [(qkv[:d], kv, 1), (qkv, qkv, d)]:
+            if kv_ is qkv and n_k != n_q:
+                continue
+            nk = kv_.shape[1]
+            keep = (np.arange(nk)[:, None] <= np.arange(n_q)[None, :] if causal
+                    else np.ones((nk, n_q), bool))
+            for window in sorted(windows, key=str):
+                if window is not None and window[1] > nk:
+                    continue
+                want_keep = keep.copy()
+                if window is not None:
+                    want_keep[:window[0], -1] = want_keep[window[1]:, -1] = False
+                with ad.column_exact():
+                    out, attn = ad.attention(Tensor(q), Tensor(kv_), k_row, n_heads, 0.7,
+                                             ad.segments((n_q,)), ad.segments((nk,)),
+                                             causal, window)
+                want_out, want_attn = column_exact_attention(q, kv_, k_row, n_heads, 0.7,
+                                                             want_keep)
+                assert _same_bits(out.data, want_out)
+                assert _same_bits(attn.data, want_attn.ravel())
 
 
 def test_column_exact_attention_takes_one_segment():

@@ -120,10 +120,14 @@ def test_realtime_output_length_and_identity_attention():
     result = convert(model, src, 0, 1, DecodeConfig(mode="realtime"))
     assert result.output.shape[1] == 9
     assert not result.truncated
+    assert result.n_hat == list(range(1, 10))
+    assert len(result.attention) == model.config.L
     for layer in result.attention:
+        assert len(layer) == model.config.H
         for a in layer:
-            n = min(a.shape)
-            assert np.array_equal(a[:, :n], np.eye(9)[:, :n])
+            assert np.array_equal(a, np.eye(9))
+            assert not a.flags.writeable
+    assert np.array_equal(result.mean_attention, np.eye(9))
 
 
 def test_realtime_streaming_equals_batch():
