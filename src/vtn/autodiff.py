@@ -581,32 +581,33 @@ def attention(q: Tensor, kv: Tensor, k_row: int, n_heads: int, scale: float,
     queries from rows i*dh.. of q, its keys from rows k_row + i*dh.. of kv and
     its values d rows below its keys.  Query segment p of qs attends to key
     segment p of ks only, at that pair's own size: causal hides keys past a
-    query's position, and window = (lo, hi), for one segment only, limits
-    the last query column to the keys [lo, hi) (0-based, half-open; the
-    window of one windowed decoding step).  Every query must keep a key.
-    Returns the stacked head outputs (d x N_q) and the ragged
-    attention: one flat tensor holding segment p's (n_heads, n_k, n_q) block
-    right after segment p-1's, column-stochastic over the segment's keys and
-    exactly 0 at masked keys.
+    query's position.  Returns the stacked head outputs (d x N_q) and the
+    ragged attention: one flat tensor holding segment p's (n_heads, n_k, n_q)
+    block right after segment p-1's, column-stochastic over the segment's
+    keys and exactly 0 at masked keys.
 
     Column-exact mode takes one segment and gives each query column its own
     key range: its heads attend over contiguous copies of that range's keys
     and values only, so no later column or masked key enters its sums.
+    There alone, window = (lo, hi) limits the last query column to the keys
+    [lo, hi) (0-based, half-open; the window of one windowed decoding step),
+    which must leave it a key.
     """
     q, kv = _as_tensor(q), _as_tensor(kv)
     d = (kv.data.shape[0] - k_row) // 2
+    if window is not None and not _column_exact:
+        raise ShapeError("attention: a window needs column-exact mode")
     if (d < 1 or d % n_heads or q.data.shape[0] < d or qs.p != ks.p
             or q.data.shape[1] != qs.n or kv.data.shape[1] != ks.n
-            or ((window is not None or _column_exact) and qs.p != 1)
+            or (_column_exact and qs.p != 1)
             or (window is not None and not 0 <= window[0] <= window[1] <= ks.n)):
         raise ShapeError(f"attention: q {q.data.shape}, kv {kv.data.shape}, k_row {k_row}, "
                          f"{n_heads} heads, {qs.p}/{ks.p} segments, window {window}")
-    if window is not None or _column_exact:
+    if _column_exact:
         # the ranges also check that the window leaves its column a key
         lo, hi = _key_ranges(ks.n, qs.n, causal, window)
-        if _column_exact:
-            out, a = _attention_columns(q.data, kv.data, k_row, n_heads, scale, lo, hi)
-            return Tensor(out), Tensor(a.ravel())
+        out, a = _attention_columns(q.data, kv.data, k_row, n_heads, scale, lo, hi)
+        return Tensor(out), Tensor(a.ravel())
     dh = d // n_heads
     sizes = [n_heads * nk * nq for nk, nq in zip(ks.lengths, qs.lengths)]
     a = np.empty(sum(sizes))
@@ -628,8 +629,6 @@ def attention(q: Tensor, kv: Tensor, k_row: int, n_heads: int, scale: float,
     for qc, kc, qh, kh, vh, ap, o in blocks:
         if causal:
             ap += _causal_slice(*ap.shape[1:])
-        if window is not None:
-            ap[:, :window[0], -1] = ap[:, window[1]:, -1] = NEG_INF
         ap -= ap.max(axis=1, keepdims=True)
     np.exp(a, out=a)
     for qc, kc, qh, kh, vh, ap, o in blocks:

@@ -133,7 +133,8 @@ def cmd_convert(args) -> int:
             raise VtnError("--src-spk is not accepted in any_to_many mode")
         seq.speaker = args.src_spk
     _, _, decode_cfg = load_run_config(args.config, args.set)
-    decode_cfg = dataclasses.replace(decode_cfg, mode=args.mode)
+    if args.mode is not None:
+        decode_cfg = dataclasses.replace(decode_cfg, mode=args.mode)
     out, result = convert_sequence(model, seq, args.tgt_spk, stats, decode_cfg)
     save_features(out, args.out)
     if args.dump_attn:
@@ -264,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tgt-spk", required=True)
     p.add_argument("--src-spk", default=None)
     p.add_argument("--mode", choices=("default", "windowed", "realtime"),
-                   default="default")
+                   help="decode mode; overrides decode.mode of --config/--set")
     p.add_argument("--out", required=True)
     p.add_argument("--dump-attn", default=None)
     p.add_argument("--config", default=None)

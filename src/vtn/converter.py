@@ -38,16 +38,11 @@ class DecodeConfig:
         return int(round(self.window_back_ms / step)), int(round(self.window_fwd_ms / step))
 
 
-def _head_mean(heads) -> np.ndarray:
-    """Mean over a sequence of per-head attention arrays."""
-    return np.mean(heads, axis=0)
-
-
 @dataclass
 class ConversionResult:
     output: np.ndarray                 # (D x N_out) stacked, normalized domain
-    attention: list[list[np.ndarray]]  # L x H of (N_src x N_out); column m is
-                                       # the attention decode step m+1 used
+    attention: np.ndarray              # (L, H, N_src, N_out); column m is the
+                                       # attention decode step m+1 used
     n_hat: list[int]                   # 1-based attended source position per step
     truncated: bool = False
     # per step, the 1-based inclusive source range its window allowed, or
@@ -58,7 +53,7 @@ class ConversionResult:
     @property
     def mean_attention(self) -> np.ndarray:
         """Mean over layers and heads, (N_src x N_out)."""
-        return _head_mean([a for layer in self.attention for a in layer])
+        return self.attention.reshape(-1, *self.attention.shape[2:]).mean(axis=0)
 
 
 def convert(model: VtnModel, src: np.ndarray, k: int | None, kp: int | None,
@@ -91,47 +86,42 @@ def convert(model: VtnModel, src: np.ndarray, k: int | None, kp: int | None,
     n0, n1 = cfg.window_frames(frame_period_ms, model.config.r)
 
     with ad.column_exact():
-        z = model.encode(src, k=k, training=False)
+        z = model.encode(src, k=k)
         prefix = np.zeros((d_rows, 1))
         n_hat_track: list[int] = []
         n_hat = 1
         truncated = False
-        step_heads: list[np.ndarray] = []   # per step, (L*H, N_src) newest-column attention
+        step_heads: list[np.ndarray] = []   # per step, (L, H, N_src) newest-column attention
         windows: list[tuple[int, int] | None] = []
         max_steps = n_src if realtime else cfg.max_len_factor * n_src
         for step in range(1, max_steps + 1):
             lo, hi = max(1, n_hat - n0), min(n_hat + n1, n_src)
             windows.append((lo, hi) if windowed else None)
-            y, attn_set = model.decode(prefix, z, kp=kp, training=False,
-                                       window=(lo - 1, hi) if windowed else None,
-                                       tsa_identity=realtime)
+            y, attn = model.decode(prefix, z, kp=kp, window=(lo - 1, hi) if windowed else None,
+                                   tsa_identity=realtime)
             prefix = np.concatenate([prefix, y.data[:, -1:]], axis=1)
             if realtime:
                 # step m attends to source position m alone in every head
                 n_hat = step
             else:
-                last = prefix.shape[1] - 2
-                heads = np.stack([a.data[:, last] for layer in attn_set for a in layer])
+                # a copy, so the step's whole attention array is not kept
+                heads = attn[..., -1].copy()
                 step_heads.append(heads)
-                n_hat = int(np.argmax(_head_mean(heads))) + 1
+                n_hat = int(np.argmax(heads.reshape(-1, n_src).mean(axis=0))) + 1
             n_hat_track.append(n_hat)
             if not realtime and n_hat == n_src:
                 break
         else:
             truncated = not realtime
 
-    n_heads = model.config.H
     if realtime:
         # one read-only identity stands for every layer's and head's attention
-        eye = np.eye(n_src, len(n_hat_track))
-        eye.flags.writeable = False
-        attention = [[eye] * n_heads for _ in range(model.config.L)]
+        attention = np.broadcast_to(np.eye(n_src, len(n_hat_track)),
+                                    (model.config.L, model.config.H, n_src, len(n_hat_track)))
     else:
         # earlier columns of a later step's re-run lose their windows, so the
         # attention reported is assembled from each step's own newest column
-        columns = np.stack(step_heads, axis=-1)
-        attention = [list(columns[l * n_heads:(l + 1) * n_heads])
-                     for l in range(model.config.L)]
+        attention = np.stack(step_heads, axis=-1)
     return ConversionResult(output=prefix[:, 1:], attention=attention,
                             n_hat=n_hat_track, truncated=truncated, windows=windows)
 

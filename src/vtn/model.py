@@ -86,7 +86,7 @@ class Layout(NamedTuple):
     """Which keys each packed query may attend to, in the order of
     ``ad.attention``'s arguments: query segment p of qs sees key segment p of
     ks, causal hides the keys past a query's position, and window, for a
-    one-segment pass, is the 0-based half-open key range [lo, hi) of its
+    column-exact pass, is the 0-based half-open key range [lo, hi) of its
     last query column."""
     qs: ad.Segments
     ks: ad.Segments
@@ -240,15 +240,10 @@ class VtnModel:
         cols = ad.matmul(ad.transpose(self.params["emb"]), Tensor(one_hot))
         return ad.tile_cols(cols, segs.lengths)
 
-    def _conditioned_rows(self, x: Tensor, spk) -> list[Tensor]:
-        """x and, unless spk is None, its speaker rows: spk is None, the
-        speaker columns of a pass, or a speaker index for every column of x.
-        A conv reads the blocks in place."""
-        if spk is None:
-            return [x]
-        if not isinstance(spk, Tensor):
-            spk = self._speaker_columns([spk], ad.segments((x.data.shape[1],)))
-        return [x, spk]
+    def _conditioned_rows(self, x: Tensor, spk: Tensor | None) -> list[Tensor]:
+        """x and, unless spk is None, the speaker columns of its pass.  A conv
+        reads the blocks in place."""
+        return [x] if spk is None else [x, spk]
 
     def _condition(self, x: Tensor, spk) -> Tensor:
         """x with speaker rows appended, as one tensor for a matrix product."""
@@ -309,10 +304,7 @@ class VtnModel:
             return ad.add(x, f(self._condition(self._ln(ln_name, x), spk)))
         return self._ln(ln_name, ad.add(x, f(self._condition(x, spk))))
 
-    def encoder_layer(self, l: int, x: Tensor, spk, lay: Layout | None = None) -> Tensor:
-        """lay defaults to one segment spanning x."""
-        n = x.data.shape[1]
-        lay = lay or _layout((n,), (n,), self.config.realtime)
+    def encoder_layer(self, l: int, x: Tensor, spk, lay: Layout) -> Tensor:
         name = f"enc.{l}"
         u = self._sublayer(f"{name}.ln1", x, spk, lambda h: self._sa(f"{name}.sa", h, lay))
         return self._sublayer(f"{name}.ln2", u, spk, lambda h: self._ffn(f"{name}.ffn", h))
@@ -344,8 +336,8 @@ class VtnModel:
         """Inverted-dropout factors, one packed array per dropout site.
 
         shapes[i] lists segment i's (rows, columns) at each site; the masks
-        are drawn segment by segment and, within one, site by site, the order
-        in which one-segment passes draw them.  None when dropout is off."""
+        are drawn segment by segment and, within one, site by site, so a pair
+        draws the same masks packed or alone.  None when dropout is off."""
         rate = self.config.dropout_rate
         if not training or rate == 0.0:
             return None
@@ -395,47 +387,50 @@ class VtnModel:
         blocks = [ad.reshape(a, (h, n_src, n_tgt)) for a in attn]
         return [[ad.index(a, np.s_[i]) for i in range(h)] for a in blocks]
 
-    def encode(self, src, k: int | None = None, training: bool = False,
-               rng: np.random.Generator | None = None) -> Tensor:
+    def encode(self, src, k: int | None = None) -> Tensor:
+        """The encoder without dropout over one source src (D x N_src)."""
         cfg = self.config
         src = src if isinstance(src, Tensor) else Tensor(src)
         segs = ad.segments((src.data.shape[1],))
         spk = self._speaker_columns([self._speaker(k, cfg.src_conditioned, "source")], segs)
-        drops = self._dropout(training, rng, [[(cfg.D, segs.n)]])
-        return self._encode(src, segs, spk, drops and drops[0])
+        return self._encode(src, segs, spk, None)
 
     def decode(self, tgt_in, z: Tensor, kp: int | None = None,
-               training: bool = False, rng: np.random.Generator | None = None,
                window: tuple[int, int] | None = None,
-               tsa_identity: bool = False) -> tuple[Tensor, list[list[Tensor]]]:
-        """One pass of the decoder over tgt_in against the encoded source z.
-        window: the source range [lo, hi) (0-based) that the last column's
-        target-to-source attention may see; tsa_identity: attend from target
-        position j to source position j alone (realtime decoding)."""
+               tsa_identity: bool = False) -> tuple[Tensor, np.ndarray]:
+        """One pass of the decoder without dropout over tgt_in against the
+        encoded source z.  Returns the output and the (L, H, N_src, N_tgt)
+        attention.  window: the source range [lo, hi) (0-based) that the last
+        column's target-to-source attention may see, column-exact mode only;
+        tsa_identity: attend from target position j to source position j
+        alone (realtime decoding)."""
         cfg = self.config
         tgt_in = tgt_in if isinstance(tgt_in, Tensor) else Tensor(tgt_in)
         segs = ad.segments((tgt_in.data.shape[1],))
+        n_src = z.data.shape[1]
         spk = self._speaker_columns([self._speaker(kp, cfg.tgt_conditioned, "target")], segs)
-        drops = self._dropout(training, rng, [[(cfg.D, segs.n), (cfg.d, segs.n)]])
-        y, attn = self._decode(tgt_in, z, segs, ad.segments((z.data.shape[1],)), spk, drops,
+        y, attn = self._decode(tgt_in, z, segs, ad.segments((n_src,)), spk, None,
                                window, tsa_identity)
-        return y, self._per_head(attn, z.data.shape[1], segs.n)
+        return y, np.stack([a.data.reshape(cfg.H, n_src, segs.n) for a in attn])
 
-    def forward(self, src, tgt_in, k: int | None = None, kp: int | None = None,
-                training: bool = False, rng: np.random.Generator | None = None
+    def forward(self, src: np.ndarray, tgt_in: np.ndarray, k: int | None = None,
+                kp: int | None = None, training: bool = False,
+                rng: np.random.Generator | None = None
                 ) -> tuple[Tensor, list[list[Tensor]]]:
-        """Teacher-forced pass: src (D x N_src), tgt_in (D x N_tgt+1, zero-prepended)."""
-        z = self.encode(src, k, training, rng)
-        return self.decode(tgt_in, z, kp, training, rng)
+        """Teacher-forced pass of one pair, src (D x N_src) and tgt_in
+        (D x N_tgt+1, zero-prepended): ``forward_packed`` of that pair, with
+        each decoder layer's attention split into its heads."""
+        y, attn, src_segs, segs = self.forward_packed([(k, kp, src, tgt_in)], training, rng)
+        return y, self._per_head(attn, src_segs.n, segs.n)
 
     def forward_packed(self, pairs, training: bool = False,
                        rng: np.random.Generator | None = None
                        ) -> tuple[Tensor, list[Tensor], ad.Segments, ad.Segments]:
         """One teacher-forced pass over (k, kp, src, tgt_in) pairs packed along
-        time, with each pair's maths and dropout draws those of its own
-        ``forward``.  Returns the packed output, the ragged attention of every
-        decoder layer (pair p's (H, N_src, N_tgt+1) block after pair p-1's),
-        and the source and target segments."""
+        time, with each pair's maths and dropout draws those of a pass of that
+        pair alone (``forward``).  Returns the packed output, the ragged
+        attention of every decoder layer (pair p's (H, N_src, N_tgt+1) block
+        after pair p-1's), and the source and target segments."""
         cfg = self.config
         src_segs = ad.segments(tuple(src.shape[1] for _, _, src, _ in pairs))
         segs = ad.segments(tuple(tgt.shape[1] for _, _, _, tgt in pairs))

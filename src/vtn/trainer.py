@@ -193,16 +193,17 @@ def _checkpoint(out_dir: Path, tag: str, model: VtnModel, iteration: int,
 def _truncate_log(path: Path, last_iter: int, row_iter) -> None:
     """Atomically cut a log file back to its rows up to iteration last_iter;
     row_iter reads a row's iteration.  Rows run in iteration order, so the
-    first later row, or a row cut short by an interrupted write, ends what
-    is kept."""
+    first later row, or a row cut short by an interrupted write or whose
+    iteration is not an int, ends what is kept."""
     if not path.exists():
         return
     kept = []
     for line in path.read_bytes().splitlines(keepends=True):
         try:
-            if not line.endswith(b"\n") or row_iter(line) > last_iter:
-                break
-        except ValueError:
+            it = row_iter(line)
+        except (ValueError, KeyError, TypeError):
+            break
+        if not line.endswith(b"\n") or type(it) is not int or it > last_iter:
             break
         kept.append(line)
     with container.replacing(path) as fh:

@@ -454,19 +454,27 @@ def test_column_exact_attention_takes_one_segment():
 
 
 def test_attention_window_must_leave_every_query_a_key():
-    for mode in (contextlib.nullcontext, ad.column_exact):
-        with mode(), pytest.raises(DegenerateColumnError):
-            ad.attention(Tensor(np.zeros((2, 2))), Tensor(np.zeros((4, 3))), 0, 1, 1.0,
-                         ad.segments((2,)), ad.segments((3,)), window=(1, 1))
+    with ad.column_exact(), pytest.raises(DegenerateColumnError):
+        ad.attention(Tensor(np.zeros((2, 2))), Tensor(np.zeros((4, 3))), 0, 1, 1.0,
+                     ad.segments((2,)), ad.segments((3,)), window=(1, 1))
 
 
 @pytest.mark.parametrize("mode", [contextlib.nullcontext, ad.column_exact])
 def test_attention_window_bounds(mode):
+    # a window is a column-exact key range; fast (training) attention takes
+    # none, however it is bounded
     def attend(window, q_lengths=(2,), k_lengths=(3,)):
         qs, ks = ad.segments(q_lengths), ad.segments(k_lengths)
         return ad.attention(Tensor(np.zeros((2, qs.n))), Tensor(np.zeros((4, ks.n))), 0, 1,
                             1.0, qs, ks, window=window)
 
+    if mode is contextlib.nullcontext:
+        for window in [(0, 3), (1, 2), (0, 4), (2, 1), (2, 2)]:
+            with pytest.raises(ShapeError, match="column-exact"):
+                attend(window)
+        with pytest.raises(ShapeError, match="column-exact"):
+            attend((0, 1), (1, 1), (1, 2))
+        return
     with mode():
         for bad in [(0, 4), (2, 1), (-1, 2)]:   # past N_k, lo > hi, before key 0
             with pytest.raises(ShapeError):
@@ -581,22 +589,6 @@ def test_attention_matches_per_head_softmax(n_heads, causal):
         # masked keys are exactly 0
         assert not block[:, mask != 0.0].any()
         q0, k0 = q0 + nq, k0 + nk
-
-
-@pytest.mark.parametrize("causal", [False, True])
-def test_attention_window_of_one_segment(causal):
-    rng = np.random.default_rng(65)
-    d, qs, ks, q, kv = _attention_case(rng, 2, (4,), (4,))
-    for lo, hi in [(0, 4), (0, 1), (1, 3), (2, 3), (3, 4)]:
-        _, attn = ad.attention(Tensor(q), Tensor(kv), 1, 2, 0.7, qs, ks, causal, (lo, hi))
-        window = np.zeros((4, 4))
-        window[:lo, -1] = window[hi:, -1] = ad.NEG_INF   # the last query column only
-        mask = window + (ad.causal_mask(4) if causal else 0.0)
-        for h, block in enumerate(attn.data.reshape(2, 4, 4)):
-            logits = 0.7 * (kv[1 + 2 * h:3 + 2 * h].T @ q[2 * h:2 * h + 2])
-            want = masked_softmax_columns(Tensor(logits), mask).data
-            assert np.allclose(block, want, rtol=0, atol=1e-14)
-            assert not block[mask != 0.0].any()
 
 
 @pytest.mark.parametrize("n_heads", [1, 3])

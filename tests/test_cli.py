@@ -254,6 +254,20 @@ def test_train_resume_with_mismatched_moments_exits_1(workspace, tmp_path, capsy
     assert "first moments do not match" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("row", [b"[1, 2]\n", b'{"x": 1}\n', b'{"iter": "1"}\n'],
+                         ids=["list", "no-iter", "str-iter"])
+def test_train_resume_ends_metrics_at_a_row_without_an_int_iter(workspace, tmp_path, row):
+    run = tmp_path / "run"
+    args = ["train", "--data", str(workspace / "data"), "--stats", str(workspace / "stats.vtns"),
+            "--out", str(run), *TINY, "--set", "train.batch_size=1"]
+    assert main([*args, "--set", "train.iterations=1"]) == 0
+    metrics = run / "train_metrics.jsonl"
+    with open(metrics, "ab") as fh:
+        fh.write(row + b'{"iter": 1}\n')
+    assert main([*args, "--set", "train.iterations=2", "--resume", str(run / "final")]) == 0
+    assert [json.loads(line)["iter"] for line in metrics.read_text().splitlines()] == [1, 2]
+
+
 def _convert(workspace, out, extra=()):
     return main(["convert", "--model", str(workspace / "run" / "final.vtnm"),
                  "--stats", str(workspace / "stats.vtns"),
@@ -282,6 +296,21 @@ def test_convert_dump_attention(workspace, tmp_path):
     files = sorted(p.name for p in (tmp_path / "attn").glob("*.csv"))
     assert len(files) == 1 * 2 + 1  # L*H head files + mean
     assert "mean.csv" in files
+
+
+def test_convert_takes_decode_mode_from_config(workspace, tmp_path):
+    narrow = ("--set", "decode.window_back_ms=8", "--set", "decode.window_fwd_ms=8")
+    outs = {}
+    for name, extra in [("default", ()), ("flag", ("--mode", "windowed")),
+                        ("set", ("--set", "decode.mode=windowed"))]:
+        assert _convert(workspace, tmp_path / f"{name}.vtnf", (*narrow, *extra)) == 0
+        outs[name] = (tmp_path / f"{name}.vtnf").read_bytes()
+    assert outs["set"] == outs["flag"]
+    assert outs["set"] != outs["default"]
+    # the flag wins over the config
+    assert _convert(workspace, tmp_path / "both.vtnf",
+                    (*narrow, "--set", "decode.mode=windowed", "--mode", "default")) == 0
+    assert (tmp_path / "both.vtnf").read_bytes() == outs["default"]
 
 
 def test_inspect_reads_dump(workspace, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -50,9 +52,7 @@ def test_incremental_equals_teacher_forced():
     n_out = result.output.shape[1]
     # column m of the full pass equals the column generated at step m+1
     assert np.array_equal(y.data[:, :n_out], result.output)
-    for layer, full_layer in zip(result.attention, attn):
-        for a, full in zip(layer, full_layer):
-            assert np.array_equal(a, full.data[:, :n_out])
+    assert np.array_equal(result.attention, attn[..., :n_out])
     # and every proper prefix reproduces its columns bit-identically
     for m in range(1, n_out + 1):
         with ad.column_exact():
@@ -128,6 +128,37 @@ def test_realtime_output_length_and_identity_attention():
             assert np.array_equal(a, np.eye(9))
             assert not a.flags.writeable
     assert np.array_equal(result.mean_attention, np.eye(9))
+
+
+@pytest.mark.parametrize("mode", ["default", "windowed", "realtime"])
+def test_attention_is_one_array_of_every_layer_and_head(mode):
+    model = _model(seed=7, L=2, H=3, d=12, realtime=mode == "realtime")
+    src = _src(np.random.default_rng(7), model, n=9)
+    result = convert(model, src, 0, 1, DecodeConfig(mode=mode, window_back_ms=24.0,
+                                                    window_fwd_ms=48.0))
+    assert result.attention.shape == (2, 3, 9, result.output.shape[1])
+    heads = [a for layer in result.attention for a in layer]
+    assert result.mean_attention.tobytes() == np.mean(heads, axis=0).tobytes()
+    assert result.attention.flags.writeable == (mode != "realtime")
+    # each step attends where the mean over every layer and head peaks
+    assert result.n_hat == [int(np.argmax(col)) + 1 for col in result.mean_attention.T]
+
+
+def test_offline_conversion_keeps_one_attention_column_per_step():
+    # a 96-step default conversion of the benchmark's model size traces about
+    # 2 MB; keeping each step's whole (L, H, N_src, step) attention alive
+    # instead of its newest column traces about 8.7 MB
+    cfg = VtnConfig(L=2, H=2, d=32, d_ffn=64, n_mcc=28, r=3, e=8, n_speakers=2)
+    model = VtnModel.init(cfg, seed=0)
+    src = np.random.default_rng(0).normal(size=(cfg.D, 48))
+    tracemalloc.start()
+    try:
+        result = convert(model, src, 0, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(result.n_hat) == 96 and result.truncated
+    assert peak < 4e6
 
 
 def test_realtime_streaming_equals_batch():
@@ -226,6 +257,6 @@ def test_mean_attention_is_head_mean():
     a = np.array([[1.0, 0.0], [0.0, 1.0]])
     b = np.array([[0.0, 1.0], [1.0, 0.0]])
     c = np.array([[0.5, 0.0], [0.5, 1.0]])
-    result = ConversionResult(output=np.zeros((3, 2)), attention=[[a, b], [c, c]],
+    result = ConversionResult(output=np.zeros((3, 2)), attention=np.array([[a, b], [c, c]]),
                               n_hat=[1, 1])
     assert np.array_equal(result.mean_attention, [[0.5, 0.25], [0.5, 0.75]])
