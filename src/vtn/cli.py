@@ -164,7 +164,10 @@ def cmd_evaluate(args) -> int:
     for name, c_path, r_path in pairs:
         c_seq = load_features(c_path)
         r_seq = load_features(r_path)
-        m = evaluate_pair(c_seq, r_seq)
+        try:
+            m = evaluate_pair(c_seq, r_seq)
+        except VtnError as exc:
+            raise type(exc)(f"{c_path} against {r_path}: {exc}") from exc
         rows.append((name, c_seq.speaker, r_seq.speaker, m))
 
     with open(args.report, "w", newline="") as fh:

@@ -70,6 +70,8 @@ def convert(model: VtnModel, src: np.ndarray, k: int | None, kp: int | None,
     """
     cfg = cfg or DecodeConfig()
     src = np.asarray(src, dtype=np.float64)
+    if src.ndim != 2:
+        raise ShapeError(f"source must be 2-D (D x N), got shape {src.shape}")
     if src.shape[0] != model.config.D:
         raise ShapeError(f"source has {src.shape[0]} rows, model expects {model.config.D}")
     if src.shape[1] == 0:

@@ -432,6 +432,13 @@ class VtnModel:
         attention of every decoder layer (pair p's (H, N_src, N_tgt+1) block
         after pair p-1's), and the source and target segments."""
         cfg = self.config
+        for i, (_, _, src, tgt_in) in enumerate(pairs):
+            for side, x in (("source", src), ("target", tgt_in)):
+                if not (isinstance(x, np.ndarray) and x.ndim == 2 and x.shape[0] == cfg.D
+                        and x.shape[1] >= 1):
+                    raise ShapeError(f"pair {i}: the {side} must be a 2-D ndarray with {cfg.D} "
+                                     f"rows and at least one column, not a "
+                                     f"{type(x).__name__} of shape {getattr(x, 'shape', None)}")
         src_segs = ad.segments(tuple(src.shape[1] for _, _, src, _ in pairs))
         segs = ad.segments(tuple(tgt.shape[1] for _, _, _, tgt in pairs))
         drops = self._dropout(training, rng, [[(cfg.D, ns), (cfg.D, nt), (cfg.d, nt)]

@@ -421,6 +421,24 @@ def test_evaluate_truncated_features(workspace, tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {cut}: truncated")
 
 
+
+def test_evaluate_names_the_pair_it_cannot_score(workspace, tmp_path, capsys):
+    conv, ref = tmp_path / "conv", tmp_path / "ref"
+    conv.mkdir(); ref.mkdir()
+    for name in ("spk0_000.vtnf", "spk0_001.vtnf"):
+        seq = load_features(workspace / "data" / name)
+        save_features(seq, ref / name)
+        if name == "spk0_001.vtnf":
+            seq.data = seq.data[:, :0]
+        save_features(seq, conv / name)
+    report = tmp_path / "report.csv"
+    rc = main(["evaluate", "--converted", str(conv), "--reference", str(ref),
+               "--report", str(report)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {conv / 'spk0_001.vtnf'} against {ref / 'spk0_001.vtnf'}: dtw: ")
+    assert not report.exists()
+
 def test_convert_truncated_checkpoint(workspace, tmp_path, capsys):
     cut = tmp_path / "cut.vtnm"
     cut.write_bytes((workspace / "run" / "final.vtnm").read_bytes()[:300])

@@ -180,6 +180,13 @@ def test_mode_model_mismatch():
         convert(plain, src, 0, 1, DecodeConfig(mode="realtime"))
 
 
+
+@pytest.mark.parametrize("shape", [(), (84,), (84, 4, 1)])
+def test_convert_rejects_a_source_that_is_not_2d(shape):
+    model = _model(seed=7)
+    with pytest.raises(ShapeError, match="source must be 2-D"):
+        convert(model, np.zeros(shape), 0, 1)
+
 def test_convert_determinism():
     model = _model(seed=8)
     src = _src(np.random.default_rng(8), model, n=6)

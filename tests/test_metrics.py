@@ -3,11 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vtn.errors import MetricUndefinedError, ShapeError
 from vtn.features import FeatureSequence, _warp, gen_synthetic_corpus
-from vtn.metrics import (DTW_BLOCK_ELEMENTS, MCD_CONST, WarpPath, dtw, evaluate_pair, lfc,
-                         ldr_deviation, mcd)
+from vtn.metrics import (DTW_BLOCK_ELEMENTS, MCD_CONST, WarpPath, _local_costs, _sum_planes, dtw,
+                         evaluate_pair, lfc, ldr_deviation, mcd)
 
 
 def loop_dtw(a, b):
@@ -201,6 +202,56 @@ def test_dtw_multi_block_matches_loop_oracle_bitwise():
         assert np.array_equal(path.pairs, want_pairs)
         assert cost == want_cost
 
+
+
+def _taller(x, order):
+    """x as the leading rows of a taller array, as ``align`` passes the MCCs."""
+    return np.vstack([x, np.ones((3, x.shape[1]))]).copy(order=order)[:len(x)]
+
+
+def _every_other(x):
+    spaced = np.empty((len(x), 2 * x.shape[1]))
+    spaced[:, ::2] = x
+    return spaced[:, ::2]
+
+
+LAYOUTS = {
+    "C": np.ascontiguousarray,
+    "frames contiguous": np.asfortranarray,
+    "rows of a taller C array": lambda x: _taller(x, "C"),
+    "rows of a taller frame-contiguous array": lambda x: _taller(x, "F"),
+    "column step": _every_other,
+    "reversed": lambda x: np.ascontiguousarray(x[:, ::-1])[:, ::-1],
+}
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(dim=st.integers(1, 140), n_a=st.integers(1, 40), n_b=st.integers(1, 40),
+       layout_a=st.sampled_from(sorted(LAYOUTS)), layout_b=st.sampled_from(sorted(LAYOUTS)),
+       seed=st.integers(0, 2**32 - 1))
+def test_local_costs_match_the_whole_matrix_expression_bitwise(dim, n_a, n_b, layout_a,
+                                                               layout_b, seed):
+    rng = np.random.default_rng(seed)
+    # magnitudes spread over many binades, so a reordered sum changes the bits
+    scale = np.exp(rng.normal(0, 3, size=(dim, 1)))
+    a = LAYOUTS[layout_a](rng.normal(size=(dim, n_a)) * scale)
+    b = LAYOUTS[layout_b](rng.normal(size=(dim, n_b)) * scale)
+    acc = np.full((n_a + 1, n_b + 1), np.inf)
+    _local_costs(a, b, acc)
+    diff = a.T[:, None, :] - b.T[None, :, :]
+    want = np.sqrt(np.add.reduce(diff * diff, axis=2))
+    assert np.array_equal(acc[1:, 1:], want)
+    assert np.isinf(acc[0]).all() and np.isinf(acc[:, 0]).all()
+
+
+def test_sum_planes_is_numpys_contiguous_sum():
+    # fails, rather than letting bits drift, if numpy changes its pairwise sum
+    rng = np.random.default_rng(21)
+    for dim in range(1, 301):
+        values = rng.normal(size=(7, dim)) * np.exp(rng.normal(0, 3, size=(7, dim)))
+        planes = np.ascontiguousarray(values.T)
+        _sum_planes(planes)
+        assert np.array_equal(planes[0], np.add.reduce(values, axis=1)), dim
 
 def test_dtw_tie_break_branches():
     # the (1, 1) step wins a three-way tie

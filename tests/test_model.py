@@ -280,6 +280,31 @@ def test_many_to_many_requires_speakers():
         model.forward(src, tgt0, k=0, kp=None)
 
 
+
+def _wrong_inputs(d):
+    """(pair index, side, the pair list) for each kind of bad model input."""
+    good = (0, 1, np.zeros((d, 3)), np.zeros((d, 2)))
+    return [
+        (0, "source", [(0, 1, Tensor(np.zeros((d, 3))), good[3])]),
+        (1, "target", [good, (0, 1, good[2], Tensor(np.zeros((d, 2))))]),
+        (0, "source", [(0, 1, np.zeros(d), good[3])]),
+        (1, "source", [good, (0, 1, np.zeros((d + 1, 3)), good[3])]),
+        (0, "target", [(0, 1, good[2], np.zeros((d, 0)))]),
+    ]
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_forward_packed_names_the_pair_and_side_of_a_bad_input(case):
+    cfg = tiny_config(L=1, dropout_rate=0.0)
+    model = VtnModel.init(cfg, seed=25)
+    index, side, pairs = _wrong_inputs(cfg.D)[case]
+    with pytest.raises(ShapeError, match=f"pair {index}: the {side} must be a 2-D ndarray"):
+        model.forward_packed(pairs)
+    if len(pairs) == 1:
+        k, kp, src, tgt_in = pairs[0]
+        with pytest.raises(ShapeError, match=f"pair 0: the {side}"):
+            model.forward(src, tgt_in, k=k, kp=kp)
+
 def test_many_to_many_encode_names_missing_source_index():
     cfg = tiny_config(dropout_rate=0.0)
     model = VtnModel.init(cfg, seed=25)
