@@ -753,8 +753,8 @@ class AdamState:
     .vtno holds.  The binding is rebuilt from the current values when the
     dict no longer holds the bound Tensors with their bound data: after a
     Tensor is swapped in, a model is loaded, or data is reassigned.  Moments
-    set before the first binding (a loaded state) must match the parameters'
-    names and shapes; with none, every moment starts at zero.
+    set before the first binding (a loaded state) must pass ``check``; with
+    none, before the first step, every moment starts at zero.
     """
 
     def __init__(self):
@@ -765,16 +765,30 @@ class AdamState:
         self._bound: dict[str, tuple[Tensor, np.ndarray, np.ndarray]] = {}
         self._flat: tuple[np.ndarray, ...] = ()   # data, gradient, m, v
 
+    def check(self, params: dict[str, Tensor]) -> None:
+        """Raise ShapeError unless the state holds a first and a second
+        moment of each parameter's name and shape or, before its first step,
+        none at all."""
+        if self.step == 0 and not self.m and not self.v:
+            return
+        want = {name: t.data.shape for name, t in params.items()}
+        for kind, moments in (("first", self.m), ("second", self.v)):
+            got = {name: a.shape for name, a in moments.items()}
+            if got == want:
+                continue
+            missing, unknown = sorted(want.keys() - got.keys()), sorted(got.keys() - want.keys())
+            wrong = [f"{name} {got[name]} for {want[name]}"
+                     for name in want.keys() & got.keys() if got[name] != want[name]]
+            raise ShapeError(f"{kind} moments do not match the parameters after {self.step} "
+                             f"steps: missing {missing}, unknown {unknown}, "
+                             f"wrong shapes {sorted(wrong)}")
+
     def _bind(self, params: dict[str, Tensor]) -> None:
         if list(params) == list(self._bound) and all(
                 params[name] is t and t.data is data
                 for name, (t, data, _) in self._bound.items()):
             return
-        shapes = {name: t.data.shape for name, t in params.items()}
-        for kind, moments in (("first", self.m), ("second", self.v)):
-            if moments and {name: a.shape for name, a in moments.items()} != shapes:
-                raise ShapeError(f"Adam's {kind} moments do not match the parameters' "
-                                 f"names and shapes")
+        self.check(params)
         n = sum(t.data.size for t in params.values())
         flat = (np.empty(n), np.zeros(n), np.zeros(n), np.zeros(n))
         views: list[dict[str, np.ndarray]] = [{}, {}, {}, {}]

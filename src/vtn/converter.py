@@ -1,6 +1,7 @@
-"""Autoregressive conversion: incremental decoding, attention windowing,
-low-latency identity-aligned mode, and the raw-features-in, raw-features-out
-pipeline around the network."""
+"""Autoregressive conversion, attention windowing, the low-latency
+identity-aligned mode, and the raw-features-in, raw-features-out pipeline
+around the network.  Decoding is not incremental: every step re-runs the
+decoder over the whole prefix generated so far."""
 
 from __future__ import annotations
 
@@ -63,10 +64,14 @@ def convert(model: VtnModel, src: np.ndarray, k: int | None, kp: int | None,
 
     Decoding happens in the column-exact evaluation mode, so every generated
     column is bit-identical to what a full teacher-forced pass over the same
-    prefix would produce.  In windowed mode each step's target-to-source
-    attention sees only the source positions [n_hat - N0, n_hat + N1]
-    (1-based, clipped to the source) around the previous step's n_hat,
-    starting from 1; ``ConversionResult.windows`` records each step's range.
+    prefix would produce.  Each step attends where the head mean of its
+    newest attention column peaks (n_hat); decoding stops once n_hat reaches
+    the last source position, or is truncated after max_len_factor * N_src
+    steps.  A realtime model's identity alignment thus stops after N_src
+    steps.  In windowed mode each step's target-to-source attention sees
+    only the source positions [n_hat - N0, n_hat + N1] (1-based, clipped to
+    the source) around the previous step's n_hat, starting from 1;
+    ``ConversionResult.windows`` records each step's range.
     """
     cfg = cfg or DecodeConfig()
     src = np.asarray(src, dtype=np.float64)
@@ -82,50 +87,36 @@ def convert(model: VtnModel, src: np.ndarray, k: int | None, kp: int | None,
         raise ShapeError("a realtime model only supports realtime decoding")
 
     n_src = src.shape[1]
-    d_rows = model.config.D
     windowed = cfg.mode == "windowed"
-    realtime = cfg.mode == "realtime"
     n0, n1 = cfg.window_frames(frame_period_ms, model.config.r)
 
     with ad.column_exact():
         z = model.encode(src, k=k)
-        prefix = np.zeros((d_rows, 1))
+        prefix = np.zeros((model.config.D, 1))
         n_hat_track: list[int] = []
         n_hat = 1
-        truncated = False
-        step_heads: list[np.ndarray] = []   # per step, (L, H, N_src) newest-column attention
+        step_heads: list[np.ndarray] = []   # windowed: per step, (L, H, N_src) newest column
         windows: list[tuple[int, int] | None] = []
-        max_steps = n_src if realtime else cfg.max_len_factor * n_src
-        for step in range(1, max_steps + 1):
+        for _ in range(cfg.max_len_factor * n_src):
             lo, hi = max(1, n_hat - n0), min(n_hat + n1, n_src)
             windows.append((lo, hi) if windowed else None)
-            y, attn = model.decode(prefix, z, kp=kp, window=(lo - 1, hi) if windowed else None,
-                                   tsa_identity=realtime)
+            y, attn = model.decode(prefix, z, kp=kp, window=(lo - 1, hi) if windowed else None)
             prefix = np.concatenate([prefix, y.data[:, -1:]], axis=1)
-            if realtime:
-                # step m attends to source position m alone in every head
-                n_hat = step
-            else:
-                # a copy, so the step's whole attention array is not kept
-                heads = attn[..., -1].copy()
+            # a copy, so windowed mode does not keep each step's whole attention
+            heads = attn[..., -1].copy()
+            if windowed:
                 step_heads.append(heads)
-                n_hat = int(np.argmax(heads.reshape(-1, n_src).mean(axis=0))) + 1
+            n_hat = int(np.argmax(heads.reshape(-1, n_src).mean(axis=0))) + 1
             n_hat_track.append(n_hat)
-            if not realtime and n_hat == n_src:
+            if n_hat == n_src:
                 break
-        else:
-            truncated = not realtime
 
-    if realtime:
-        # one read-only identity stands for every layer's and head's attention
-        attention = np.broadcast_to(np.eye(n_src, len(n_hat_track)),
-                                    (model.config.L, model.config.H, n_src, len(n_hat_track)))
-    else:
-        # earlier columns of a later step's re-run lose their windows, so the
-        # attention reported is assembled from each step's own newest column
-        attention = np.stack(step_heads, axis=-1)
-    return ConversionResult(output=prefix[:, 1:], attention=attention,
-                            n_hat=n_hat_track, truncated=truncated, windows=windows)
+    # column-exact passes reproduce every earlier column, so the last pass's
+    # attention is each step's own newest column, except that a later pass's
+    # earlier columns lose their windows
+    attention = np.stack(step_heads, axis=-1) if windowed else attn
+    return ConversionResult(output=prefix[:, 1:], attention=attention, n_hat=n_hat_track,
+                            truncated=n_hat != n_src, windows=windows)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +149,7 @@ def convert_sequence(model: VtnModel, seq: FeatureSequence, target_speaker: str,
     result = convert(model, st.data, k, kp, cfg, frame_period_ms=seq.frame_period_ms)
 
     n_out = result.output.shape[1]
-    n_raw = st.n_raw if (cfg and cfg.mode == "realtime") else n_out * mcfg.r
+    n_raw = st.n_raw if mcfg.realtime else n_out * mcfg.r
     out_st = StackedSequence(result.output, r=mcfg.r, n_raw=n_raw,
                              n_feat=st.n_feat, speaker=target_speaker,
                              frame_period_ms=seq.frame_period_ms)

@@ -256,13 +256,20 @@ def load_corpus(data_dir) -> Corpus:
     speakers = container.value(path, manifest, "speakers", list)
     if not speakers or not all(type(s) is str for s in speakers):
         container.fail(path, "'speakers' must be a non-empty list of names")
+    if len(set(speakers)) != len(speakers):
+        container.fail(path, f"'speakers' {speakers} repeats a name")
     n_utterances = container.value(path, manifest, "n_utterances", int)
+    if n_utterances < 1:
+        container.fail(path, f"'n_utterances' is {n_utterances}, expected at least 1")
+    frame_period_ms = manifest.get("frame_period_ms", 8.0)
+    if type(frame_period_ms) not in (int, float) or not 0 < frame_period_ms < math.inf:
+        container.fail(path, f"'frame_period_ms' is {frame_period_ms!r}, "
+                             f"expected a finite positive number")
     utterances = {
         spk: [load_features(root / f"{spk}_{i:03d}.vtnf") for i in range(n_utterances)]
         for spk in speakers
     }
-    return Corpus(speakers=speakers, utterances=utterances,
-                  frame_period_ms=manifest.get("frame_period_ms", 8.0))
+    return Corpus(speakers=speakers, utterances=utterances, frame_period_ms=frame_period_ms)
 
 
 # ---------------------------------------------------------------------------

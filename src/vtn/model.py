@@ -272,22 +272,19 @@ class VtnModel:
         return ad.matmul(self.params[f"{prefix}.W2"], heads)
 
     def _tsa(self, prefix, x, z, lay: Layout, identity):
-        """The output and the ragged attention."""
-        n_src, n_tgt = z.data.shape[1], x.data.shape[1]
-        d, h = self.config.d, self.config.H
+        """The output and the ragged attention, which is None under the
+        identity alignment of a one-segment pass: target position j attends
+        to source position j only, so every head passes its values through
+        and no query is needed."""
+        d = self.config.d
         kv = ad.matmul(self.params[f"{prefix}.W6"], z)
         if identity:
-            # target position j attends to source position j only, so every
-            # head passes its values through and no query is needed
-            if lay.qs.p != 1:
-                raise ShapeError("identity alignment takes one segment")
-            if n_tgt > n_src:
+            if x.data.shape[1] > z.data.shape[1]:
                 raise ShapeError("identity alignment needs N_tgt <= N_src")
-            heads = ad.index(kv, np.s_[d:2 * d, :n_tgt])
-            attn = Tensor(np.broadcast_to(np.eye(n_src, n_tgt), (h, n_src, n_tgt)).ravel())
+            heads, attn = ad.index(kv, np.s_[d:2 * d, :x.data.shape[1]]), None
         else:
             q_all = ad.matmul(self.params[f"{prefix}.W5"], x)
-            heads, attn = ad.attention(q_all, kv, 0, h, 1.0 / math.sqrt(d), *lay)
+            heads, attn = ad.attention(q_all, kv, 0, self.config.H, 1.0 / math.sqrt(d), *lay)
         return ad.matmul(self.params[f"{prefix}.W7"], heads), attn
 
     def _ffn(self, prefix, x):
@@ -310,12 +307,12 @@ class VtnModel:
         return self._sublayer(f"{name}.ln2", u, spk, lambda h: self._ffn(f"{name}.ffn", h))
 
     def decoder_layer(self, l: int, x: Tensor, z: Tensor, spk, self_lay: Layout,
-                      tsa_lay: Layout, tsa_identity: bool) -> tuple[Tensor, Tensor]:
+                      tsa_lay: Layout, identity: bool) -> tuple[Tensor, Tensor | None]:
         name = f"dec.{l}"
         attn: list[Tensor] = []
 
         def tsa(h):
-            out, a = self._tsa(f"{name}.tsa", h, z, tsa_lay, tsa_identity)
+            out, a = self._tsa(f"{name}.tsa", h, z, tsa_lay, identity)
             attn.append(a)
             return out
 
@@ -362,8 +359,8 @@ class VtnModel:
 
     def _decode(self, x: Tensor, z: Tensor, segs: ad.Segments, src_segs: ad.Segments,
                 spk: Tensor | None, drops: list[np.ndarray] | None,
-                window: tuple[int, int] | None, tsa_identity: bool
-                ) -> tuple[Tensor, list[Tensor]]:
+                window: tuple[int, int] | None, identity: bool
+                ) -> tuple[Tensor, list[Tensor | None]]:
         cfg = self.config
         x = ad.add(x, Tensor(self._positions(segs.lengths)))
         if drops is not None:
@@ -373,7 +370,7 @@ class VtnModel:
         tsa_lay = _layout(segs.lengths, src_segs.lengths, False, window)
         attn = []
         for l in range(cfg.L):
-            x, a = self.decoder_layer(l, x, z, spk, self_lay, tsa_lay, tsa_identity)
+            x, a = self.decoder_layer(l, x, z, spk, self_lay, tsa_lay, identity)
             attn.append(a)
         if cfg.has_final_ln:
             x = self._ln("dec_final_ln", x)
@@ -396,21 +393,23 @@ class VtnModel:
         return self._encode(src, segs, spk, None)
 
     def decode(self, tgt_in, z: Tensor, kp: int | None = None,
-               window: tuple[int, int] | None = None,
-               tsa_identity: bool = False) -> tuple[Tensor, np.ndarray]:
+               window: tuple[int, int] | None = None) -> tuple[Tensor, np.ndarray]:
         """One pass of the decoder without dropout over tgt_in against the
         encoded source z.  Returns the output and the (L, H, N_src, N_tgt)
         attention.  window: the source range [lo, hi) (0-based) that the last
-        column's target-to-source attention may see, column-exact mode only;
-        tsa_identity: attend from target position j to source position j
-        alone (realtime decoding)."""
+        column's target-to-source attention may see, column-exact mode only.
+        A realtime model attends from target position j to source position j
+        alone (N_tgt <= N_src), and its attention is a read-only broadcast of
+        that identity."""
         cfg = self.config
         tgt_in = tgt_in if isinstance(tgt_in, Tensor) else Tensor(tgt_in)
         segs = ad.segments((tgt_in.data.shape[1],))
         n_src = z.data.shape[1]
         spk = self._speaker_columns([self._speaker(kp, cfg.tgt_conditioned, "target")], segs)
         y, attn = self._decode(tgt_in, z, segs, ad.segments((n_src,)), spk, None,
-                               window, tsa_identity)
+                               window, cfg.realtime)
+        if cfg.realtime:
+            return y, np.broadcast_to(np.eye(n_src, segs.n), (cfg.L, cfg.H, n_src, segs.n))
         return y, np.stack([a.data.reshape(cfg.H, n_src, segs.n) for a in attn])
 
     def forward(self, src: np.ndarray, tgt_in: np.ndarray, k: int | None = None,

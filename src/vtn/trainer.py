@@ -166,24 +166,6 @@ def load_trainer_state(path) -> tuple[int, AdamState, dict]:
     return iteration, state, rng_state
 
 
-def _check_moments(path, opt_state: AdamState, params: dict) -> None:
-    """A resumed optimizer state holds a first and a second moment of each
-    parameter's name and shape, or, before its first step, none at all."""
-    if opt_state.step == 0 and not opt_state.m:
-        return
-    want = {name: p.data.shape for name, p in params.items()}
-    for kind, moments in (("first", opt_state.m), ("second", opt_state.v)):
-        got = {name: a.shape for name, a in moments.items()}
-        if got == want:
-            continue
-        missing, unknown = sorted(want.keys() - got.keys()), sorted(got.keys() - want.keys())
-        wrong = [f"{name} {got[name]} for {want[name]}"
-                 for name in want.keys() & got.keys() if got[name] != want[name]]
-        container.fail(path, f"{kind} moments do not match the model's parameters after "
-                             f"{opt_state.step} steps: missing {missing}, unknown {unknown}, "
-                             f"wrong shapes {sorted(wrong)}")
-
-
 def _checkpoint(out_dir: Path, tag: str, model: VtnModel, iteration: int,
                 opt_state: AdamState, rng: np.random.Generator) -> None:
     model.save(out_dir / f"{tag}.vtnm")
@@ -237,7 +219,10 @@ def train(corpus: Corpus, cfg: VtnConfig, train_cfg: TrainConfig,
         resume = Path(resume)
         model = VtnModel.load(resume.with_suffix(".vtnm"))
         start_iter, opt_state, rng_state = load_trainer_state(resume.with_suffix(".vtno"))
-        _check_moments(resume.with_suffix(".vtno"), opt_state, model.params)
+        try:
+            opt_state.check(model.params)
+        except ShapeError as exc:
+            container.fail(resume.with_suffix(".vtno"), str(exc))
         rng.bit_generator.state = rng_state
     elif model is None:
         model = VtnModel.init(cfg, seed=train_cfg.seed, speakers=list(corpus.speakers))

@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -119,6 +120,23 @@ def test_stats_manifest_without_utterance_count(workspace, tmp_path, capsys):
     rc = main(["stats", "--data", str(data), "--out", str(tmp_path / "s.vtns")])
     assert rc == 1
     assert "n_utterances" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit", [
+    {"n_utterances": 0}, {"n_utterances": -2}, {"speakers": ["spk0", "spk0"]},
+    {"frame_period_ms": "x"}, {"frame_period_ms": 0}, {"frame_period_ms": True},
+], ids=["no-utterances", "negative-utterances", "repeated-speaker", "str-period",
+        "zero-period", "bool-period"])
+def test_stats_rejects_a_malformed_manifest(workspace, tmp_path, capsys, edit):
+    data = tmp_path / "data"
+    shutil.copytree(workspace / "data", data)
+    manifest = json.loads((data / "corpus.json").read_text())
+    (data / "corpus.json").write_text(json.dumps({**manifest, **edit}))
+    rc = main(["stats", "--data", str(data), "--out", str(tmp_path / "s.vtns")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {data / 'corpus.json'}: ") and "Traceback" not in err
+    assert not (tmp_path / "s.vtns").exists()
 
 
 @pytest.mark.parametrize("setting", [

@@ -40,16 +40,24 @@ def test_convert_caps_at_twice_source_length():
         assert result.truncated
 
 
-def test_incremental_equals_teacher_forced():
-    model = _model(seed=1)
+@pytest.mark.parametrize("kw", [
+    {}, {"ln_placement": "post"}, {"H": 4}, {"r": 1}, {"mode": "one_to_one"},
+    {"mode": "any_to_many"}, {"realtime": True},
+], ids=["pre-ln", "post-ln", "H4", "r1", "one_to_one", "any_to_many", "realtime"])
+def test_incremental_equals_teacher_forced(kw):
+    model = _model(seed=1, **kw)
     src = _src(np.random.default_rng(1), model, n=8)
-    result = convert(model, src, 0, 1)
-    # feed the generated outputs back through one full teacher-forced pass
+    mode = "realtime" if model.config.realtime else "default"
+    result = convert(model, src, 0, 1, DecodeConfig(mode=mode))
+    n_out = result.output.shape[1]
+    # feed the generated outputs back through one full teacher-forced pass;
+    # a realtime pass may not outrun the source, so it stops at the last input
     prefix = np.concatenate([np.zeros((model.config.D, 1)), result.output], axis=1)
+    if model.config.realtime:
+        prefix = prefix[:, :n_out]
     with ad.column_exact():
         z = model.encode(src, k=0)
         y, attn = model.decode(prefix, z, kp=1)
-    n_out = result.output.shape[1]
     # column m of the full pass equals the column generated at step m+1
     assert np.array_equal(y.data[:, :n_out], result.output)
     assert np.array_equal(result.attention, attn[..., :n_out])
@@ -145,9 +153,9 @@ def test_attention_is_one_array_of_every_layer_and_head(mode):
 
 
 def test_offline_conversion_keeps_one_attention_column_per_step():
-    # a 96-step default conversion of the benchmark's model size traces about
-    # 2 MB; keeping each step's whole (L, H, N_src, step) attention alive
-    # instead of its newest column traces about 8.7 MB
+    # a 96-step default conversion of the benchmark's model size keeps only
+    # the last pass's (L, H, N_src, step) attention and traces about 1.9 MB;
+    # keeping every step's whole attention alive traces about 8.6 MB
     cfg = VtnConfig(L=2, H=2, d=32, d_ffn=64, n_mcc=28, r=3, e=8, n_speakers=2)
     model = VtnModel.init(cfg, seed=0)
     src = np.random.default_rng(0).normal(size=(cfg.D, 48))

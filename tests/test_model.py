@@ -95,14 +95,26 @@ def test_tsa_identity_passes_values_through():
     rng = np.random.default_rng(5)
     x = Tensor(rng.normal(size=(cfg.d, 3)))
     z = Tensor(rng.normal(size=(cfg.d, 5)))
-    out, stack = model._tsa("dec.0.tsa", x, z, _layout((3,), (5,), False), True)
-    attn = model._per_head([stack], z.data.shape[1], x.data.shape[1])[0]
+    out, attn = model._tsa("dec.0.tsa", x, z, _layout((3,), (5,), False), True)
+    assert attn is None
     p = {k: v.data for k, v in model.params.items()}
     values = (p["dec.0.tsa.W6"] @ z.data)[cfg.d:, :3]
     assert np.allclose(out.data, p["dec.0.tsa.W7"] @ values, rtol=0, atol=1e-12)
-    assert len(attn) == cfg.H
-    for a in attn:
-        assert np.array_equal(a.data, np.eye(5, 3))
+    # a realtime model's decode reports the identity as a read-only broadcast
+    rt = VtnModel.init(tiny_config(L=2, mode="one_to_one", realtime=True), seed=3)
+    _, attn = rt.decode(rng.normal(size=(rt.config.D, 3)), z)
+    assert attn.shape == (2, cfg.H, 5, 3)
+    assert np.array_equal(attn, np.broadcast_to(np.eye(5, 3), attn.shape))
+    assert not attn.flags.writeable
+
+
+def test_realtime_decode_rejects_more_targets_than_sources():
+    model = VtnModel.init(tiny_config(L=1, mode="one_to_one", realtime=True), seed=3)
+    rng = np.random.default_rng(6)
+    z = Tensor(rng.normal(size=(model.config.d, 4)))
+    assert model.decode(rng.normal(size=(model.config.D, 4)), z)[1].shape[-1] == 4
+    with pytest.raises(ShapeError, match="N_tgt <= N_src"):
+        model.decode(rng.normal(size=(model.config.D, 5)), z)
 
 
 def test_dropout_identity_cases():
