@@ -431,7 +431,8 @@ def _im2col(blocks: list[np.ndarray], offsets: list[int], segs: Segments) -> np.
     reads column j + offsets[t]; where that crosses the edge of j's segment
     the entry is zeroed, as if each segment were padded alone.  Every
     column outside [0, N) is outside its segment, so the zeroing also
-    covers the columns no copy reaches."""
+    covers the columns no copy reaches; with one segment, those are all it
+    zeroes."""
     c_in, n = sum(b.shape[0] for b in blocks), blocks[0].shape[1]
     xcol = np.empty((len(offsets) * c_in, n), dtype=np.float64)
     for t, o in enumerate(offsets):
@@ -441,7 +442,11 @@ def _im2col(blocks: list[np.ndarray], offsets: list[int], segs: Segments) -> np.
         for b in blocks:
             rows[r:r + b.shape[0], lo:hi] = b[:, lo + o:hi + o]
             r += b.shape[0]
-        rows[:, segs.outside(o)] = 0.0
+        if segs.p == 1:
+            rows[:, :lo] = 0.0
+            rows[:, hi:] = 0.0
+        else:
+            rows[:, segs.outside(o)] = 0.0
     return xcol
 
 

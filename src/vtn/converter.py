@@ -1,7 +1,9 @@
 """Autoregressive conversion, attention windowing, the low-latency
 identity-aligned mode, and the raw-features-in, raw-features-out pipeline
-around the network.  Decoding is not incremental: every step re-runs the
-decoder over the whole prefix generated so far."""
+around the network.  What every decoder pass needs that does not depend on
+its target input (``VtnModel.decoding``) is built once per conversion, but
+decoding is not incremental: every step re-runs the decoder over the whole
+prefix generated so far."""
 
 from __future__ import annotations
 
@@ -64,7 +66,11 @@ def convert(model: VtnModel, src: np.ndarray, k: int | None, kp: int | None,
 
     Decoding happens in the column-exact evaluation mode, so every generated
     column is bit-identical to what a full teacher-forced pass over the same
-    prefix would produce.  Each step attends where the head mean of its
+    prefix would produce.  The decoder's constants (``VtnModel.decoding``)
+    are built once, after the encoder, from the weights as they are at the
+    call; each step then passes them to ``VtnModel.decode`` with the whole
+    prefix, and the bits equal those of a decode from the raw encoder
+    output.  Each step attends where the head mean of its
     newest attention column peaks (n_hat); decoding stops once n_hat reaches
     the last source position, or is truncated after max_len_factor * N_src
     steps.  A realtime model's identity alignment thus stops after N_src
@@ -91,7 +97,7 @@ def convert(model: VtnModel, src: np.ndarray, k: int | None, kp: int | None,
     n0, n1 = cfg.window_frames(frame_period_ms, model.config.r)
 
     with ad.column_exact():
-        z = model.encode(src, k=k)
+        dec = model.decoding(model.encode(src, k=k), kp)
         prefix = np.zeros((model.config.D, 1))
         n_hat_track: list[int] = []
         n_hat = 1
@@ -100,7 +106,7 @@ def convert(model: VtnModel, src: np.ndarray, k: int | None, kp: int | None,
         for _ in range(cfg.max_len_factor * n_src):
             lo, hi = max(1, n_hat - n0), min(n_hat + n1, n_src)
             windows.append((lo, hi) if windowed else None)
-            y, attn = model.decode(prefix, z, kp=kp, window=(lo - 1, hi) if windowed else None)
+            y, attn = model.decode(prefix, dec, window=(lo - 1, hi) if windowed else None)
             prefix = np.concatenate([prefix, y.data[:, -1:]], axis=1)
             # a copy, so windowed mode does not keep each step's whole attention
             heads = attn[..., -1].copy()

@@ -190,11 +190,22 @@ def adjust_output_stats(seq: FeatureSequence, stats: SpeakerStats) -> FeatureSeq
 # ---------------------------------------------------------------------------
 # binary file formats
 
+def _stored(path, arr: np.ndarray, dtype: str) -> np.ndarray:
+    """arr as the dtype it is stored in, which the reader requires finite
+    (1e39, say, overflows <f4 to inf)."""
+    with np.errstate(over="ignore"):
+        out = np.ascontiguousarray(arr, dtype=dtype)
+    if not np.isfinite(out).all():
+        container.fail(path, f"non-finite value as {dtype}; nothing written")
+    return out
+
+
 def save_features(seq: FeatureSequence, path) -> None:
+    data = _stored(path, seq.data.T, "<f4")
     with container.writing(path, _FEATURES_MAGIC, _FORMAT_VERSION) as w:
         w.fields("<IIf", seq.n_mcc, seq.n_frames, seq.frame_period_ms)
         w.string(seq.speaker)
-        w.array(seq.data.T, "<f4")
+        w.array(data, "<f4")
 
 
 def load_features(path) -> FeatureSequence:
@@ -209,12 +220,14 @@ def load_features(path) -> FeatureSequence:
 
 
 def save_stats(stats: SpeakerStats, path) -> None:
+    arrays = [(spk, _stored(path, stats.mean[spk], "<f8"), _stored(path, stats.std[spk], "<f8"))
+              for spk in stats.speakers]
     with container.writing(path, _STATS_MAGIC, _FORMAT_VERSION) as w:
         w.fields("<II", stats.n_mcc, len(stats.speakers))
-        for spk in stats.speakers:
+        for spk, mean, std in arrays:
             w.string(spk)
-            w.array(stats.mean[spk], "<f8")
-            w.array(stats.std[spk], "<f8")
+            w.array(mean, "<f8")
+            w.array(std, "<f8")
 
 
 def load_stats(path) -> SpeakerStats:

@@ -94,6 +94,20 @@ class Layout(NamedTuple):
     window: tuple[int, int] | None = None
 
 
+class Decoding(NamedTuple):
+    """What a decoder pass needs that does not depend on its target input,
+    built once per pass or per conversion: the encoded source z, each
+    layer's target-to-source keys and values W6 @ z, the weight-normalised
+    target-prenet and postnet kernels, and the (e x P) embedding column of
+    each segment's target speaker (None where the target side is
+    unconditioned)."""
+    z: Tensor
+    kv: list[Tensor]
+    prenet: list[Tensor]
+    postnet: list[Tensor]
+    spk: Tensor | None
+
+
 def _layout(q_lengths: tuple[int, ...], k_lengths: tuple[int, ...], causal: bool,
             window: tuple[int, int] | None = None) -> Layout:
     """The layout of segments with these lengths; ``ad.attention`` checks
@@ -211,9 +225,12 @@ class VtnModel:
         for t in self.params.values():
             t.zero_grad()
 
-    def _conv(self, name, x, causal, dilation, segs):
-        w = ad.weight_norm_apply(self.params[f"{name}.dir"], self.params[f"{name}.scale"])
-        return ad.conv1d(x, w, dilation=dilation, causal=causal, segs=segs)
+    def _kernels(self, name: str) -> list[Tensor]:
+        """The weight-normalised kernels of the three convs of a prenet or
+        the postnet."""
+        p = self.params
+        return [ad.weight_norm_apply(p[f"{name}.{i}.dir"], p[f"{name}.{i}.scale"])
+                for i in range(len(PRENET_DILATIONS))]
 
     def _positions(self, lengths: tuple[int, ...]) -> np.ndarray:
         """Positional encodings of segments packed along time, each from 0.
@@ -226,19 +243,22 @@ class VtnModel:
             return self._pe[:, :lengths[0]]
         return np.concatenate([self._pe[:, :n] for n in lengths], axis=1)
 
-    def _speaker_columns(self, ks: list[int | None], segs: ad.Segments) -> Tensor | None:
-        """(e x N) embedding columns of the speaker of each packed segment:
-        one emb^T @ one_hot product, one column per segment, each repeated
-        over its segment.  None where the side is unconditioned."""
+    def _speaker_columns(self, ks: list[int | None]) -> Tensor | None:
+        """(e x P) embedding columns of the speaker of each packed segment,
+        one emb^T @ one_hot product.  None where the side is unconditioned."""
         if ks[0] is None:
             return None
         for k in ks:
             if not 0 <= k < self.config.n_speakers:
                 raise ShapeError(f"speaker index {k} out of range")
-        one_hot = np.zeros((self.config.n_speakers, segs.p))
-        one_hot[ks, np.arange(segs.p)] = 1.0
-        cols = ad.matmul(ad.transpose(self.params["emb"]), Tensor(one_hot))
-        return ad.tile_cols(cols, segs.lengths)
+        one_hot = np.zeros((self.config.n_speakers, len(ks)))
+        one_hot[ks, np.arange(len(ks))] = 1.0
+        return ad.matmul(ad.transpose(self.params["emb"]), Tensor(one_hot))
+
+    @staticmethod
+    def _tiled(cols: Tensor | None, segs: ad.Segments) -> Tensor | None:
+        """Each speaker column repeated over its segment."""
+        return None if cols is None else ad.tile_cols(cols, segs.lengths)
 
     def _conditioned_rows(self, x: Tensor, spk: Tensor | None) -> list[Tensor]:
         """x and, unless spk is None, the speaker columns of its pass.  A conv
@@ -253,17 +273,16 @@ class VtnModel:
     def _ln(self, name, x):
         return ad.layer_norm(x, self.params[f"{name}.gain"], self.params[f"{name}.bias"])
 
-    def _prenet(self, name, x, spk, causal, segs=None):
+    def _prenet(self, kernels, x, spk, causal, segs=None):
         x = self._conditioned_rows(x, spk)
-        for i, dil in enumerate(PRENET_DILATIONS):
-            x = ad.glu(self._conv(f"{name}.{i}", x, causal, dil, segs))
+        for w, dil in zip(kernels, PRENET_DILATIONS):
+            x = ad.glu(ad.conv1d(x, w, dilation=dil, causal=causal, segs=segs))
         return x
 
-    def _postnet(self, x, spk, segs=None):
-        x = self._conditioned_rows(x, spk)
-        x = ad.glu(self._conv("postnet.0", x, True, PRENET_DILATIONS[0], segs))
-        x = ad.glu(self._conv("postnet.1", x, True, PRENET_DILATIONS[1], segs))
-        return self._conv("postnet.2", x, True, PRENET_DILATIONS[2], segs)
+    def _postnet(self, kernels, x, spk, segs=None):
+        """Two GLU convs, as in a causal prenet, then a linear conv."""
+        x = self._prenet(kernels[:2], x, spk, True, segs)
+        return ad.conv1d(x, kernels[2], dilation=PRENET_DILATIONS[2], causal=True, segs=segs)
 
     def _sa(self, prefix, x, lay: Layout):
         d = self.config.d
@@ -271,15 +290,14 @@ class VtnModel:
         heads, _ = ad.attention(qkv, qkv, d, self.config.H, 1.0 / math.sqrt(d), *lay)
         return ad.matmul(self.params[f"{prefix}.W2"], heads)
 
-    def _tsa(self, prefix, x, z, lay: Layout, identity):
-        """The output and the ragged attention, which is None under the
-        identity alignment of a one-segment pass: target position j attends
-        to source position j only, so every head passes its values through
-        and no query is needed."""
+    def _tsa(self, prefix, x, kv, lay: Layout, identity):
+        """The output and the ragged attention against the keys and values
+        kv, which is None under the identity alignment of a one-segment
+        pass: target position j attends to source position j only, so every
+        head passes its values through and no query is needed."""
         d = self.config.d
-        kv = ad.matmul(self.params[f"{prefix}.W6"], z)
         if identity:
-            if x.data.shape[1] > z.data.shape[1]:
+            if x.data.shape[1] > kv.data.shape[1]:
                 raise ShapeError("identity alignment needs N_tgt <= N_src")
             heads, attn = ad.index(kv, np.s_[d:2 * d, :x.data.shape[1]]), None
         else:
@@ -306,13 +324,15 @@ class VtnModel:
         u = self._sublayer(f"{name}.ln1", x, spk, lambda h: self._sa(f"{name}.sa", h, lay))
         return self._sublayer(f"{name}.ln2", u, spk, lambda h: self._ffn(f"{name}.ffn", h))
 
-    def decoder_layer(self, l: int, x: Tensor, z: Tensor, spk, self_lay: Layout,
+    def decoder_layer(self, l: int, x: Tensor, kv: Tensor, spk, self_lay: Layout,
                       tsa_lay: Layout, identity: bool) -> tuple[Tensor, Tensor | None]:
+        """Layer l over x, whose target-to-source attention reads the keys
+        and values kv = W6 @ z."""
         name = f"dec.{l}"
         attn: list[Tensor] = []
 
         def tsa(h):
-            out, a = self._tsa(f"{name}.tsa", h, z, tsa_lay, identity)
+            out, a = self._tsa(f"{name}.tsa", h, kv, tsa_lay, identity)
             attn.append(a)
             return out
 
@@ -349,7 +369,7 @@ class VtnModel:
         x = ad.add(x, Tensor(self._positions(segs.lengths)))
         if drop is not None:
             x = ad.mul(x, Tensor(drop))
-        x = self._prenet("src_prenet", x, spk, cfg.realtime, segs)
+        x = self._prenet(self._kernels("src_prenet"), x, spk, cfg.realtime, segs)
         lay = _layout(segs.lengths, segs.lengths, cfg.realtime)
         for l in range(cfg.L):
             x = self.encoder_layer(l, x, spk, lay)
@@ -357,26 +377,32 @@ class VtnModel:
             x = self._ln("enc_final_ln", x)
         return x
 
-    def _decode(self, x: Tensor, z: Tensor, segs: ad.Segments, src_segs: ad.Segments,
-                spk: Tensor | None, drops: list[np.ndarray] | None,
-                window: tuple[int, int] | None, identity: bool
-                ) -> tuple[Tensor, list[Tensor | None]]:
+    def _decoding(self, z: Tensor, spk: Tensor | None) -> Decoding:
+        """The constants of passes against z with the speaker columns spk."""
+        p = self.params
+        return Decoding(z, [ad.matmul(p[f"dec.{l}.tsa.W6"], z) for l in range(self.config.L)],
+                        self._kernels("tgt_prenet"), self._kernels("postnet"), spk)
+
+    def _decode(self, x: Tensor, dec: Decoding, segs: ad.Segments, src_segs: ad.Segments,
+                drops: list[np.ndarray] | None, window: tuple[int, int] | None,
+                identity: bool) -> tuple[Tensor, list[Tensor | None]]:
         cfg = self.config
+        spk = self._tiled(dec.spk, segs)
         x = ad.add(x, Tensor(self._positions(segs.lengths)))
         if drops is not None:
             x = ad.mul(x, Tensor(drops[0]))
-        x = self._prenet("tgt_prenet", x, spk, True, segs)
+        x = self._prenet(dec.prenet, x, spk, True, segs)
         self_lay = _layout(segs.lengths, segs.lengths, True)
         tsa_lay = _layout(segs.lengths, src_segs.lengths, False, window)
         attn = []
         for l in range(cfg.L):
-            x, a = self.decoder_layer(l, x, z, spk, self_lay, tsa_lay, identity)
+            x, a = self.decoder_layer(l, x, dec.kv[l], spk, self_lay, tsa_lay, identity)
             attn.append(a)
         if cfg.has_final_ln:
             x = self._ln("dec_final_ln", x)
         if drops is not None:
             x = ad.mul(x, Tensor(drops[1]))
-        return self._postnet(x, spk, segs), attn
+        return self._postnet(dec.postnet, x, spk, segs), attn
 
     def _per_head(self, attn: list[Tensor], n_src: int, n_tgt: int) -> list[list[Tensor]]:
         """Each head's (N_src x N_tgt) attention of a one-segment pass."""
@@ -389,25 +415,35 @@ class VtnModel:
         cfg = self.config
         src = src if isinstance(src, Tensor) else Tensor(src)
         segs = ad.segments((src.data.shape[1],))
-        spk = self._speaker_columns([self._speaker(k, cfg.src_conditioned, "source")], segs)
-        return self._encode(src, segs, spk, None)
+        spk = self._speaker_columns([self._speaker(k, cfg.src_conditioned, "source")])
+        return self._encode(src, segs, self._tiled(spk, segs), None)
 
-    def decode(self, tgt_in, z: Tensor, kp: int | None = None,
+    def decoding(self, z: Tensor, kp: int | None = None) -> Decoding:
+        """The decoder's constants for one conversion of the encoded source
+        z into target speaker kp; ``decode`` takes them in place of z."""
+        return self._decoding(z, self._speaker_columns(
+            [self._speaker(kp, self.config.tgt_conditioned, "target")]))
+
+    def decode(self, tgt_in, z: Tensor | Decoding, kp: int | None = None,
                window: tuple[int, int] | None = None) -> tuple[Tensor, np.ndarray]:
         """One pass of the decoder without dropout over tgt_in against the
-        encoded source z.  Returns the output and the (L, H, N_src, N_tgt)
+        encoded source z into target speaker kp, or against the constants
+        ``decoding(z, kp)`` built once for many passes, which then stand for
+        both z and kp.  Returns the output and the (L, H, N_src, N_tgt)
         attention.  window: the source range [lo, hi) (0-based) that the last
         column's target-to-source attention may see, column-exact mode only.
         A realtime model attends from target position j to source position j
         alone (N_tgt <= N_src), and its attention is a read-only broadcast of
         that identity."""
         cfg = self.config
+        if isinstance(z, Decoding) and kp is not None:
+            raise ShapeError("decode: the decoding constants already hold the target speaker")
+        dec = z if isinstance(z, Decoding) else self.decoding(z, kp)
         tgt_in = tgt_in if isinstance(tgt_in, Tensor) else Tensor(tgt_in)
         segs = ad.segments((tgt_in.data.shape[1],))
-        n_src = z.data.shape[1]
-        spk = self._speaker_columns([self._speaker(kp, cfg.tgt_conditioned, "target")], segs)
-        y, attn = self._decode(tgt_in, z, segs, ad.segments((n_src,)), spk, None,
-                               window, cfg.realtime)
+        n_src = dec.z.data.shape[1]
+        y, attn = self._decode(tgt_in, dec, segs, ad.segments((n_src,)), None, window,
+                               cfg.realtime)
         if cfg.realtime:
             return y, np.broadcast_to(np.eye(n_src, segs.n), (cfg.L, cfg.H, n_src, segs.n))
         return y, np.stack([a.data.reshape(cfg.H, n_src, segs.n) for a in attn])
@@ -443,13 +479,14 @@ class VtnModel:
         drops = self._dropout(training, rng, [[(cfg.D, ns), (cfg.D, nt), (cfg.d, nt)]
                                               for ns, nt in zip(src_segs.lengths, segs.lengths)])
         src_spk = self._speaker_columns(
-            [self._speaker(k, cfg.src_conditioned, "source") for k, _, _, _ in pairs], src_segs)
+            [self._speaker(k, cfg.src_conditioned, "source") for k, _, _, _ in pairs])
         spk = self._speaker_columns(
-            [self._speaker(kp, cfg.tgt_conditioned, "target") for _, kp, _, _ in pairs], segs)
+            [self._speaker(kp, cfg.tgt_conditioned, "target") for _, kp, _, _ in pairs])
         z = self._encode(Tensor(np.concatenate([p[2] for p in pairs], axis=1)), src_segs,
-                         src_spk, drops and drops[0])
-        y, attn = self._decode(Tensor(np.concatenate([p[3] for p in pairs], axis=1)), z, segs,
-                               src_segs, spk, drops and drops[1:], None, False)
+                         self._tiled(src_spk, src_segs), drops and drops[0])
+        y, attn = self._decode(Tensor(np.concatenate([p[3] for p in pairs], axis=1)),
+                               self._decoding(z, spk), segs, src_segs, drops and drops[1:],
+                               None, False)
         return y, attn, src_segs, segs
 
     # -- checkpoint I/O -----------------------------------------------------

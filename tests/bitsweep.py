@@ -1,0 +1,103 @@
+"""Print a sha256 digest of every conversion configuration and of trained
+parameters, to compare the bits two source trees compute.
+
+Each line is ``<name> <sha256>``.  A conversion line digests the output,
+attention, attended positions, windows and stop flag of one model shape
+in one decode mode and window; a training line digests every parameter
+after 8 batch-4 steps of the acceptance gate's model size, and the
+conversions that trained model then makes.  Run the sweep on each tree
+under the same BLAS thread count (training bits depend on it) and diff
+the outputs:
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=<tree>/src python tests/bitsweep.py > <tree>.txt
+
+pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import numpy as np
+
+from vtn.autodiff import AdamState
+from vtn.converter import DecodeConfig, convert
+from vtn.features import compute_stats, gen_synthetic_corpus
+from vtn.model import VtnConfig, VtnModel
+from vtn.trainer import TrainConfig, make_batch, train_step
+
+TINY = dict(L=1, H=2, d=8, d_ffn=16, n_mcc=28, r=3, e=4, n_speakers=2, dropout_rate=0.1)
+OVERFIT_CFG = dict(L=2, H=2, d=32, d_ffn=64, n_mcc=28, r=3, e=8, n_speakers=2)
+
+SHAPES = {
+    "pre-ln": dict(TINY),
+    "post-ln": dict(TINY, ln_placement="post"),
+    "H4": dict(TINY, H=4),
+    "r1": dict(TINY, r=1),
+    "one_to_one": dict(TINY, mode="one_to_one"),
+    "any_to_many": dict(TINY, mode="any_to_many"),
+    "no-final-ln": dict(TINY, final_ln=False),
+    "L2H3": dict(TINY, L=2, H=3, d=12),
+    "overfit": dict(OVERFIT_CFG),
+}
+# (back, forward) window in ms for windowed mode; None for default mode
+WINDOWS = [None, (24.0, 48.0), (48.0, 72.0), (160.0, 320.0), (0.0, 0.0)]
+TRAIN_STEPS = 8
+
+
+def digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.asarray(a)
+        h.update(repr((a.dtype.str, a.shape)).encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def conversion_digest(model: VtnModel, src: np.ndarray, cfg: DecodeConfig) -> str:
+    res = convert(model, src, 0, 1, cfg)
+    windows = [w if w is not None else (0, 0) for w in res.windows]
+    return digest(res.output, res.attention, res.n_hat, windows, [res.truncated])
+
+
+def conversions(name: str, model: VtnModel, n_src: int, seed: int) -> None:
+    src = np.random.default_rng(seed).normal(size=(model.config.D, n_src))
+    if model.config.realtime:
+        print(f"convert {name} realtime {conversion_digest(model, src, DecodeConfig('realtime'))}")
+        return
+    for window in WINDOWS:
+        if window is None:
+            cfg, tag = DecodeConfig(), "default"
+        else:
+            cfg = DecodeConfig("windowed", window_back_ms=window[0], window_fwd_ms=window[1])
+            tag = f"windowed-{window[0]:g}-{window[1]:g}"
+        print(f"convert {name} {tag} {conversion_digest(model, src, cfg)}")
+
+
+def train(realtime: bool) -> VtnModel:
+    corpus = gen_synthetic_corpus(2, 6, seed=7, raw_len_range=(60, 120))
+    stats = compute_stats(corpus)
+    cfg = VtnConfig(**OVERFIT_CFG, realtime=realtime)
+    model = VtnModel.init(cfg, seed=0, speakers=list(corpus.speakers))
+    tc = TrainConfig(lr=1e-3, batch_size=4, seed=0)
+    opt, rng = AdamState(), np.random.default_rng(0)
+    for _ in range(TRAIN_STEPS):
+        train_step(model, make_batch(corpus, stats, cfg, tc, rng), opt, tc, rng)
+    return model
+
+
+def main() -> None:
+    for i, (name, kw) in enumerate(SHAPES.items()):
+        for realtime in (False, True):
+            model = VtnModel.init(VtnConfig(**kw, realtime=realtime), seed=i,
+                                  speakers=["spk0", "spk1"])
+            conversions(f"{name}{'-realtime' if realtime else ''}", model, 10 + i, i)
+    for realtime in (False, True):
+        model = train(realtime)
+        tag = "realtime" if realtime else "default"
+        print(f"train {tag} params {digest(*(p.data for p in model.params.values()))}")
+        conversions(f"trained-{tag}", model, 24, 100)
+
+
+if __name__ == "__main__":
+    main()

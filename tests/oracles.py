@@ -9,7 +9,9 @@ graphs of one pair or one matrix, written the direct way.
 The column-exact references run the package's column-exact kernels one
 output column at a time in a Python loop, each column a numpy call of its
 own; the package's kernels, which run many columns per call, must equal
-them bitwise.
+them bitwise.  ``convert_per_step`` is the conversion loop that rebuilds
+every decoder constant at every step, which ``converter.convert``, building
+them once, must equal bitwise.
 """
 
 from __future__ import annotations
@@ -20,8 +22,10 @@ import numpy as np
 
 from vtn import autodiff as ad
 from vtn.autodiff import Tensor
+from vtn.converter import ConversionResult, DecodeConfig
 from vtn.errors import DegenerateColumnError, ShapeError
 from vtn.losses import guided_weight_matrix
+from vtn.model import VtnModel
 
 _MASKED = -1e29  # entries below this are treated as fully masked
 
@@ -135,3 +139,34 @@ def column_exact_attention(q: np.ndarray, kv: np.ndarray, k_row: int, n_heads: i
         a[:, idx, j] = z[:, :, 0]
         out[:, j] = np.matmul(vh, z).reshape(d)
     return out, a
+
+
+def convert_per_step(model: VtnModel, src: np.ndarray, k: int | None, kp: int | None,
+                     cfg: DecodeConfig | None = None,
+                     frame_period_ms: float = 8.0) -> ConversionResult:
+    """``converter.convert`` of a valid source, each step decoding the whole
+    prefix from the raw encoder output z."""
+    cfg = cfg or DecodeConfig()
+    n_src = src.shape[1]
+    windowed = cfg.mode == "windowed"
+    n0, n1 = cfg.window_frames(frame_period_ms, model.config.r)
+    with ad.column_exact():
+        z = model.encode(src, k=k)
+        prefix = np.zeros((model.config.D, 1))
+        n_hat_track, step_heads, windows = [], [], []
+        n_hat = 1
+        for _ in range(cfg.max_len_factor * n_src):
+            lo, hi = max(1, n_hat - n0), min(n_hat + n1, n_src)
+            windows.append((lo, hi) if windowed else None)
+            y, attn = model.decode(prefix, z, kp=kp, window=(lo - 1, hi) if windowed else None)
+            prefix = np.concatenate([prefix, y.data[:, -1:]], axis=1)
+            heads = attn[..., -1].copy()
+            if windowed:
+                step_heads.append(heads)
+            n_hat = int(np.argmax(heads.reshape(-1, n_src).mean(axis=0))) + 1
+            n_hat_track.append(n_hat)
+            if n_hat == n_src:
+                break
+    attention = np.stack(step_heads, axis=-1) if windowed else attn
+    return ConversionResult(output=prefix[:, 1:], attention=attention, n_hat=n_hat_track,
+                            truncated=n_hat != n_src, windows=windows)

@@ -142,9 +142,10 @@ def test_causality_suite():
 
         z = model.encode(src, k=0)
         base_dec, _ = model.decode(tgt0, z, kp=1)
-        spk = model._speaker_columns([1], ad.segments((n,)))
-        base_pre = model._prenet("tgt_prenet", Tensor(tgt0), spk, causal=True)
-        base_post = model._postnet(Tensor(hid), spk)
+        spk = model._tiled(model._speaker_columns([1]), ad.segments((n,)))
+        pre_w, post_w = model._kernels("tgt_prenet"), model._kernels("postnet")
+        base_pre = model._prenet(pre_w, Tensor(tgt0), spk, causal=True)
+        base_post = model._postnet(post_w, Tensor(hid), spk)
         base_enc = rt.encode(src, k=0)
         for pos in range(n - 1):
             bump = rng.normal(size=(cfg.D, n - pos - 1)) * 5.0
@@ -156,8 +157,8 @@ def test_causality_suite():
             pert_h[:, pos + 1:] += bump[:cfg.d]
             outs = [
                 (model.decode(pert_t, z, kp=1)[0], base_dec),
-                (model._prenet("tgt_prenet", Tensor(pert_t), spk, causal=True), base_pre),
-                (model._postnet(Tensor(pert_h), spk), base_post),
+                (model._prenet(pre_w, Tensor(pert_t), spk, causal=True), base_pre),
+                (model._postnet(post_w, Tensor(pert_h), spk), base_post),
                 (rt.encode(pert_s, k=0), base_enc),
             ]
             for out, base in outs:

@@ -182,6 +182,24 @@ def test_convert_zero_frame_input_rejected(workspace, tmp_path, capsys):
     assert not (tmp_path / "out.vtnf").exists()
 
 
+def test_convert_with_non_finite_weights_writes_nothing(workspace, tmp_path, capsys):
+    # a checkpoint may hold non-finite weights; its conversion must not
+    # become a feature file that load_features rejects
+    model = VtnModel.load(workspace / "run" / "final.vtnm")
+    model.params["dec.0.ffn.W4"].data[0, 0] = np.nan
+    model.save(tmp_path / "nan.vtnm")
+    out = tmp_path / "out.vtnf"
+    rc = main(["convert", "--model", str(tmp_path / "nan.vtnm"),
+               "--stats", str(workspace / "stats.vtns"),
+               "--input", str(workspace / "data" / "spk0_000.vtnf"),
+               "--tgt-spk", "spk1", "--out", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {out}: non-finite value as <f4; nothing written\n"
+    assert "frames out" not in captured.out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["nan.vtnm"]
+
+
 @pytest.mark.parametrize("count", ["0", "-1", "3"])
 def test_stats_train_utterances_outside_corpus(workspace, tmp_path, capsys, count):
     rc = main(["stats", "--data", str(workspace / "data"), "--out", str(tmp_path / "s.vtns"),

@@ -3,12 +3,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles import convert_per_step
 from vtn import autodiff as ad
+from vtn.autodiff import AdamState, Tensor
 from vtn.converter import (ConversionResult, DecodeConfig, convert, convert_sequence,
                            dump_attention)
 from vtn.errors import ShapeError, StatsError
 from vtn.features import compute_stats, gen_synthetic_corpus
 from vtn.model import VtnConfig, VtnModel
+from vtn.trainer import TrainConfig, make_batch, train_step
 
 
 def tiny_cfg(**kw):
@@ -40,10 +43,12 @@ def test_convert_caps_at_twice_source_length():
         assert result.truncated
 
 
-@pytest.mark.parametrize("kw", [
-    {}, {"ln_placement": "post"}, {"H": 4}, {"r": 1}, {"mode": "one_to_one"},
-    {"mode": "any_to_many"}, {"realtime": True},
-], ids=["pre-ln", "post-ln", "H4", "r1", "one_to_one", "any_to_many", "realtime"])
+CONFIGS = [{}, {"ln_placement": "post"}, {"H": 4}, {"r": 1}, {"mode": "one_to_one"},
+           {"mode": "any_to_many"}, {"realtime": True}]
+CONFIG_IDS = ["pre-ln", "post-ln", "H4", "r1", "one_to_one", "any_to_many", "realtime"]
+
+
+@pytest.mark.parametrize("kw", CONFIGS, ids=CONFIG_IDS)
 def test_incremental_equals_teacher_forced(kw):
     model = _model(seed=1, **kw)
     src = _src(np.random.default_rng(1), model, n=8)
@@ -66,6 +71,71 @@ def test_incremental_equals_teacher_forced(kw):
         with ad.column_exact():
             yp, _ = model.decode(prefix[:, :m], z, kp=1)
         assert np.array_equal(yp.data[:, m - 1], result.output[:, m - 1])
+
+
+@pytest.mark.parametrize("kw, mode", [
+    pytest.param(kw, mode, id=f"{name}-{mode}") for name, kw in zip(CONFIG_IDS, CONFIGS)
+    for mode in (["realtime"] if kw.get("realtime") else ["default", "windowed"])])
+def test_convert_equals_per_step_decoding(kw, mode):
+    # building the decoder constants once per conversion changes no bit
+    model = _model(seed=1, **kw)
+    src = _src(np.random.default_rng(1), model, n=8)
+    cfg = DecodeConfig(mode=mode, window_back_ms=24.0, window_fwd_ms=48.0)
+    got, want = convert(model, src, 0, 1, cfg), convert_per_step(model, src, 0, 1, cfg)
+    assert got.output.tobytes() == want.output.tobytes()
+    assert got.output.shape == want.output.shape
+    assert got.attention.tobytes() == want.attention.tobytes()
+    assert got.attention.shape == want.attention.shape
+    assert got.attention.flags.writeable == want.attention.flags.writeable
+    assert (got.n_hat, got.windows, got.truncated) == (want.n_hat, want.windows, want.truncated)
+
+
+def test_truncated_conversion_builds_decoder_constants_once(monkeypatch):
+    # a 96-step conversion weight-normalises each of its 9 conv kernels once
+    # and multiplies the encoder output by each layer's W6 once, where
+    # rebuilding them every step takes 3 + 96 * 6 weight norms
+    cfg = VtnConfig(L=2, H=2, d=32, d_ffn=64, n_mcc=28, r=3, e=8, n_speakers=2)
+    model = VtnModel.init(cfg, seed=0)
+    src = np.random.default_rng(0).normal(size=(cfg.D, 48))
+    w6 = {id(model.params[f"dec.{l}.tsa.W6"]): l for l in range(cfg.L)}
+    norms, products = [], []
+    weight_norm_apply, matmul = ad.weight_norm_apply, ad.matmul
+
+    def counted_weight_norm(direction, w_scale, *args):
+        norms.append(direction)
+        return weight_norm_apply(direction, w_scale, *args)
+
+    def counted_matmul(a, b):
+        if id(a) in w6:
+            products.append(w6[id(a)])
+        return matmul(a, b)
+
+    monkeypatch.setattr(ad, "weight_norm_apply", counted_weight_norm)
+    monkeypatch.setattr(ad, "matmul", counted_matmul)
+    result = convert(model, src, 0, 1)
+    assert len(result.n_hat) == 96 and result.truncated
+    assert len(norms) == 9 and len({id(d) for d in norms}) == 9
+    assert sorted(products) == list(range(cfg.L))
+
+
+def test_conversion_after_a_training_step_uses_the_new_weights():
+    corpus = gen_synthetic_corpus(2, 2, seed=7, raw_len_range=(30, 45))
+    stats = compute_stats(corpus)
+    model = _model(seed=14)
+    src = _src(np.random.default_rng(14), model, n=7)
+    cfg = DecodeConfig(mode="windowed", window_back_ms=24.0, window_fwd_ms=48.0)
+    before = convert(model, src, 0, 1, cfg)
+    tc = TrainConfig(lr=1e-2, batch_size=2, seed=0)
+    rng = np.random.default_rng(0)
+    train_step(model, make_batch(corpus, stats, model.config, tc, rng), AdamState(), tc, rng)
+    after = convert(model, src, 0, 1, cfg)
+    fresh = VtnModel(model.config, {k: Tensor(v.data.copy()) for k, v in model.params.items()},
+                     model.speakers)
+    want = convert(fresh, src, 0, 1, cfg)
+    assert after.output.tobytes() == want.output.tobytes()
+    assert after.attention.tobytes() == want.attention.tobytes()
+    assert after.n_hat == want.n_hat
+    assert after.output.tobytes() != before.output.tobytes()
 
 
 def test_windowed_huge_window_equals_default():

@@ -242,12 +242,35 @@ def test_vtnf_bad_magic(tmp_path):
 
 
 def test_vtnf_non_finite_value_rejected(tmp_path):
-    data = np.ones((4, 3))
-    data[1, 2] = np.inf
+    # the writer refuses non-finite values, so the last stored <f4 becomes inf
     path = tmp_path / "inf.vtnf"
-    save_features(_seq(data), path)
+    save_features(_seq(np.ones((4, 3))), path)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:-4] + np.array(np.inf, dtype="<f4").tobytes())
     with pytest.raises(FormatError, match="non-finite"):
         load_features(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, 1e39], ids=["nan", "inf", "1e39"])
+def test_vtnf_writer_refuses_non_finite_value(tmp_path, value):
+    # 1e39 is finite in float64 but overflows the stored <f4 to inf
+    data = np.ones((4, 3))
+    data[1, 2] = value
+    path = tmp_path / "x.vtnf"
+    with pytest.raises(FormatError, match=f"{path}: non-finite"):
+        save_features(_seq(data), path)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("field", ["mean", "std"])
+def test_vtns_writer_refuses_non_finite_value(tmp_path, value, field):
+    stats = compute_stats(gen_synthetic_corpus(2, 2, seed=8))
+    getattr(stats, field)[stats.speakers[1]][3] = value
+    path = tmp_path / "s.vtns"
+    with pytest.raises(FormatError, match=f"{path}: non-finite"):
+        save_stats(stats, path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_vtns_round_trip(tmp_path):

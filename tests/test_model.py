@@ -62,13 +62,18 @@ def test_sa_uniform_attention():
     assert np.abs(y.data - expect).max() < 1e-12
 
 
+def _kv(model, z):
+    """Layer 0's target-to-source keys and values of the encoded source z."""
+    return ad.matmul(model.params["dec.0.tsa.W6"], z)
+
+
 def test_tsa_single_source_position():
     cfg = tiny_config(L=1, mode="one_to_one")
     model = VtnModel.init(cfg, seed=1)
     rng = np.random.default_rng(2)
     x = Tensor(rng.normal(size=(cfg.d, 4)))
     z = Tensor(rng.normal(size=(cfg.d, 1)))
-    _, stack = model._tsa("dec.0.tsa", x, z, _layout((4,), (1,), False), False)
+    _, stack = model._tsa("dec.0.tsa", x, _kv(model, z), _layout((4,), (1,), False), False)
     attn = model._per_head([stack], z.data.shape[1], x.data.shape[1])[0]
     for a in attn:
         assert np.array_equal(a.data, np.ones((1, 4)))
@@ -82,7 +87,8 @@ def test_tsa_forced_attention_row():
     z = Tensor(rng.normal(size=(cfg.d, 6)))
     # only source row 3 allowed in column 1, the last
     with ad.column_exact():
-        _, stack = model._tsa("dec.0.tsa", x, z, _layout((2,), (6,), False, (3, 4)), False)
+        _, stack = model._tsa("dec.0.tsa", x, _kv(model, z), _layout((2,), (6,), False, (3, 4)),
+                              False)
     attn = model._per_head([stack], z.data.shape[1], x.data.shape[1])[0]
     for a in attn:
         assert a.data[3, 1] == 1.0
@@ -95,7 +101,7 @@ def test_tsa_identity_passes_values_through():
     rng = np.random.default_rng(5)
     x = Tensor(rng.normal(size=(cfg.d, 3)))
     z = Tensor(rng.normal(size=(cfg.d, 5)))
-    out, attn = model._tsa("dec.0.tsa", x, z, _layout((3,), (5,), False), True)
+    out, attn = model._tsa("dec.0.tsa", x, _kv(model, z), _layout((3,), (5,), False), True)
     assert attn is None
     p = {k: v.data for k, v in model.params.items()}
     values = (p["dec.0.tsa.W6"] @ z.data)[cfg.d:, :3]
@@ -115,6 +121,20 @@ def test_realtime_decode_rejects_more_targets_than_sources():
     assert model.decode(rng.normal(size=(model.config.D, 4)), z)[1].shape[-1] == 4
     with pytest.raises(ShapeError, match="N_tgt <= N_src"):
         model.decode(rng.normal(size=(model.config.D, 5)), z)
+
+
+def test_decode_takes_decoding_constants_in_place_of_z_and_kp():
+    model = VtnModel.init(tiny_config(L=2), seed=4)
+    rng = np.random.default_rng(7)
+    z = Tensor(rng.normal(size=(model.config.d, 5)))
+    tgt = rng.normal(size=(model.config.D, 3))
+    dec = model.decoding(z, 1)
+    y, attn = model.decode(tgt, z, kp=1)
+    y_dec, attn_dec = model.decode(tgt, dec)
+    assert y_dec.data.tobytes() == y.data.tobytes()
+    assert attn_dec.tobytes() == attn.tobytes()
+    with pytest.raises(ShapeError, match="already hold the target speaker"):
+        model.decode(tgt, dec, kp=1)
 
 
 def test_dropout_identity_cases():
