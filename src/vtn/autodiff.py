@@ -248,13 +248,16 @@ def sum_all(a: Tensor) -> Tensor:
     return _result(np.asarray(a.data.sum(), dtype=np.float64), (a,), backward)
 
 
-def transpose(a: Tensor) -> Tensor:
+def transpose(a: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
+    """a.data.transpose(axes) as a new C-ordered tensor: the axes reversed
+    by default, else permuted as numpy's ``transpose`` permutes them."""
     a = _as_tensor(a)
+    back = None if axes is None else tuple(np.argsort(axes))
 
     def backward(g):
-        a._accum(g.T)
+        a._accum(g.transpose(back))
 
-    return _result(a.data.T.copy(), (a,), backward)
+    return _result(a.data.transpose(axes).copy(), (a,), backward)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -429,12 +432,24 @@ def _im2col(blocks: list[np.ndarray], offsets: list[int], segs: Segments) -> np.
     """The (k * c_in, N) im2col of the row blocks that stack to x, so that a
     conv is one gemm instead of k small ones.  Tap t of output column j
     reads column j + offsets[t]; where that crosses the edge of j's segment
-    the entry is zeroed, as if each segment were padded alone.  Every
-    column outside [0, N) is outside its segment, so the zeroing also
-    covers the columns no copy reaches; with one segment, those are all it
-    zeroes."""
+    the entry is zeroed, as if each segment were padded alone.  One segment
+    is padded so: its blocks are copied once into a zero-padded array, and
+    each tap's rows are one slice of it.  Packed segments are copied tap by
+    tap; every column outside [0, N) is outside its segment, so zeroing the
+    entries that cross a segment's edge also covers the columns no copy
+    reaches."""
     c_in, n = sum(b.shape[0] for b in blocks), blocks[0].shape[1]
     xcol = np.empty((len(offsets) * c_in, n), dtype=np.float64)
+    if segs.p == 1:
+        pad_l, pad_r = max(0, -min(offsets)), max(0, max(offsets))
+        xp = np.zeros((c_in, pad_l + n + pad_r))
+        r = 0
+        for b in blocks:
+            xp[r:r + b.shape[0], pad_l:pad_l + n] = b
+            r += b.shape[0]
+        for t, o in enumerate(offsets):
+            xcol[t * c_in:(t + 1) * c_in] = xp[:, pad_l + o:pad_l + o + n]
+        return xcol
     for t, o in enumerate(offsets):
         rows = xcol[t * c_in:(t + 1) * c_in]
         lo, hi = _in_range(o, n)
@@ -442,11 +457,7 @@ def _im2col(blocks: list[np.ndarray], offsets: list[int], segs: Segments) -> np.
         for b in blocks:
             rows[r:r + b.shape[0], lo:hi] = b[:, lo + o:hi + o]
             r += b.shape[0]
-        if segs.p == 1:
-            rows[:, :lo] = 0.0
-            rows[:, hi:] = 0.0
-        else:
-            rows[:, segs.outside(o)] = 0.0
+        rows[:, segs.outside(o)] = 0.0
     return xcol
 
 
@@ -456,19 +467,22 @@ def conv1d(x: Tensor | Sequence[Tensor], kernel: Tensor, dilation: int = 1,
 
     x is (c_in, N), or a sequence of row blocks that stack to it, which the
     conv reads in place and backpropagates into only where they need a
-    gradient.  kernel is (c_out, c_in, K).  Non-causal convs need odd K and
-    pad symmetrically; causal convs pad (K-1)*dilation on the left only.
-    With segs, x holds segments packed along time and each segment is
+    gradient.  kernel is (c_out, K, c_in), tap t's weights in kernel[:, t]:
+    im2col's row order, so the gemm's (c_out, K * c_in) operand is a view of
+    it (``transpose(w, (0, 2, 1))`` lays out a (c_out, c_in, K) weight so,
+    once for any number of convs).  Non-causal convs need odd K and pad
+    symmetrically; causal convs pad (K-1)*dilation on the left only.  With
+    segs, x holds segments packed along time and each segment is
     zero-padded at its own edges, so no tap reads across a boundary.
     """
     blocks = [_as_tensor(b) for b in (x if isinstance(x, (list, tuple)) else [x])]
     kernel = _as_tensor(kernel)
     rows = [b.data.shape[0] for b in blocks]
     if (kernel.data.ndim != 3 or any(b.data.ndim != 2 for b in blocks)
-            or len({b.data.shape[1] for b in blocks}) != 1 or kernel.data.shape[1] != sum(rows)):
+            or len({b.data.shape[1] for b in blocks}) != 1 or kernel.data.shape[2] != sum(rows)):
         raise ShapeError(f"conv1d: x {[b.data.shape for b in blocks]}, "
                          f"kernel {kernel.data.shape}")
-    c_out, c_in, k = kernel.data.shape
+    c_out, k, c_in = kernel.data.shape
     n = blocks[0].data.shape[1]
     if causal:
         pad_l = (k - 1) * dilation
@@ -482,23 +496,17 @@ def conv1d(x: Tensor | Sequence[Tensor], kernel: Tensor, dilation: int = 1,
     offsets = [t * dilation - pad_l for t in range(k)]
     starts = np.cumsum(rows) - rows
 
-    def flat_kernel():
-        """The (c_out, k * c_in) kernel in im2col's row order."""
-        return kernel.data.transpose(0, 2, 1).reshape(c_out, -1)
+    y = _mm(kernel.data.reshape(c_out, -1), _im2col([b.data for b in blocks], offsets, segs))
 
-    y = _mm(flat_kernel(), _im2col([b.data for b in blocks], offsets, segs))
-
-    # the backward keeps neither the im2col nor the flat kernel: it rebuilds
-    # them from x and the kernel, which are its parents
+    # the backward keeps no im2col: it rebuilds it from x, which is its parent
     def backward(g):
         if kernel.requires_grad:
             xcol = _im2col([b.data for b in blocks], offsets, segs)
-            gk = (g @ xcol.T).reshape(c_out, k, c_in).transpose(0, 2, 1)
-            kernel._accum(np.ascontiguousarray(gk), owned=True)
+            kernel._accum((g @ xcol.T).reshape(c_out, k, c_in), owned=True)
         need = [(b, r0, r0 + r) for b, r0, r in zip(blocks, starts, rows) if b.requires_grad]
         if need:
             gx = [np.zeros((r1 - r0, n)) for _, r0, r1 in need]
-            gcol = flat_kernel().T @ g
+            gcol = kernel.data.reshape(c_out, -1).T @ g
             for t, o in enumerate(offsets):
                 lo, hi = _in_range(o, n)
                 for (_, r0, r1), gb in zip(need, gx):
@@ -552,29 +560,50 @@ def _attention_columns(q: np.ndarray, kv: np.ndarray, k_row: int, n_heads: int,
     (n_heads, N_k, N_q) attention.
 
     Each run of consecutive columns that share a key range is one group: its
-    heads' products run as one stacked matmul against a contiguous copy of
-    those keys and values, whose stack items are each one column's gemv of
-    one head, and its softmax reduces each of those columns on its own."""
+    heads' scores are one stacked matmul against a contiguous copy of those
+    keys, whose stack items are each one column's gemv of one head, written
+    into the group's slice of one flat buffer that holds, column by column
+    and head by head, each (column, head)'s scores.  The softmax's scale,
+    max (an exact ``maximum.reduceat``), shift, exp and division then run
+    once over the whole buffer; only each (column, head)'s sum, whose
+    rounding depends on its order, stays one ``sum`` per group over that
+    column's own contiguous scores.  A second pass per group scatters the
+    attention and multiplies it by a contiguous copy of the group's
+    values."""
     d = (kv.shape[0] - k_row) // 2
     dh = d // n_heads
     n_q = len(lo)
     keys, values = kv[k_row:k_row + d], kv[k_row + d:k_row + 2 * d]
-    qt = np.ascontiguousarray(q[:d].T)
-    a = np.zeros((n_heads, kv.shape[1], n_q))
-    out = np.empty((d, n_q))
+    qh = np.ascontiguousarray(q[:d].T).reshape(n_q, n_heads, dh, 1)
     bounds = np.flatnonzero((lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])) + 1
-    for j0, j1 in zip([0, *bounds], [*bounds, n_q]):
+    groups = list(zip([0, *bounds], [*bounds, n_q]))
+    seg = np.repeat(hi - lo, n_heads)           # scores per (column, head)
+    starts = np.cumsum(seg) - seg
+    z = np.empty(starts[-1] + seg[-1])
+    sums = np.empty((n_q, n_heads, 1))
+    views = []                                  # per group: its (nc, H, nk, 1) scores
+    for j0, j1 in groups:
         k0, k1 = lo[j0], hi[j0]
+        o = starts[j0 * n_heads]
+        zg = z[o:o + (j1 - j0) * n_heads * (k1 - k0)].reshape(j1 - j0, n_heads, -1, 1)
         kh = np.ascontiguousarray(keys[:, k0:k1]).reshape(n_heads, dh, -1)
+        np.matmul(kh.swapaxes(1, 2), qh[j0:j1], out=zg)
+        views.append(zg)
+    z *= scale
+    z -= np.repeat(np.maximum.reduceat(z, starts), seg)
+    np.exp(z, out=z)
+    for (j0, j1), zg in zip(groups, views):
+        zg.sum(axis=2, out=sums[j0:j1])
+    z /= np.repeat(sums, seg)
+    a = np.zeros((n_heads, kv.shape[1], n_q))
+    at = a.transpose(2, 0, 1)[..., None]        # a as (N_q, H, N_k, 1)
+    out = np.empty((n_q, n_heads, dh, 1))       # the head outputs, transposed
+    for (j0, j1), zg in zip(groups, views):
+        k0, k1 = lo[j0], hi[j0]
         vh = np.ascontiguousarray(values[:, k0:k1]).reshape(n_heads, dh, -1)
-        z = np.matmul(kh.swapaxes(1, 2), qt[j0:j1].reshape(-1, n_heads, dh, 1))
-        z *= scale
-        z -= z.max(axis=2, keepdims=True)
-        np.exp(z, out=z)
-        z /= z.sum(axis=2, keepdims=True)
-        a[:, k0:k1, j0:j1] = z[..., 0].transpose(1, 2, 0)
-        out[:, j0:j1] = np.matmul(vh, z).reshape(-1, d).T
-    return out, a
+        at[j0:j1, :, k0:k1] = zg
+        np.matmul(vh, zg, out=out[j0:j1])
+    return out.reshape(n_q, d).T, a
 
 
 def attention(q: Tensor, kv: Tensor, k_row: int, n_heads: int, scale: float,

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import container
-from .errors import AdjustmentError, ShapeError, StatsError
+from .errors import AdjustmentError, NonFiniteOutputError, ShapeError, StatsError
 from .features import (Corpus, FeatureSequence, SpeakerStats, StackedSequence,
                        adjust_output_stats, compute_stats, denormalize, normalize,
                        stack, unstack)
@@ -77,7 +77,9 @@ def convert(model: VtnModel, src: np.ndarray, k: int | None, kp: int | None,
     steps.  In windowed mode each step's target-to-source attention sees
     only the source positions [n_hat - N0, n_hat + N1] (1-based, clipped to
     the source) around the previous step's n_hat, starting from 1;
-    ``ConversionResult.windows`` records each step's range.
+    ``ConversionResult.windows`` records each step's range.  The first step
+    whose output column is not finite raises NonFiniteOutputError: every
+    later step would attend through it.
     """
     cfg = cfg or DecodeConfig()
     src = np.asarray(src, dtype=np.float64)
@@ -103,10 +105,12 @@ def convert(model: VtnModel, src: np.ndarray, k: int | None, kp: int | None,
         n_hat = 1
         step_heads: list[np.ndarray] = []   # windowed: per step, (L, H, N_src) newest column
         windows: list[tuple[int, int] | None] = []
-        for _ in range(cfg.max_len_factor * n_src):
+        for step in range(1, cfg.max_len_factor * n_src + 1):
             lo, hi = max(1, n_hat - n0), min(n_hat + n1, n_src)
             windows.append((lo, hi) if windowed else None)
             y, attn = model.decode(prefix, dec, window=(lo - 1, hi) if windowed else None)
+            if not np.isfinite(y.data[:, -1]).all():
+                raise NonFiniteOutputError(f"decode step {step} gave a non-finite output column")
             prefix = np.concatenate([prefix, y.data[:, -1:]], axis=1)
             # a copy, so windowed mode does not keep each step's whole attention
             heads = attn[..., -1].copy()

@@ -33,6 +33,10 @@ class TrainingDivergedError(VtnError):
     """The training loss became non-finite."""
 
 
+class NonFiniteOutputError(VtnError):
+    """A conversion step decoded a non-finite output column."""
+
+
 class FormatError(VtnError):
     """A binary file does not conform to its declared format."""
 

@@ -98,9 +98,9 @@ class Decoding(NamedTuple):
     """What a decoder pass needs that does not depend on its target input,
     built once per pass or per conversion: the encoded source z, each
     layer's target-to-source keys and values W6 @ z, the weight-normalised
-    target-prenet and postnet kernels, and the (e x P) embedding column of
-    each segment's target speaker (None where the target side is
-    unconditioned)."""
+    target-prenet and postnet kernels in ``ad.conv1d``'s layout, and the
+    (e x P) embedding column of each segment's target speaker (None where
+    the target side is unconditioned)."""
     z: Tensor
     kv: list[Tensor]
     prenet: list[Tensor]
@@ -227,9 +227,11 @@ class VtnModel:
 
     def _kernels(self, name: str) -> list[Tensor]:
         """The weight-normalised kernels of the three convs of a prenet or
-        the postnet."""
+        the postnet, each laid out once as ``ad.conv1d`` takes it: stored
+        (c_out, c_in, K), permuted to (c_out, K, c_in)."""
         p = self.params
-        return [ad.weight_norm_apply(p[f"{name}.{i}.dir"], p[f"{name}.{i}.scale"])
+        return [ad.transpose(ad.weight_norm_apply(p[f"{name}.{i}.dir"], p[f"{name}.{i}.scale"]),
+                             (0, 2, 1))
                 for i in range(len(PRENET_DILATIONS))]
 
     def _positions(self, lengths: tuple[int, ...]) -> np.ndarray:

@@ -42,6 +42,11 @@ SHAPES = {
 }
 # (back, forward) window in ms for windowed mode; None for default mode
 WINDOWS = [None, (24.0, 48.0), (48.0, 72.0), (160.0, 320.0), (0.0, 0.0)]
+# long conversions, (name, shape, N_src, windows): decoder self-attention
+# reaches 140 keys, past the 128 elements where numpy's pairwise sums change
+# regime, and a realtime encoder runs 140 causal groups
+LONG = [("overfit-long", dict(OVERFIT_CFG), 70, [None, (24.0, 48.0)]),
+        ("overfit-long-realtime", dict(OVERFIT_CFG, realtime=True), 140, None)]
 TRAIN_STEPS = 8
 
 
@@ -60,12 +65,13 @@ def conversion_digest(model: VtnModel, src: np.ndarray, cfg: DecodeConfig) -> st
     return digest(res.output, res.attention, res.n_hat, windows, [res.truncated])
 
 
-def conversions(name: str, model: VtnModel, n_src: int, seed: int) -> None:
+def conversions(name: str, model: VtnModel, n_src: int, seed: int,
+                windows: list[tuple[float, float] | None] = WINDOWS) -> None:
     src = np.random.default_rng(seed).normal(size=(model.config.D, n_src))
     if model.config.realtime:
         print(f"convert {name} realtime {conversion_digest(model, src, DecodeConfig('realtime'))}")
         return
-    for window in WINDOWS:
+    for window in windows:
         if window is None:
             cfg, tag = DecodeConfig(), "default"
         else:
@@ -92,6 +98,9 @@ def main() -> None:
             model = VtnModel.init(VtnConfig(**kw, realtime=realtime), seed=i,
                                   speakers=["spk0", "spk1"])
             conversions(f"{name}{'-realtime' if realtime else ''}", model, 10 + i, i)
+    for i, (name, kw, n_src, windows) in enumerate(LONG):
+        model = VtnModel.init(VtnConfig(**kw), seed=i, speakers=["spk0", "spk1"])
+        conversions(name, model, n_src, 200 + i, windows)
     for realtime in (False, True):
         model = train(realtime)
         tag = "realtime" if realtime else "default"

@@ -90,7 +90,7 @@ def test_gradient_suite():
     check(lambda t: ad.sum_all(ad.mul(ad.layer_norm(t, gain, bias0), readout)), (4, 3))
     check(lambda t: ad.sum_all(ad.mul(ad.glu(t), Tensor(w[:2]))), (4, 3))
 
-    kern = Tensor(rng.normal(size=(2, 2, 3)))
+    kern = Tensor(rng.normal(size=(2, 3, 2)))
     check(lambda t: ad.sum_all(ad.mul(ad.conv1d(t, kern, dilation=2, causal=True),
                                       Tensor(w[:2]))), (2, 3))
     check(lambda t: ad.sum_all(ad.mul(ad.conv1d(t, kern, dilation=1, causal=False),
@@ -99,7 +99,8 @@ def test_gradient_suite():
     scale_p = Tensor(rng.normal(size=(2,)))
     x_in = Tensor(rng.normal(size=(2, 3)))
     check(lambda t: ad.sum_all(ad.mul(
-        ad.conv1d(x_in, ad.weight_norm_apply(t, scale_p), dilation=1, causal=True),
+        ad.conv1d(x_in, ad.transpose(ad.weight_norm_apply(t, scale_p), (0, 2, 1)),
+                  dilation=1, causal=True),
         Tensor(w[:2]))), (2, 2, 3))
 
     # end-to-end: full training loss of a tiny model w.r.t. one weight matrix

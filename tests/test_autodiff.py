@@ -110,16 +110,16 @@ def test_layer_norm_gradcheck():
 
 def test_conv1d_identity_kernel():
     x = Tensor(np.arange(10, dtype=float).reshape(2, 5))
-    k = np.zeros((2, 2, 5))
-    k[0, 0, 2] = 1.0
-    k[1, 1, 2] = 1.0
+    k = np.zeros((2, 5, 2))
+    k[0, 2, 0] = 1.0
+    k[1, 2, 1] = 1.0
     y = ad.conv1d(x, Tensor(k), dilation=1, causal=False)
     assert np.array_equal(y.data, x.data)
 
 
 def test_conv1d_causal_pair_sum():
     x = Tensor([[1.0, 2.0, 3.0]])
-    k = Tensor(np.ones((1, 1, 2)))
+    k = Tensor(np.ones((1, 2, 1)))
     y = ad.conv1d(x, k, dilation=1, causal=True)
     assert np.array_equal(y.data, [[1.0, 3.0, 5.0]])
 
@@ -127,7 +127,7 @@ def test_conv1d_causal_pair_sum():
 def test_conv1d_causal_no_future_leak():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(3, 8))
-    k = Tensor(rng.normal(size=(2, 3, 5)))
+    k = Tensor(rng.normal(size=(2, 5, 3)))
     base = ad.conv1d(Tensor(x), k, dilation=2, causal=True).data
     for n in range(8):
         pert = x.copy()
@@ -138,18 +138,28 @@ def test_conv1d_causal_no_future_leak():
 
 def test_conv1d_even_noncausal_rejected():
     with pytest.raises(ShapeError):
-        ad.conv1d(Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 1, 2))), causal=False)
+        ad.conv1d(Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 2, 1))), causal=False)
 
 
 def test_conv1d_gradcheck():
     rng = np.random.default_rng(5)
     x = Tensor(rng.normal(size=(2, 6)))
-    k = Tensor(rng.normal(size=(3, 2, 3)))
+    k = Tensor(rng.normal(size=(3, 3, 2)))
     w = rng.normal(size=(3, 6))
     err = grad_check(lambda t: ad.sum_all(ad.mul(ad.conv1d(t, k, 2, True), Tensor(w))), x)
     assert err < 1e-5
     err = grad_check(lambda t: ad.sum_all(ad.mul(ad.conv1d(x, t, 1, False), Tensor(w))), k)
     assert err < 1e-5
+
+
+def test_transpose_permutes_axes_and_its_gradient_back():
+    rng = np.random.default_rng(6)
+    x = Tensor(rng.normal(size=(2, 3, 4)))
+    for axes in [(0, 2, 1), (1, 2, 0)]:
+        y = ad.transpose(x, axes)
+        assert y.data.flags.c_contiguous and np.array_equal(y.data, x.data.transpose(axes))
+        w = Tensor(rng.normal(size=y.shape))
+        assert grad_check(lambda t: ad.sum_all(ad.mul(ad.transpose(t, axes), w)), x) < 1e-6
 
 
 def test_glu_zero_gate():
@@ -263,7 +273,7 @@ def test_primitive_gradchecks_five_seeds(seed):
     rng = np.random.default_rng(seed)
     w = rng.normal(size=(3, 4))
     x = Tensor(rng.normal(size=(3, 4)))
-    kernel = Tensor(rng.normal(size=(2, 3, 5)))
+    kernel = Tensor(rng.normal(size=(2, 5, 3)))
     conv_w = Tensor(rng.normal(size=(2, 4)))
     checks = [
         lambda t: ad.sum_all(ad.mul(ad.add(t, Tensor(w)), Tensor(w))),
@@ -313,7 +323,7 @@ def test_column_exact_records_no_graph():
     # column-exact mode is inference-only; fast mode keeps the graph
     rng = np.random.default_rng(14)
     x = Tensor(rng.normal(size=(3, 6)), requires_grad=True)
-    kernel = Tensor(rng.normal(size=(4, 3, 5)), requires_grad=True)
+    kernel = Tensor(rng.normal(size=(4, 5, 3)), requires_grad=True)
     gain = Tensor(np.ones((4, 1)), requires_grad=True)
     bias = Tensor(np.zeros((4, 1)), requires_grad=True)
 
@@ -341,7 +351,7 @@ def test_column_exact_prefix_stability():
     a = rng.normal(size=(8, 8))
     b = rng.normal(size=(8, 12))
     gain, bias = Tensor(np.ones((8, 1))), Tensor(np.zeros((8, 1)))
-    kernel = Tensor(rng.normal(size=(5, 8, 5)))
+    kernel = Tensor(rng.normal(size=(5, 5, 8)))
     with ad.column_exact():
         full_mm = ad.matmul(Tensor(a), Tensor(b)).data
         full_ln = ad.layer_norm(Tensor(b), gain, bias).data
@@ -416,10 +426,12 @@ def test_column_exact_layer_norm_matches_per_column_oracle(d):
 @pytest.mark.parametrize("causal", [False, True])
 def test_column_exact_attention_matches_per_column_oracle(n_heads, causal):
     # key ranges shared by runs of columns, one column each (causal), and a
-    # last column cut to a window at either edge or to a single key
+    # last column cut to a window at either edge or to a single key.  The
+    # long case gives columns fewer than 8, 8 to 128 and more than 128 keys,
+    # each of numpy's pairwise-sum regimes, in the one softmax sweep
     rng = np.random.default_rng(17 + n_heads)
     d = 3 * n_heads
-    for n_q, n_k in [(1, 1), (9, 9), (6, 11), (12, 5)]:
+    for n_q, n_k in [(1, 1), (9, 9), (6, 11), (12, 5), (140, 140) if causal else (3, 130)]:
         qkv = rng.normal(size=(3 * d, n_q)) * 2.0
         kv = np.concatenate([rng.normal(size=(1, n_k)), rng.normal(size=(2 * d, n_k)) * 2.0])
         last = min(n_q, n_k) if causal else n_k     # keys the last column may see
@@ -493,14 +505,14 @@ def test_attention_window_bounds(mode):
 
 def _padded_im2col_conv(x, kernel, dilation, causal):
     """The single-sequence conv as one padded im2col gemm."""
-    c_out, c_in, k = kernel.shape
+    c_out, k, c_in = kernel.shape
     n = x.shape[1]
     pad_l = (k - 1) * dilation if causal else (k - 1) // 2 * dilation
     xp = np.pad(x, ((0, 0), (pad_l, 0 if causal else pad_l)))
     xcol = np.empty((k * c_in, n))
     for t in range(k):
         xcol[t * c_in:(t + 1) * c_in] = xp[:, t * dilation:t * dilation + n]
-    return kernel.transpose(0, 2, 1).reshape(c_out, -1) @ xcol
+    return kernel.reshape(c_out, -1) @ xcol
 
 
 @pytest.mark.parametrize("dilation", [1, 2, 4])
@@ -509,7 +521,7 @@ def test_conv1d_one_segment_is_padded_im2col_bitwise(dilation, causal):
     rng = np.random.default_rng(40 + dilation)
     for c_in, c_out, n in [(3, 4, 1), (5, 2, 7), (41, 64, 60), (32, 93, 13)]:
         x = rng.normal(size=(c_in, n))
-        kernel = rng.normal(size=(c_out, c_in, 5))
+        kernel = rng.normal(size=(c_out, 5, c_in))
         want = _padded_im2col_conv(x, kernel, dilation, causal)
         assert np.array_equal(ad.conv1d(Tensor(x), Tensor(kernel), dilation, causal).data, want)
         segs = ad.segments((n,))
@@ -524,7 +536,7 @@ def test_conv1d_segments_are_separate_sequences(dilation, causal):
     lengths = (3, 1, 6, 2)
     segs = ad.segments(lengths)
     x = rng.normal(size=(3, segs.n))
-    kernel = rng.normal(size=(2, 3, 5))
+    kernel = rng.normal(size=(2, 5, 3))
     out = ad.conv1d(Tensor(x), Tensor(kernel), dilation, causal, segs).data
     starts = np.cumsum(lengths) - lengths
     for s, n in zip(starts, lengths):
@@ -544,7 +556,7 @@ def test_conv1d_segments_are_separate_sequences(dilation, causal):
 
 def test_conv1d_segments_must_cover_input():
     with pytest.raises(ShapeError):
-        ad.conv1d(Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 1, 3))), segs=ad.segments((2, 1)))
+        ad.conv1d(Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 3, 1))), segs=ad.segments((2, 1)))
 
 
 def _attention_case(rng, n_heads, q_lengths, k_lengths, dh=2):
@@ -756,7 +768,7 @@ def _ref_glu(x, g):
 
 def _ref_conv(x, kernel, dilation, causal, segs, g):
     """The padded im2col conv and its gradients."""
-    c_out, c_in, k = kernel.shape
+    c_out, k, c_in = kernel.shape
     n = x.shape[1]
     pad_l = (k - 1) * dilation if causal else (k - 1) // 2 * dilation
     pad_r = 0 if causal else pad_l
@@ -767,8 +779,8 @@ def _ref_conv(x, kernel, dilation, causal, segs, g):
         rows = xcol[t * c_in:(t + 1) * c_in]
         rows[:] = xp[:, o + pad_l:o + pad_l + n]
         rows[:, segs.outside(o)] = 0.0
-    w = kernel.transpose(0, 2, 1).reshape(c_out, -1)
-    gk = np.ascontiguousarray((g @ xcol.T).reshape(c_out, k, c_in).transpose(0, 2, 1))
+    w = kernel.reshape(c_out, -1)
+    gk = (g @ xcol.T).reshape(c_out, k, c_in)
     gxp = np.zeros((c_in, pad_l + n + pad_r))
     gcol = w.T @ g
     for t, o in enumerate(offsets):
@@ -818,7 +830,7 @@ def test_conv1d_matches_padded_reference_bitwise(lengths, dilation, causal):
     rng = np.random.default_rng(100 * dilation + sum(lengths))
     segs = ad.segments(lengths)
     x = Tensor(_signed_zeros(rng, (3, segs.n)), requires_grad=True)
-    kernel = Tensor(_signed_zeros(rng, (4, 3, 5)), requires_grad=True)
+    kernel = Tensor(_signed_zeros(rng, (4, 5, 3)), requires_grad=True)
     g = _signed_zeros(rng, (4, segs.n))
     y = ad.conv1d(x, kernel, dilation, causal, segs)
     want = _ref_conv(x.data, kernel.data, dilation, causal, segs, g)
@@ -980,7 +992,7 @@ def test_conv1d_row_blocks_are_the_stacked_input(lengths):
     segs = ad.segments(lengths)
     data = Tensor(_signed_zeros(rng, (5, segs.n)))
     spk = Tensor(_signed_zeros(rng, (2, segs.n)), requires_grad=True)
-    kernel = Tensor(_signed_zeros(rng, (4, 7, 3)), requires_grad=True)
+    kernel = Tensor(_signed_zeros(rng, (4, 3, 7)), requires_grad=True)
     g = _signed_zeros(rng, (4, segs.n))
     stacked = Tensor(np.concatenate([data.data, spk.data]), requires_grad=True)
     want = ad.conv1d(stacked, kernel, 2, True, segs)

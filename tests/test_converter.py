@@ -8,7 +8,7 @@ from vtn import autodiff as ad
 from vtn.autodiff import AdamState, Tensor
 from vtn.converter import (ConversionResult, DecodeConfig, convert, convert_sequence,
                            dump_attention)
-from vtn.errors import ShapeError, StatsError
+from vtn.errors import NonFiniteOutputError, ShapeError, StatsError
 from vtn.features import compute_stats, gen_synthetic_corpus
 from vtn.model import VtnConfig, VtnModel
 from vtn.trainer import TrainConfig, make_batch, train_step
@@ -93,13 +93,14 @@ def test_convert_equals_per_step_decoding(kw, mode):
 def test_truncated_conversion_builds_decoder_constants_once(monkeypatch):
     # a 96-step conversion weight-normalises each of its 9 conv kernels once
     # and multiplies the encoder output by each layer's W6 once, where
-    # rebuilding them every step takes 3 + 96 * 6 weight norms
+    # rebuilding them every step takes 3 + 96 * 6 weight norms; each kernel
+    # is laid out for conv1d once too, the decoder's 6 before the first step
     cfg = VtnConfig(L=2, H=2, d=32, d_ffn=64, n_mcc=28, r=3, e=8, n_speakers=2)
     model = VtnModel.init(cfg, seed=0)
     src = np.random.default_rng(0).normal(size=(cfg.D, 48))
     w6 = {id(model.params[f"dec.{l}.tsa.W6"]): l for l in range(cfg.L)}
-    norms, products = [], []
-    weight_norm_apply, matmul = ad.weight_norm_apply, ad.matmul
+    norms, products, events = [], [], []
+    weight_norm_apply, matmul, transpose = ad.weight_norm_apply, ad.matmul, ad.transpose
 
     def counted_weight_norm(direction, w_scale, *args):
         norms.append(direction)
@@ -110,12 +111,47 @@ def test_truncated_conversion_builds_decoder_constants_once(monkeypatch):
             products.append(w6[id(a)])
         return matmul(a, b)
 
+    def counted_transpose(a, axes=None):
+        if axes == (0, 2, 1):
+            events.append("layout")
+        return transpose(a, axes)
+
+    def logged(name):
+        method = getattr(model, name)
+
+        def call(*args, **kwargs):
+            events.append(name)
+            return method(*args, **kwargs)
+        return call
+
     monkeypatch.setattr(ad, "weight_norm_apply", counted_weight_norm)
     monkeypatch.setattr(ad, "matmul", counted_matmul)
+    monkeypatch.setattr(ad, "transpose", counted_transpose)
+    for name in ("encode", "decoding", "decode"):
+        monkeypatch.setattr(model, name, logged(name))
     result = convert(model, src, 0, 1)
     assert len(result.n_hat) == 96 and result.truncated
     assert len(norms) == 9 and len({id(d) for d in norms}) == 9
     assert sorted(products) == list(range(cfg.L))
+    assert events == ["encode"] + ["layout"] * 3 + ["decoding"] + ["layout"] * 6 + ["decode"] * 96
+
+
+def test_non_finite_output_column_stops_the_conversion(monkeypatch):
+    # a NaN weight makes the first output column NaN; the conversion stops
+    # there instead of decoding to the step cap
+    model = _model(seed=4)
+    model.params["dec.0.ffn.W4"].data[0, 0] = np.nan
+    calls = []
+    decode = model.decode
+
+    def counted_decode(*args, **kwargs):
+        calls.append(args)
+        return decode(*args, **kwargs)
+
+    monkeypatch.setattr(model, "decode", counted_decode)
+    with pytest.raises(NonFiniteOutputError, match="decode step 1 "):
+        convert(model, _src(np.random.default_rng(4), model, n=15), 0, 1)
+    assert len(calls) == 1
 
 
 def test_conversion_after_a_training_step_uses_the_new_weights():

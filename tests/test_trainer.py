@@ -198,11 +198,12 @@ def test_train_step_overfits_single_batch():
 
 def test_train_step_memory():
     # one batch-4 step (12 pairs) of the acceptance gate's model on its
-    # corpus, dropout on.  Traced peak: about 48 MB when backward frees the
-    # graph as it sweeps it and conv1d keeps neither an im2col, a stacked
-    # copy of its speaker-conditioned input nor a transposed kernel; about
-    # 51 MB with those two copies, and about 107 MB when the whole graph
-    # lives until the step returns.
+    # corpus, dropout on.  Traced peak: about 49 MB when backward frees the
+    # graph as it sweeps it and conv1d keeps neither an im2col nor a stacked
+    # copy of its speaker-conditioned input (the graph holds each kernel
+    # weight-normalised and, 1.2 MB in all, in conv1d's layout); about 51 MB
+    # with those copies and a transposed kernel per conv, and about 107 MB
+    # when the whole graph lives until the step returns.
     corpus = gen_synthetic_corpus(2, 20, seed=7, raw_len_range=(120, 240))
     stats = compute_stats(corpus)
     cfg = VtnConfig(L=2, H=2, d=32, d_ffn=64, n_mcc=28, r=3, e=8, n_speakers=2)
