@@ -337,35 +337,22 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     if gain.data.shape != (d, 1) or bias.data.shape != (d, 1):
         raise ShapeError("layer_norm gain/bias must be (d, 1) columns")
 
-    if _column_exact:
-        # each column's mean and variance reduce one contiguous row of the
-        # transposed copy, as a sum over that column alone would
-        c = x.data.T.copy()
-        mu = np.add.reduce(c, axis=1, keepdims=True)
-        mu /= d
-        c -= mu
-        var = np.add.reduce(c * c, axis=1, keepdims=True)
-        var /= d
-        var += eps
-        np.sqrt(var, out=var)
-        np.divide(1.0, var, out=var)
-        c *= var
-        xhat, inv_std = c.T, var.T
-        y = np.empty((d, n))
-    else:
-        # x.mean, c = x - mu, (c * c).mean, 1 / sqrt(var + eps) and
-        # c * inv_std, in that order, in place; y's array holds c * c until
-        # y is written
-        mu = np.add.reduce(x.data, axis=0, keepdims=True)
-        mu /= d
-        xhat = np.subtract(x.data, mu)
-        y = np.multiply(xhat, xhat)
-        inv_std = np.add.reduce(y, axis=0, keepdims=True)
-        inv_std /= d
-        inv_std += eps
-        np.sqrt(inv_std, out=inv_std)
-        np.divide(1.0, inv_std, out=inv_std)
-        xhat *= inv_std
+    # mean, centring, variance, 1 / sqrt(var + eps) and scaling, in place on
+    # a copy of x; column-exact mode copies x transposed, so that each
+    # column's statistics reduce one contiguous row, as a sum over that
+    # column alone would
+    c, axis = (x.data.T.copy(), 1) if _column_exact else (x.data.copy(), 0)
+    mu = np.add.reduce(c, axis=axis, keepdims=True)
+    mu /= d
+    c -= mu
+    inv_std = np.add.reduce(c * c, axis=axis, keepdims=True)
+    inv_std /= d
+    inv_std += eps
+    np.sqrt(inv_std, out=inv_std)
+    np.divide(1.0, inv_std, out=inv_std)
+    c *= inv_std
+    xhat, inv_std = (c.T, inv_std.T) if _column_exact else (c, inv_std)
+    y = np.empty((d, n))
     np.multiply(gain.data, xhat, out=y)
     y += bias.data
 
@@ -421,43 +408,28 @@ def segments(lengths: tuple[int, ...]) -> Segments:
     return Segments(lengths)
 
 
-def _in_range(o: int, n: int) -> tuple[int, int]:
-    """The output columns [lo, hi) whose neighbour o columns away lies in
-    [0, n); lo == hi when |o| >= n."""
-    lo = min(max(0, -o), n)
-    return lo, max(min(n, n - o), lo)
-
-
 def _im2col(blocks: list[np.ndarray], offsets: list[int], segs: Segments) -> np.ndarray:
     """The (k * c_in, N) im2col of the row blocks that stack to x, so that a
     conv is one gemm instead of k small ones.  Tap t of output column j
-    reads column j + offsets[t]; where that crosses the edge of j's segment
-    the entry is zeroed, as if each segment were padded alone.  One segment
-    is padded so: its blocks are copied once into a zero-padded array, and
-    each tap's rows are one slice of it.  Packed segments are copied tap by
-    tap; every column outside [0, N) is outside its segment, so zeroing the
-    entries that cross a segment's edge also covers the columns no copy
-    reaches."""
+    reads column j + offsets[t], the offsets rising from -pad_l <= 0 to
+    pad_r >= 0; where that crosses the edge of j's segment the entry is
+    zeroed, as if each segment were padded alone.  The blocks are copied
+    once into a (c_in, pad_l + N + pad_r) zero array, and each tap's rows
+    are one slice of it; the padding zeroes every column outside [0, N), so
+    only packed segments zero the entries that cross an edge inside it."""
     c_in, n = sum(b.shape[0] for b in blocks), blocks[0].shape[1]
+    pad_l, pad_r = -offsets[0], offsets[-1]
+    xp = np.zeros((c_in, pad_l + n + pad_r))
+    r = 0
+    for b in blocks:
+        xp[r:r + b.shape[0], pad_l:pad_l + n] = b
+        r += b.shape[0]
     xcol = np.empty((len(offsets) * c_in, n), dtype=np.float64)
-    if segs.p == 1:
-        pad_l, pad_r = max(0, -min(offsets)), max(0, max(offsets))
-        xp = np.zeros((c_in, pad_l + n + pad_r))
-        r = 0
-        for b in blocks:
-            xp[r:r + b.shape[0], pad_l:pad_l + n] = b
-            r += b.shape[0]
-        for t, o in enumerate(offsets):
-            xcol[t * c_in:(t + 1) * c_in] = xp[:, pad_l + o:pad_l + o + n]
-        return xcol
     for t, o in enumerate(offsets):
         rows = xcol[t * c_in:(t + 1) * c_in]
-        lo, hi = _in_range(o, n)
-        r = 0
-        for b in blocks:
-            rows[r:r + b.shape[0], lo:hi] = b[:, lo + o:hi + o]
-            r += b.shape[0]
-        rows[:, segs.outside(o)] = 0.0
+        rows[...] = xp[:, pad_l + o:pad_l + o + n]
+        if segs.p > 1:
+            rows[:, segs.outside(o)] = 0.0
     return xcol
 
 
@@ -505,38 +477,21 @@ def conv1d(x: Tensor | Sequence[Tensor], kernel: Tensor, dilation: int = 1,
             kernel._accum((g @ xcol.T).reshape(c_out, k, c_in), owned=True)
         need = [(b, r0, r0 + r) for b, r0, r in zip(blocks, starts, rows) if b.requires_grad]
         if need:
-            gx = [np.zeros((r1 - r0, n)) for _, r0, r1 in need]
+            # each tap's gradient rows add into im2col's padded layout, whose
+            # middle is the blocks' gradient; as there, only packed segments
+            # zero the rows that cross an edge inside it
+            gp = [np.zeros((r1 - r0, pad_l + n + offsets[-1])) for _, r0, r1 in need]
             gcol = kernel.data.reshape(c_out, -1).T @ g
             for t, o in enumerate(offsets):
-                lo, hi = _in_range(o, n)
-                for (_, r0, r1), gb in zip(need, gx):
+                for (_, r0, r1), gb in zip(need, gp):
                     part = gcol[t * c_in + r0:t * c_in + r1]
-                    part[:, segs.outside(o)] = 0.0
-                    gb[:, lo + o:hi + o] += part[:, lo:hi]
-            for (b, _, _), gb in zip(need, gx):
-                b._accum(gb, owned=True)
+                    if segs.p > 1:
+                        part[:, segs.outside(o)] = 0.0
+                    gb[:, pad_l + o:pad_l + o + n] += part
+            for (b, _, _), gb in zip(need, gp):
+                b._accum(gb[:, pad_l:pad_l + n], owned=True)
 
     return _result(y, (*blocks, kernel), backward)
-
-
-def causal_mask(n: int) -> np.ndarray:
-    """(key, query) additive mask: key position may not exceed query position."""
-    keys = np.arange(n)[:, None]
-    queries = np.arange(n)[None, :]
-    return np.where(keys <= queries, 0.0, NEG_INF)
-
-
-_causal = causal_mask(0)
-
-
-def _causal_slice(n_k: int, n_q: int) -> np.ndarray:
-    """causal_mask(max(n_k, n_q))[:n_k, :n_q], a read-only slice of one
-    cached mask grown as needed."""
-    global _causal
-    if max(n_k, n_q) > len(_causal):
-        _causal = causal_mask(max(n_k, n_q, 2 * len(_causal)))
-        _causal.flags.writeable = False
-    return _causal[:n_k, :n_q]
 
 
 def _key_ranges(n_k: int, n_q: int, causal: bool,
@@ -660,9 +615,17 @@ def attention(q: Tensor, kv: Tensor, k_row: int, n_heads: int, scale: float,
         np.matmul(kh.swapaxes(1, 2), qh, out=ap)
         blocks.append((qc, kc, qh, kh, vh, ap, o))
     a *= scale
+    if causal:
+        # 0.0 where _key_ranges lets a query see a key, else NEG_INF, over
+        # the call's largest segment; each block adds its top-left corner.
+        # NEG_INF is finite: adding -inf is slower
+        m = max(*qs.lengths, *ks.lengths)
+        lo, hi = _key_ranges(m, m, True, None)
+        keys = np.arange(m)[:, None]
+        mask = np.where((lo <= keys) & (keys < hi), 0.0, NEG_INF)
     for qc, kc, qh, kh, vh, ap, o in blocks:
         if causal:
-            ap += _causal_slice(*ap.shape[1:])
+            ap += mask[:ap.shape[1], :ap.shape[2]]
         ap -= ap.max(axis=1, keepdims=True)
     np.exp(a, out=a)
     for qc, kc, qh, kh, vh, ap, o in blocks:

@@ -41,6 +41,11 @@ class DecodeConfig:
         return int(round(self.window_back_ms / step)), int(round(self.window_fwd_ms / step))
 
 
+def head_mean(attn: np.ndarray) -> np.ndarray:
+    """The mean of an (L, H, ...) attention over its layers and heads."""
+    return attn.reshape(-1, *attn.shape[2:]).mean(axis=0)
+
+
 @dataclass
 class ConversionResult:
     output: np.ndarray                 # (D x N_out) stacked, normalized domain
@@ -56,7 +61,7 @@ class ConversionResult:
     @property
     def mean_attention(self) -> np.ndarray:
         """Mean over layers and heads, (N_src x N_out)."""
-        return self.attention.reshape(-1, *self.attention.shape[2:]).mean(axis=0)
+        return head_mean(self.attention)
 
 
 def convert(model: VtnModel, src: np.ndarray, k: int | None, kp: int | None,
@@ -116,7 +121,7 @@ def convert(model: VtnModel, src: np.ndarray, k: int | None, kp: int | None,
             heads = attn[..., -1].copy()
             if windowed:
                 step_heads.append(heads)
-            n_hat = int(np.argmax(heads.reshape(-1, n_src).mean(axis=0))) + 1
+            n_hat = int(np.argmax(head_mean(heads))) + 1
             n_hat_track.append(n_hat)
             if n_hat == n_src:
                 break

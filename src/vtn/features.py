@@ -131,7 +131,14 @@ def compute_stats(corpus: Corpus, train_utterances: int | None = None) -> Speake
     return SpeakerStats(n_mcc=n_mcc, speakers=list(corpus.speakers), mean=mean, std=std)
 
 
+def check_stats_size(n_mcc: int, stats: SpeakerStats) -> None:
+    """StatsError unless stats are for features with n_mcc MCCs."""
+    if stats.n_mcc != n_mcc:
+        raise StatsError(f"statistics are for {stats.n_mcc} MCCs, features have {n_mcc}")
+
+
 def normalize(seq: FeatureSequence, stats: SpeakerStats) -> FeatureSequence:
+    check_stats_size(seq.n_mcc, stats)
     mu, sigma = stats.for_speaker(seq.speaker)
     out = seq.data.copy()
     k = stats.n_mcc + 1
@@ -141,6 +148,7 @@ def normalize(seq: FeatureSequence, stats: SpeakerStats) -> FeatureSequence:
 
 def denormalize(seq: FeatureSequence, stats: SpeakerStats,
                 speaker: str | None = None) -> FeatureSequence:
+    check_stats_size(seq.n_mcc, stats)
     spk = seq.speaker if speaker is None else speaker
     mu, sigma = stats.for_speaker(spk)
     out = seq.data.copy()
@@ -172,6 +180,7 @@ def unstack(st: StackedSequence) -> FeatureSequence:
 def adjust_output_stats(seq: FeatureSequence, stats: SpeakerStats) -> FeatureSequence:
     """Affinely map MCC/log-F0 rows so their voiced-frame sample mean/std
     match the stored statistics of seq.speaker."""
+    check_stats_size(seq.n_mcc, stats)
     mu, sigma = stats.for_speaker(seq.speaker)
     voiced = seq.voiced
     if voiced.sum() < 2:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import container
-from .autodiff import Tensor, causal_mask  # noqa: F401  (part of this module's API)
+from .autodiff import Tensor
 from .errors import ShapeError, VtnError
 
 _MODEL_MAGIC = b"VTNM"
@@ -106,13 +106,6 @@ class Decoding(NamedTuple):
     prenet: list[Tensor]
     postnet: list[Tensor]
     spk: Tensor | None
-
-
-def _layout(q_lengths: tuple[int, ...], k_lengths: tuple[int, ...], causal: bool,
-            window: tuple[int, int] | None = None) -> Layout:
-    """The layout of segments with these lengths; ``ad.attention`` checks
-    the window."""
-    return Layout(ad.segments(q_lengths), ad.segments(k_lengths), causal, window)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +365,7 @@ class VtnModel:
         if drop is not None:
             x = ad.mul(x, Tensor(drop))
         x = self._prenet(self._kernels("src_prenet"), x, spk, cfg.realtime, segs)
-        lay = _layout(segs.lengths, segs.lengths, cfg.realtime)
+        lay = Layout(segs, segs, cfg.realtime)
         for l in range(cfg.L):
             x = self.encoder_layer(l, x, spk, lay)
         if cfg.has_final_ln:
@@ -394,8 +387,8 @@ class VtnModel:
         if drops is not None:
             x = ad.mul(x, Tensor(drops[0]))
         x = self._prenet(dec.prenet, x, spk, True, segs)
-        self_lay = _layout(segs.lengths, segs.lengths, True)
-        tsa_lay = _layout(segs.lengths, src_segs.lengths, False, window)
+        self_lay = Layout(segs, segs, True)
+        tsa_lay = Layout(segs, src_segs, False, window)
         attn = []
         for l in range(cfg.L):
             x, a = self.decoder_layer(l, x, dec.kv[l], spk, self_lay, tsa_lay, identity)

@@ -12,7 +12,7 @@ from . import autodiff as ad
 from . import container
 from .autodiff import AdamState
 from .errors import ConfigError, ShapeError, TrainingDivergedError
-from .features import Corpus, SpeakerStats, normalize, stack
+from .features import Corpus, SpeakerStats, check_stats_size, compute_stats, normalize, stack
 from .losses import LossWeights, total_loss
 from .model import VtnConfig, VtnModel
 
@@ -194,8 +194,7 @@ def _truncate_log(path: Path, last_iter: int, row_iter) -> None:
 
 def train(corpus: Corpus, cfg: VtnConfig, train_cfg: TrainConfig,
           stats: SpeakerStats | None = None, out_dir=None,
-          resume=None, model: VtnModel | None = None,
-          log_every: int = 1) -> TrainResult:
+          resume=None, log_every: int = 1) -> TrainResult:
     """Run the full loop.  With out_dir set, writes checkpoints each cadence
     and two append-only logs with a row per logged step: train_log.tsv holds
     the loss terms, train_metrics.jsonl the gradient norm before clipping,
@@ -203,7 +202,6 @@ def train(corpus: Corpus, cfg: VtnConfig, train_cfg: TrainConfig,
     over the cross pairs.  resume points at a checkpoint tag
     path without extension (loads .vtnm + .vtno); both logs in out_dir are
     then cut back to the checkpoint's iteration before training goes on."""
-    from .features import compute_stats
     if log_every < 1:
         raise ConfigError(f"log_every={log_every} must be at least 1")
     if (train_cfg.train_utterances or 0) > corpus.n_utterances:
@@ -211,6 +209,7 @@ def train(corpus: Corpus, cfg: VtnConfig, train_cfg: TrainConfig,
                           f"exceeds the corpus's {corpus.n_utterances} utterances")
     if stats is None:
         stats = compute_stats(corpus, train_cfg.train_utterances)
+    check_stats_size(corpus.n_mcc, stats)
 
     rng = np.random.default_rng(train_cfg.seed)
     start_iter = 0
@@ -224,7 +223,7 @@ def train(corpus: Corpus, cfg: VtnConfig, train_cfg: TrainConfig,
         except ShapeError as exc:
             container.fail(resume.with_suffix(".vtno"), str(exc))
         rng.bit_generator.state = rng_state
-    elif model is None:
+    else:
         model = VtnModel.init(cfg, seed=train_cfg.seed, speakers=list(corpus.speakers))
     cfg = model.config
 

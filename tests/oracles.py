@@ -1,10 +1,12 @@
 """Reference implementations that the tests check the package against.
 
 The package computes these quantities inside larger operations: attention
-runs its softmax inside ``autodiff.attention``, and ``losses.total_loss``
-evaluates the weighted L1 and the diagonal attention loss of a whole packed
-batch at once.  The stand-alone versions here are differentiable autodiff
-graphs of one pair or one matrix, written the direct way.
+runs its softmax inside ``autodiff.attention``, which hides the keys that
+``causal_mask`` masks by the key range it gives each query, and
+``losses.total_loss`` evaluates the weighted L1 and the diagonal attention
+loss of a whole packed batch at once.  The stand-alone versions here are
+differentiable autodiff graphs of one pair or one matrix, written the
+direct way.
 
 The column-exact references run the package's column-exact kernels one
 output column at a time in a Python loop, each column a numpy call of its
@@ -28,6 +30,13 @@ from vtn.losses import guided_weight_matrix
 from vtn.model import VtnModel
 
 _MASKED = -1e29  # entries below this are treated as fully masked
+
+
+def causal_mask(n: int) -> np.ndarray:
+    """(key, query) additive mask: key position may not exceed query position."""
+    keys = np.arange(n)[:, None]
+    queries = np.arange(n)[None, :]
+    return np.where(keys <= queries, 0.0, ad.NEG_INF)
 
 
 def masked_softmax_columns(x: Tensor, mask: np.ndarray) -> Tensor:

@@ -10,8 +10,8 @@ from vtn.autodiff import AdamState, Tensor, grad_check
 from vtn.errors import DegenerateColumnError, GraphReleasedError, ShapeError, VtnError
 from vtn.trainer import load_trainer_state, save_trainer_state
 
-from oracles import (_MASKED, column_exact_attention, column_exact_layer_norm, column_exact_mm,
-                     masked_softmax_columns)
+from oracles import (_MASKED, causal_mask, column_exact_attention, column_exact_layer_norm,
+                     column_exact_mm, masked_softmax_columns)
 
 
 def test_matmul_identity():
@@ -589,7 +589,7 @@ def test_attention_matches_per_head_softmax(n_heads, causal):
     q0 = k0 = 0
     for p, (nq, nk) in enumerate(zip(q_lengths, k_lengths)):
         block = attn.data[blocks[p]].reshape(n_heads, nk, nq)
-        mask = ad.causal_mask(max(nk, nq))[:nk, :nq] if causal else np.zeros((nk, nq))
+        mask = causal_mask(max(nk, nq))[:nk, :nq] if causal else np.zeros((nk, nq))
         for h in range(n_heads):
             qh = q[h * dh:(h + 1) * dh, q0:q0 + nq]
             kh = kv[1 + h * dh:1 + (h + 1) * dh, k0:k0 + nk]
@@ -639,12 +639,6 @@ def test_attention_shape_errors():
         ad.attention(Tensor(np.zeros((4, 5))), Tensor(np.zeros((8, 5))), 0, 3, 1.0, segs, segs)
     with pytest.raises(ShapeError):   # segments that do not cover the columns
         ad.attention(Tensor(np.zeros((4, 6))), Tensor(np.zeros((8, 5))), 0, 2, 1.0, segs, segs)
-
-
-def test_causal_slice_is_a_slice_of_one_mask():
-    assert np.array_equal(ad._causal_slice(3, 5), ad.causal_mask(5)[:3])
-    assert np.array_equal(ad._causal_slice(40, 2), ad.causal_mask(40)[:, :2])
-    assert not ad._causal_slice(2, 2).flags.writeable
 
 
 def _assert_unaliased(tensors):
@@ -932,7 +926,7 @@ def _ref_attention(q, kv, k_row, n_heads, scale, qs, ks, causal, g_out, g_attn):
         ap = np.matmul(kh.swapaxes(1, 2), qh)
         ap *= scale
         if causal:
-            ap += ad.causal_mask(max(nk, nq))[:nk, :nq]
+            ap += causal_mask(max(nk, nq))[:nk, :nq]
         ap -= ap.max(axis=1, keepdims=True)
         np.exp(ap, out=ap)
         ap /= ap.sum(axis=1, keepdims=True)

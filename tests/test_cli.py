@@ -234,6 +234,38 @@ def test_train_log_every_below_one_rejected(workspace, tmp_path, capsys, every):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.fixture(scope="module")
+def six_mcc_stats(tmp_path_factory):
+    """Statistics of a corpus whose frames hold 6 MCCs, not 28."""
+    root = tmp_path_factory.mktemp("six")
+    gen(root / "data", extra=("--n-mcc", "6"))
+    assert main(["stats", "--data", str(root / "data"), "--out", str(root / "b.vtns")]) == 0
+    return root / "b.vtns"
+
+
+def test_train_with_stats_for_another_feature_size_rejected(workspace, six_mcc_stats,
+                                                            tmp_path, capsys):
+    rc = main(["train", "--data", str(workspace / "data"), "--stats", str(six_mcc_stats),
+               "--out", str(tmp_path / "run"), *TINY, "--set", "train.iterations=1"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: statistics are for 6 MCCs, features have 28\n"
+    assert not (tmp_path / "run").exists()
+
+
+def test_convert_with_stats_for_another_feature_size_rejected(workspace, six_mcc_stats,
+                                                              tmp_path, capsys):
+    out = tmp_path / "out.vtnf"
+    rc = main(["convert", "--model", str(workspace / "run" / "final.vtnm"),
+               "--stats", str(six_mcc_stats),
+               "--input", str(workspace / "data" / "spk0_000.vtnf"),
+               "--tgt-spk", "spk1", "--out", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: statistics are for 6 MCCs, features have 28\n"
+    assert "frames out" not in captured.out
+    assert not out.exists()
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["convert"])  # missing required flags

@@ -117,6 +117,20 @@ def test_normalize_unknown_speaker():
         normalize(_seq(np.zeros((4, 2)), "zz"), stats)
 
 
+@pytest.mark.parametrize("n_stats", [0, 3])
+@pytest.mark.parametrize("op", [normalize, denormalize, adjust_output_stats])
+def test_stats_for_another_feature_size_rejected(op, n_stats):
+    # statistics of 0 or 3 MCCs for 1-MCC features would normalise the
+    # aperiodicity and V/UV rows, or leave the last MCC and log-F0 raw
+    stats = SpeakerStats(n_mcc=n_stats, speakers=["a"], mean={"a": np.zeros(n_stats + 1)},
+                         std={"a": np.ones(n_stats + 1)})
+    data = np.ones((4, 5))
+    data[0] = np.arange(5.0)
+    with pytest.raises(StatsError, match=f"statistics are for {n_stats} MCCs, "
+                                         f"features have 1"):
+        op(_seq(data), stats)
+
+
 def test_stack_r1_identity():
     seq = _seq(np.random.default_rng(2).normal(size=(5, 7)))
     st = stack(seq, 1)

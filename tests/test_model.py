@@ -6,7 +6,9 @@ import pytest
 from vtn import autodiff as ad
 from vtn.autodiff import Tensor
 from vtn.errors import ShapeError
-from vtn.model import VtnConfig, VtnModel, _layout, causal_mask, positional_encoding
+from vtn.model import Layout, VtnConfig, VtnModel, positional_encoding
+
+from oracles import causal_mask
 
 
 def tiny_config(**kw):
@@ -48,6 +50,11 @@ def test_causal_mask_orientation():
     assert m[0, 2] == 0.0 and m[1, 2] == 0.0
 
 
+def _pair(n_q, n_k, window=None):
+    """The non-causal Layout of n_q query columns against n_k keys."""
+    return Layout(ad.segments((n_q,)), ad.segments((n_k,)), False, window)
+
+
 def test_sa_uniform_attention():
     cfg = tiny_config(L=1, H=1, mode="one_to_one")
     model = VtnModel.init(cfg, seed=0)
@@ -57,7 +64,7 @@ def test_sa_uniform_attention():
     model.params["enc.0.sa.W1"] = Tensor(w1, requires_grad=True)
     model.params["enc.0.sa.W2"] = Tensor(np.eye(d), requires_grad=True)
     x = np.random.default_rng(0).normal(size=(d, 5))
-    y = model._sa("enc.0.sa", Tensor(x), _layout((5,), (5,), False))
+    y = model._sa("enc.0.sa", Tensor(x), _pair(5, 5))
     expect = np.repeat(x.mean(axis=1, keepdims=True), 5, axis=1)
     assert np.abs(y.data - expect).max() < 1e-12
 
@@ -73,7 +80,7 @@ def test_tsa_single_source_position():
     rng = np.random.default_rng(2)
     x = Tensor(rng.normal(size=(cfg.d, 4)))
     z = Tensor(rng.normal(size=(cfg.d, 1)))
-    _, stack = model._tsa("dec.0.tsa", x, _kv(model, z), _layout((4,), (1,), False), False)
+    _, stack = model._tsa("dec.0.tsa", x, _kv(model, z), _pair(4, 1), False)
     attn = model._per_head([stack], z.data.shape[1], x.data.shape[1])[0]
     for a in attn:
         assert np.array_equal(a.data, np.ones((1, 4)))
@@ -87,8 +94,7 @@ def test_tsa_forced_attention_row():
     z = Tensor(rng.normal(size=(cfg.d, 6)))
     # only source row 3 allowed in column 1, the last
     with ad.column_exact():
-        _, stack = model._tsa("dec.0.tsa", x, _kv(model, z), _layout((2,), (6,), False, (3, 4)),
-                              False)
+        _, stack = model._tsa("dec.0.tsa", x, _kv(model, z), _pair(2, 6, (3, 4)), False)
     attn = model._per_head([stack], z.data.shape[1], x.data.shape[1])[0]
     for a in attn:
         assert a.data[3, 1] == 1.0
@@ -101,7 +107,7 @@ def test_tsa_identity_passes_values_through():
     rng = np.random.default_rng(5)
     x = Tensor(rng.normal(size=(cfg.d, 3)))
     z = Tensor(rng.normal(size=(cfg.d, 5)))
-    out, attn = model._tsa("dec.0.tsa", x, _kv(model, z), _layout((3,), (5,), False), True)
+    out, attn = model._tsa("dec.0.tsa", x, _kv(model, z), _pair(3, 5), True)
     assert attn is None
     p = {k: v.data for k, v in model.params.items()}
     values = (p["dec.0.tsa.W6"] @ z.data)[cfg.d:, :3]
@@ -188,7 +194,7 @@ def test_preln_encoder_layer_residual_identity():
     model.params["enc.0.ffn.W4"] = Tensor(np.zeros((cfg.d, cfg.d_ffn)))
     model.params["enc.0.ffn.b4"] = Tensor(np.zeros((cfg.d, 1)))
     x = np.random.default_rng(10).normal(size=(cfg.d, 5))
-    y = model.encoder_layer(0, Tensor(x), None, _layout((5,), (5,), False))
+    y = model.encoder_layer(0, Tensor(x), None, _pair(5, 5))
     assert np.array_equal(y.data, x)
 
 
@@ -203,14 +209,13 @@ def test_postln_encoder_layer_residual_identity():
         model.params[f"{name}.gain"] = Tensor(rng.normal(size=(cfg.d, 1)))
         model.params[f"{name}.bias"] = Tensor(rng.normal(size=(cfg.d, 1)))
     x = Tensor(rng.normal(size=(cfg.d, 5)))
-    y = model.encoder_layer(0, x, None, _layout((5,), (5,), False))
+    y = model.encoder_layer(0, x, None, _pair(5, 5))
     assert np.array_equal(y.data, model._ln("enc.0.ln2", model._ln("enc.0.ln1", x)).data)
     # with live sub-layers, each layer norm comes after its residual add
     model = VtnModel.init(cfg, seed=9)
-    u = model._ln("enc.0.ln1", ad.add(x, model._sa("enc.0.sa", x, _layout((5,), (5,), False))))
+    u = model._ln("enc.0.ln1", ad.add(x, model._sa("enc.0.sa", x, _pair(5, 5))))
     want = model._ln("enc.0.ln2", ad.add(u, model._ffn("enc.0.ffn", u)))
-    assert np.array_equal(model.encoder_layer(0, x, None, _layout((5,), (5,), False)).data,
-                          want.data)
+    assert np.array_equal(model.encoder_layer(0, x, None, _pair(5, 5)).data, want.data)
 
 
 def test_pre_vs_post_ln_differ():
