@@ -324,13 +324,19 @@ def gen_synthetic_corpus(n_speakers: int, n_utterances: int, seed: int,
 
     Each utterance is a smoothed random walk; each speaker applies a fixed
     affine feature map, a fixed log-F0 offset and a per-utterance monotone
-    time warp.  With identity_maps=True and warp_range=(1, 1) every speaker
-    produces bit-identical utterances (useful for degenerate-setting tests).
+    time warp.  With identity_maps=True the MCCs are the first n_mcc of the 8
+    latent content rows (zero past the eighth), and with warp_range=(1, 1)
+    too every speaker produces bit-identical utterances (useful for
+    degenerate-setting tests).
     """
     if n_speakers < 2:
         raise FormatError("synthetic corpus needs at least 2 speakers")
     if n_utterances < 1:
         raise ConfigError(f"synthetic corpus: utterances={n_utterances} must be at least 1")
+    if n_mcc < 1:
+        raise ConfigError(f"synthetic corpus: n_mcc={n_mcc} must be at least 1")
+    if seed < 0:
+        raise ConfigError(f"synthetic corpus: seed={seed} must not be negative")
     lo, hi = raw_len_range
     if not 1 <= lo <= hi:
         raise ConfigError(f"synthetic corpus: lengths {lo}..{hi} need 1 <= min <= max")
@@ -348,8 +354,7 @@ def gen_synthetic_corpus(n_speakers: int, n_utterances: int, seed: int,
         f0_off = rng.normal(0.0, 0.3)
         ap_off = rng.normal(0.0, 0.2)
         if identity_maps:
-            a = np.zeros((n_mcc, p))
-            a[:p, :p] = np.eye(p)
+            a = np.eye(n_mcc, p)
             b = np.zeros(n_mcc)
             f0_off = 0.0
             ap_off = 0.0

@@ -12,7 +12,7 @@ from .features import FeatureSequence, VOICED_THRESHOLD
 
 MCD_CONST = 10.0 / math.log(10.0)
 LDR_WINDOW = 10  # aligned path steps per local-slope estimate
-DTW_BLOCK_ELEMENTS = 1 << 16  # elements per (D, rows, N_b) local-cost block: 512 KiB, cache-sized
+DTW_BLOCK_ELEMENTS = 1 << 17  # elements per (D, rows, N_b) local-cost block: 1 MiB, cache-sized
 
 
 @dataclass
@@ -80,61 +80,29 @@ def dtw(a: np.ndarray, b: np.ndarray) -> tuple[WarpPath, float]:
     return WarpPath(np.asarray(pairs, dtype=np.int64)), float(acc[-1, -1])
 
 
-def _sum_planes(x: np.ndarray) -> None:
-    """Add x[1:] into x[0] in the order numpy's pairwise sum adds len(x)
-    contiguous values: one after another below 8; up to 128, eight lanes that
-    take every eighth value, folded pairwise, then the tail one at a time;
-    above 128, two halves split at a multiple of 8."""
-    n = len(x)
-    if n > 128:
-        n2 = n // 2 - (n // 2) % 8
-        _sum_planes(x[:n2])
-        _sum_planes(x[n2:])
-        x[0] += x[n2]
-        return
-    m = 1
-    if n >= 8:
-        m = n - n % 8
-        for i in range(8, m, 8):
-            x[:8] += x[i:i + 8]
-        x[0:8:2] += x[1:8:2]
-        x[0:8:4] += x[2:8:4]
-        x[0] += x[4]
-    for i in range(m, n):
-        x[0] += x[i]
-
-
 def _local_costs(a: np.ndarray, b: np.ndarray, acc: np.ndarray) -> None:
     """Write the Euclidean distance between column i of a and column j of b
-    into acc[i + 1, j + 1], bit-identical to the whole-matrix expression
-    np.sqrt(np.add.reduce((a.T[:, None, :] - b.T[None, :, :]) ** 2, axis=2)).
+    into acc[i + 1, j + 1].  Each distance adds its D squared differences in
+    feature order, feature 0 first, whatever the memory layout of a and b.
 
     Row blocks go through one feature-major (D, rows, N_b) buffer, so every
-    numpy call runs over whole (rows, N_b) planes.  numpy lays the
-    whole-matrix difference out after its inputs; it sums a contiguous D axis
-    pairwise and any other one plane after plane, and a small probe of the
-    same expression tells which.
+    numpy call runs over whole (rows, N_b) planes.
     """
     d, n_a = a.shape
     n_b = b.shape[1]
-    probe = a.T[:min(2, n_a), None, :] - b.T[None, :min(2, n_b), :]
-    pairwise = probe.strides[2] == probe.itemsize
     b = np.ascontiguousarray(b)  # frame-contiguous b: one copy, not a strided read per block
     rows = max(1, DTW_BLOCK_ELEMENTS // (d * n_b))
     buf = np.empty(d * min(rows, n_a) * n_b)
     for i0 in range(0, n_a, rows):
         i1 = min(i0 + rows, n_a)
         x = buf[:d * (i1 - i0) * n_b].reshape(d, i1 - i0, n_b)
-        out = acc[i0 + 1:i1 + 1, 1:]
         np.copyto(x, a[:, i0:i1, None])  # numpy subtracts a broadcast operand slower
         np.subtract(x, b[:, None, :], out=x)
         np.multiply(x, x, out=x)
-        if pairwise:
-            _sum_planes(x)
-            np.sqrt(x[0], out=out)
-        else:
-            np.add.reduce(x, axis=0, out=out)
-            np.sqrt(out, out=out)
+        total = x[0]
+        for plane in x[1:]:  # not np.add.reduce: it sums a one-cell plane pairwise
+            total += plane
+        np.sqrt(total, out=acc[i0 + 1:i1 + 1, 1:])
 
 
 def align(converted: FeatureSequence, reference: FeatureSequence) -> WarpPath:

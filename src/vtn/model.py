@@ -238,12 +238,16 @@ class VtnModel:
             return self._pe[:, :lengths[0]]
         return np.concatenate([self._pe[:, :n] for n in lengths], axis=1)
 
-    def _speaker_columns(self, ks: list[int | None]) -> Tensor | None:
-        """(e x P) embedding columns of the speaker of each packed segment,
-        one emb^T @ one_hot product.  None where the side is unconditioned."""
-        if ks[0] is None:
+    def _speaker_columns(self, ks: list[int | None], conditioned: bool,
+                         role: str) -> Tensor | None:
+        """(e x P) embedding columns of the role ("source" or "target")
+        speaker of each packed segment, one emb^T @ one_hot product.  None
+        where that side of the network is not speaker-conditioned."""
+        if not conditioned:
             return None
         for k in ks:
+            if k is None:
+                raise ShapeError(f"{self.config.mode} mode requires a {role} speaker index")
             if not 0 <= k < self.config.n_speakers:
                 raise ShapeError(f"speaker index {k} out of range")
         one_hot = np.zeros((self.config.n_speakers, len(ks)))
@@ -335,14 +339,6 @@ class VtnModel:
         u2 = self._sublayer(f"{name}.ln2", u1, spk, tsa)
         return self._sublayer(f"{name}.ln3", u2, spk, lambda h: self._ffn(f"{name}.ffn", h)), attn[0]
 
-    def _speaker(self, index: int | None, conditioned: bool, role: str) -> int | None:
-        """index if this side of the network is speaker-conditioned, else None."""
-        if not conditioned:
-            return None
-        if index is None:
-            raise ShapeError(f"{self.config.mode} mode requires a {role} speaker index")
-        return index
-
     def _dropout(self, training: bool, rng: np.random.Generator | None,
                  shapes: list[list[tuple[int, int]]]) -> list[np.ndarray] | None:
         """Inverted-dropout factors, one packed array per dropout site.
@@ -410,14 +406,14 @@ class VtnModel:
         cfg = self.config
         src = src if isinstance(src, Tensor) else Tensor(src)
         segs = ad.segments((src.data.shape[1],))
-        spk = self._speaker_columns([self._speaker(k, cfg.src_conditioned, "source")])
+        spk = self._speaker_columns([k], cfg.src_conditioned, "source")
         return self._encode(src, segs, self._tiled(spk, segs), None)
 
     def decoding(self, z: Tensor, kp: int | None = None) -> Decoding:
         """The decoder's constants for one conversion of the encoded source
         z into target speaker kp; ``decode`` takes them in place of z."""
-        return self._decoding(z, self._speaker_columns(
-            [self._speaker(kp, self.config.tgt_conditioned, "target")]))
+        return self._decoding(z, self._speaker_columns([kp], self.config.tgt_conditioned,
+                                                        "target"))
 
     def decode(self, tgt_in, z: Tensor | Decoding, kp: int | None = None,
                window: tuple[int, int] | None = None) -> tuple[Tensor, np.ndarray]:
@@ -473,10 +469,8 @@ class VtnModel:
         segs = ad.segments(tuple(tgt.shape[1] for _, _, _, tgt in pairs))
         drops = self._dropout(training, rng, [[(cfg.D, ns), (cfg.D, nt), (cfg.d, nt)]
                                               for ns, nt in zip(src_segs.lengths, segs.lengths)])
-        src_spk = self._speaker_columns(
-            [self._speaker(k, cfg.src_conditioned, "source") for k, _, _, _ in pairs])
-        spk = self._speaker_columns(
-            [self._speaker(kp, cfg.tgt_conditioned, "target") for _, kp, _, _ in pairs])
+        src_spk = self._speaker_columns([p[0] for p in pairs], cfg.src_conditioned, "source")
+        spk = self._speaker_columns([p[1] for p in pairs], cfg.tgt_conditioned, "target")
         z = self._encode(Tensor(np.concatenate([p[2] for p in pairs], axis=1)), src_segs,
                          self._tiled(src_spk, src_segs), drops and drops[0])
         y, attn = self._decode(Tensor(np.concatenate([p[3] for p in pairs], axis=1)),

@@ -1,13 +1,16 @@
-"""Print a sha256 digest of every conversion configuration and of trained
-parameters, to compare the bits two source trees compute.
+"""Print a sha256 digest of every conversion configuration, of trained
+parameters and of evaluation scores, to compare the bits two source trees
+compute.
 
 Each line is ``<name> <sha256>``.  A conversion line digests the output,
 attention, attended positions, windows and stop flag of one model shape
 in one decode mode and window; a training line digests every parameter
 after 8 batch-4 steps of the acceptance gate's model size, and the
-conversions that trained model then makes.  Run the sweep on each tree
-under the same BLAS thread count (training bits depend on it) and diff
-the outputs:
+conversions that trained model then makes; an evaluation line digests the
+DTW path and cost and the three scores of one parallel pair, held
+C-ordered or frame-contiguous (as read from a .vtnf file).  Run the sweep
+on each tree under the same BLAS thread count (training bits depend on
+it) and diff the outputs:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=<tree>/src python tests/bitsweep.py > <tree>.txt
 
@@ -22,7 +25,8 @@ import numpy as np
 
 from vtn.autodiff import AdamState
 from vtn.converter import DecodeConfig, convert
-from vtn.features import compute_stats, gen_synthetic_corpus
+from vtn.features import FeatureSequence, compute_stats, gen_synthetic_corpus
+from vtn.metrics import dtw, evaluate_pair
 from vtn.model import VtnConfig, VtnModel
 from vtn.trainer import TrainConfig, make_batch, train_step
 
@@ -48,6 +52,7 @@ WINDOWS = [None, (24.0, 48.0), (48.0, 72.0), (160.0, 320.0), (0.0, 0.0)]
 LONG = [("overfit-long", dict(OVERFIT_CFG), 70, [None, (24.0, 48.0)]),
         ("overfit-long-realtime", dict(OVERFIT_CFG, realtime=True), 140, None)]
 TRAIN_STEPS = 8
+EVALUATION_SEEDS = (101, 102, 103)  # synthetic corpora whose 3 spk0/spk1 pairs are scored
 
 
 def digest(*arrays) -> str:
@@ -92,6 +97,16 @@ def train(realtime: bool) -> VtnModel:
     return model
 
 
+def evaluations(seed: int) -> None:
+    corpus = gen_synthetic_corpus(2, 3, seed=seed, raw_len_range=(200, 400))
+    for u, pair in enumerate(zip(*(corpus.utterances[s] for s in corpus.speakers))):
+        for layout, order in (("C", np.ascontiguousarray), ("frames-contiguous", np.asfortranarray)):
+            conv, ref = (FeatureSequence(order(seq.data), seq.speaker) for seq in pair)
+            path, cost = dtw(conv.data[:conv.n_mcc], ref.data[:ref.n_mcc])
+            scores = [np.nan if v is None else v for v in evaluate_pair(conv, ref).values()]
+            print(f"evaluate seed{seed}-pair{u} {layout} {digest(path.pairs, [cost], scores)}")
+
+
 def main() -> None:
     for i, (name, kw) in enumerate(SHAPES.items()):
         for realtime in (False, True):
@@ -106,6 +121,8 @@ def main() -> None:
         tag = "realtime" if realtime else "default"
         print(f"train {tag} params {digest(*(p.data for p in model.params.values()))}")
         conversions(f"trained-{tag}", model, 24, 100)
+    for seed in EVALUATION_SEEDS:
+        evaluations(seed)
 
 
 if __name__ == "__main__":

@@ -143,7 +143,7 @@ def test_causality_suite():
 
         z = model.encode(src, k=0)
         base_dec, _ = model.decode(tgt0, z, kp=1)
-        spk = model._tiled(model._speaker_columns([1]), ad.segments((n,)))
+        spk = model._tiled(model._speaker_columns([1], True, "target"), ad.segments((n,)))
         pre_w, post_w = model._kernels("tgt_prenet"), model._kernels("postnet")
         base_pre = model._prenet(pre_w, Tensor(tgt0), spk, causal=True)
         base_post = model._postnet(post_w, Tensor(hid), spk)

@@ -215,12 +215,28 @@ def test_stats_train_utterances_outside_corpus(workspace, tmp_path, capsys, coun
     (("--warp-min", "0"), "warp ratios 0.0..1.4"),
     (("--warp-min", "1.5", "--warp-max", "1.2"), "warp ratios 1.5..1.2"),
     (("--utterances", "0"), "utterances=0"),
+    (("--n-mcc", "-1"), "n_mcc=-1"),
+    (("--n-mcc", "0"), "n_mcc=0"),
+    (("--seed", "-1"), "seed=-1"),
 ])
 def test_gen_data_bad_range_rejected(tmp_path, capsys, flags, reason):
     rc = main(["gen-data", "--out", str(tmp_path / "d"), *flags])
     assert rc == 1
-    assert capsys.readouterr().err.startswith(f"error: synthetic corpus: {reason}")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: synthetic corpus: {reason}")
+    assert err.count("\n") == 1
     assert not (tmp_path / "d").exists()
+
+
+def test_gen_data_identity_maps_with_fewer_mccs_than_latents(tmp_path):
+    # 4 MCCs copy the first 4 of the 8 latent content rows
+    gen(tmp_path / "d", utterances=2, extra=("--n-mcc", "4", "--identity-maps",
+                                             "--warp-min", "1", "--warp-max", "1"))
+    corpus = load_corpus(tmp_path / "d")
+    first, second = (corpus.utterances[s] for s in corpus.speakers)
+    for x, y in zip(first, second):
+        assert x.n_mcc == 4
+        assert np.array_equal(x.data, y.data)
 
 
 @pytest.mark.parametrize("every", ["0", "-3"])

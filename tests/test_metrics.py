@@ -6,16 +6,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vtn.errors import MetricUndefinedError, ShapeError
-from vtn.features import FeatureSequence, _warp, gen_synthetic_corpus
-from vtn.metrics import (DTW_BLOCK_ELEMENTS, MCD_CONST, WarpPath, _local_costs, _sum_planes, dtw,
+from vtn.features import FeatureSequence, _warp, gen_synthetic_corpus, load_features, save_features
+from vtn.metrics import (DTW_BLOCK_ELEMENTS, MCD_CONST, WarpPath, _local_costs, dtw,
                          evaluate_pair, lfc, ldr_deviation, mcd)
 
 
-def loop_dtw(a, b):
-    """Reference DTW: the dense (N_a, N_b, D) difference tensor and a scalar
-    double loop over the DP, with the tie-break order diag, a step, b step."""
+def in_order_costs(a, b):
+    """Reference local costs from the dense (N_a, N_b, D) difference tensor:
+    each adds its squared differences feature 0 first, then 1, and so on."""
     diff = a.T[:, None, :] - b.T[None, :, :]
-    cost = np.sqrt((diff * diff).sum(axis=2))
+    sq = diff * diff
+    total = sq[:, :, 0].copy()
+    for k in range(1, sq.shape[2]):
+        total += sq[:, :, k]
+    return np.sqrt(total)
+
+
+def loop_dtw(a, b):
+    """Reference DTW: the in-order local costs and a scalar double loop over
+    the DP, with the tie-break order diag, a step, b step."""
+    cost = in_order_costs(a, b)
     n_a, n_b = cost.shape
     acc = np.full((n_a, n_b), np.inf)
     move = np.zeros((n_a, n_b), dtype=np.int8)
@@ -117,9 +127,7 @@ def test_dtw_brute_force_random_case():
     a = rng.normal(size=(6, 8))
     b = rng.normal(size=(6, 8))
     _, cost = dtw(a, b)
-    diff = a.T[:, None, :] - b.T[None, :, :]
-    local = np.sqrt((diff * diff).sum(axis=2))
-    assert cost == brute_force_dtw_cost(local)
+    assert cost == brute_force_dtw_cost(in_order_costs(a, b))
 
 
 def test_dtw_brute_force_many_shapes():
@@ -130,9 +138,7 @@ def test_dtw_brute_force_many_shapes():
         a = rng.normal(size=(3, n_a))
         b = rng.normal(size=(3, n_b))
         _, cost = dtw(a, b)
-        diff = a.T[:, None, :] - b.T[None, :, :]
-        local = np.sqrt((diff * diff).sum(axis=2))
-        assert cost == brute_force_dtw_cost(local)
+        assert cost == brute_force_dtw_cost(in_order_costs(a, b))
 
 
 def _oracle_cases():
@@ -147,7 +153,7 @@ def _oracle_cases():
         else:
             a = rng.normal(size=(dim, n_a))
             b = rng.normal(size=(dim, n_b))
-        if case % 4 == 3:   # frames contiguous: the sums over D run pairwise
+        if case % 4 == 3:   # frames contiguous, as read from a .vtnf file
             a, b = np.asfortranarray(a), np.asfortranarray(b)
         yield a, b
 
@@ -225,33 +231,59 @@ LAYOUTS = {
 }
 
 
+def _local_cost_matrix(a, b):
+    acc = np.full((a.shape[1] + 1, b.shape[1] + 1), np.inf)
+    _local_costs(a, b, acc)
+    assert np.isinf(acc[0]).all() and np.isinf(acc[:, 0]).all()
+    return acc[1:, 1:]
+
+
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(dim=st.integers(1, 140), n_a=st.integers(1, 40), n_b=st.integers(1, 40),
        layout_a=st.sampled_from(sorted(LAYOUTS)), layout_b=st.sampled_from(sorted(LAYOUTS)),
        seed=st.integers(0, 2**32 - 1))
-def test_local_costs_match_the_whole_matrix_expression_bitwise(dim, n_a, n_b, layout_a,
-                                                               layout_b, seed):
+def test_local_costs_add_features_in_order_for_every_layout(dim, n_a, n_b, layout_a, layout_b,
+                                                            seed):
     rng = np.random.default_rng(seed)
     # magnitudes spread over many binades, so a reordered sum changes the bits
     scale = np.exp(rng.normal(0, 3, size=(dim, 1)))
-    a = LAYOUTS[layout_a](rng.normal(size=(dim, n_a)) * scale)
-    b = LAYOUTS[layout_b](rng.normal(size=(dim, n_b)) * scale)
-    acc = np.full((n_a + 1, n_b + 1), np.inf)
-    _local_costs(a, b, acc)
-    diff = a.T[:, None, :] - b.T[None, :, :]
-    want = np.sqrt(np.add.reduce(diff * diff, axis=2))
-    assert np.array_equal(acc[1:, 1:], want)
-    assert np.isinf(acc[0]).all() and np.isinf(acc[:, 0]).all()
+    a = rng.normal(size=(dim, n_a)) * scale
+    b = rng.normal(size=(dim, n_b)) * scale
+    want = in_order_costs(a, b)
+    for layout in LAYOUTS.values():
+        assert np.array_equal(_local_cost_matrix(layout(a), LAYOUTS[layout_b](b)), want)
+        assert np.array_equal(_local_cost_matrix(LAYOUTS[layout_a](a), layout(b)), want)
 
 
-def test_sum_planes_is_numpys_contiguous_sum():
-    # fails, rather than letting bits drift, if numpy changes its pairwise sum
-    rng = np.random.default_rng(21)
-    for dim in range(1, 301):
-        values = rng.normal(size=(7, dim)) * np.exp(rng.normal(0, 3, size=(7, dim)))
-        planes = np.ascontiguousarray(values.T)
-        _sum_planes(planes)
-        assert np.array_equal(planes[0], np.add.reduce(values, axis=1)), dim
+def test_scores_do_not_depend_on_the_memory_layout(tmp_path):
+    """Sequences held C-ordered and the same values read back from .vtnf
+    files (frame-contiguous) align and score to the same bits."""
+    rng = np.random.default_rng(22)
+    n_mcc = 28
+    n_b = DTW_BLOCK_ELEMENTS // (4 * n_mcc)   # 4 rows per fill block
+    for case in range(4):
+        n_a = int(rng.integers(61, 121))   # 16 to 30 fill blocks
+        scale = np.exp(rng.normal(0, 2, size=(n_mcc + 3, 1)))   # many binades
+        pair = []
+        for n, speaker in ((n_a, "conv"), (n_b, "ref")):
+            data = _smooth_seq(rng, n_mcc, n) * scale
+            data[-1] = rng.random(n) < 0.8   # voiced/unvoiced
+            # float32 values, so the .vtnf round trip is exact
+            held = FeatureSequence(data.astype(np.float32).astype(np.float64), speaker)
+            save_features(held, tmp_path / f"{case}-{speaker}.vtnf")
+            loaded = load_features(tmp_path / f"{case}-{speaker}.vtnf")
+            assert held.data.flags.c_contiguous and not loaded.data.flags.c_contiguous
+            assert np.array_equal(loaded.data, held.data)
+            pair.append((held, loaded))
+        (conv, conv_loaded), (ref, ref_loaded) = pair
+        want_path, want_cost = dtw(conv.data[:n_mcc], ref.data[:n_mcc])
+        want_scores = evaluate_pair(conv, ref)
+        for c, r in ((conv_loaded, ref_loaded), (conv, ref_loaded), (conv_loaded, ref)):
+            path, cost = dtw(c.data[:n_mcc], r.data[:n_mcc])
+            assert np.array_equal(path.pairs, want_path.pairs)
+            assert cost == want_cost
+            assert evaluate_pair(c, r) == want_scores
+
 
 def test_dtw_tie_break_branches():
     # the (1, 1) step wins a three-way tie
