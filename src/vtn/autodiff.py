@@ -204,16 +204,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _result(out_data, (a, b), backward)
 
 
-def scale(a: Tensor, c: float) -> Tensor:
-    a = _as_tensor(a)
-    c = float(c)
-
-    def backward(g):
-        a._accum(g * c, owned=True)
-
-    return _result(a.data * c, (a,), backward)
-
-
 def add_bias(x: Tensor, b: Tensor) -> Tensor:
     """Add a (d, 1) bias column to every column of a (d, N) matrix."""
     x, b = _as_tensor(x), _as_tensor(b)
@@ -281,22 +271,6 @@ def index(a: Tensor, key) -> Tensor:
     return _result(a.data[key].copy(), (a,), backward)
 
 
-def concat_rows(parts: Sequence[Tensor]) -> Tensor:
-    parts = [_as_tensor(p) for p in parts]
-    widths = {p.data.shape[1] for p in parts}
-    if len(widths) != 1:
-        raise ShapeError(f"concat_rows: mismatched widths {sorted(widths)}")
-    sizes = [p.data.shape[0] for p in parts]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-
-    def backward(g):
-        for p, o, s in zip(parts, offsets, sizes):
-            if p.requires_grad:
-                p._accum(g[o:o + s])
-
-    return _result(np.concatenate([p.data for p in parts], axis=0), parts, backward)
-
-
 def tile_cols(a: Tensor, counts) -> Tensor:
     """Repeat column p of a counts[p] times; an int count repeats the one
     column of a (d, 1) input."""
@@ -315,19 +289,36 @@ def tile_cols(a: Tensor, counts) -> Tensor:
 # ---------------------------------------------------------------------------
 # core primitives
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul: {a.data.shape} @ {b.data.shape}")
-    out_data = _mm(a.data, b.data)
+def _row_blocks(op: str, x: Tensor | Sequence[Tensor]) -> list[Tensor]:
+    """x, or the sequence x, as a list of 2-D row blocks of equal width."""
+    blocks = [_as_tensor(b) for b in x] if isinstance(x, (list, tuple)) else [_as_tensor(x)]
+    widths = {b.data.shape[1] if b.data.ndim == 2 else None for b in blocks}
+    if len(widths) != 1 or None in widths:
+        raise ShapeError(f"{op}: row blocks {[b.data.shape for b in blocks]}")
+    return blocks
+
+
+def matmul(a: Tensor, b: Tensor | Sequence[Tensor]) -> Tensor:
+    """a @ b, b being a matrix or, as ``conv1d``'s x, row blocks that stack to
+    it; each block that needs a gradient gets its own rows of a.T @ g."""
+    a, blocks = _as_tensor(a), _row_blocks("matmul", b)
+    rows = [t.data.shape[0] for t in blocks]
+    if a.data.ndim != 2 or a.data.shape[1] != sum(rows):
+        raise ShapeError(f"matmul: {a.data.shape} @ {[t.data.shape for t in blocks]}")
+    b = blocks[0].data if len(blocks) == 1 else np.concatenate([t.data for t in blocks])
 
     def backward(g):
         if a.requires_grad:
-            a._accum(g @ b.data.T, owned=True)
-        if b.requires_grad:
-            b._accum(a.data.T @ g, owned=True)
+            a._accum(g @ b.T, owned=True)
+        if any(t.requires_grad for t in blocks):
+            # the blocks' rows do not overlap, so each may keep its own
+            gb, r0 = a.data.T @ g, 0
+            for t, r in zip(blocks, rows):
+                if t.requires_grad:
+                    t._accum(gb[r0:r0 + r], owned=True)
+                r0 += r
 
-    return _result(out_data, (a, b), backward)
+    return _result(_mm(a.data, b), (a, *blocks), backward)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -447,11 +438,9 @@ def conv1d(x: Tensor | Sequence[Tensor], kernel: Tensor, dilation: int = 1,
     segs, x holds segments packed along time and each segment is
     zero-padded at its own edges, so no tap reads across a boundary.
     """
-    blocks = [_as_tensor(b) for b in (x if isinstance(x, (list, tuple)) else [x])]
-    kernel = _as_tensor(kernel)
+    blocks, kernel = _row_blocks("conv1d", x), _as_tensor(kernel)
     rows = [b.data.shape[0] for b in blocks]
-    if (kernel.data.ndim != 3 or any(b.data.ndim != 2 for b in blocks)
-            or len({b.data.shape[1] for b in blocks}) != 1 or kernel.data.shape[2] != sum(rows)):
+    if kernel.data.ndim != 3 or kernel.data.shape[2] != sum(rows):
         raise ShapeError(f"conv1d: x {[b.data.shape for b in blocks]}, "
                          f"kernel {kernel.data.shape}")
     c_out, k, c_in = kernel.data.shape

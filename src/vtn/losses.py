@@ -79,7 +79,8 @@ def total_loss(model, batch, weights: LossWeights, training: bool = False,
     mean composite over identity pairs, a pair's composite being its
     one-step-ahead weighted L1 main loss plus lambda_dal times its diagonal
     attention loss.  batch items are (k, kp, src, tgt0) tuples; identity
-    items have k == kp.
+    items have k == kp, and this is the one place that drops them where the
+    identity mapping term is off (one_to_one mode or lambda_iml == 0).
 
     The contributing pairs, cross pairs first, run through one
     ``forward_packed`` pass.  Each pair's weight in the total is folded into

@@ -260,14 +260,9 @@ class VtnModel:
         return None if cols is None else ad.tile_cols(cols, segs.lengths)
 
     def _conditioned_rows(self, x: Tensor, spk: Tensor | None) -> list[Tensor]:
-        """x and, unless spk is None, the speaker columns of its pass.  A conv
-        reads the blocks in place."""
+        """x and, unless spk is None, the speaker columns of its pass: the
+        row blocks that a conv or a matrix product reads as one input."""
         return [x] if spk is None else [x, spk]
-
-    def _condition(self, x: Tensor, spk) -> Tensor:
-        """x with speaker rows appended, as one tensor for a matrix product."""
-        rows = self._conditioned_rows(x, spk)
-        return rows[0] if len(rows) == 1 else ad.concat_rows(rows)
 
     def _ln(self, name, x):
         return ad.layer_norm(x, self.params[f"{name}.gain"], self.params[f"{name}.bias"])
@@ -290,15 +285,16 @@ class VtnModel:
         return ad.matmul(self.params[f"{prefix}.W2"], heads)
 
     def _tsa(self, prefix, x, kv, lay: Layout, identity):
-        """The output and the ragged attention against the keys and values
-        kv, which is None under the identity alignment of a one-segment
-        pass: target position j attends to source position j only, so every
-        head passes its values through and no query is needed."""
+        """The output and the ragged attention of the row blocks x against the
+        keys and values kv, the attention None under the identity alignment of
+        a one-segment pass: target position j attends to source position j
+        only, so every head passes its values through and no query is needed."""
         d = self.config.d
         if identity:
-            if x.data.shape[1] > kv.data.shape[1]:
+            n_tgt = x[0].data.shape[1]
+            if n_tgt > kv.data.shape[1]:
                 raise ShapeError("identity alignment needs N_tgt <= N_src")
-            heads, attn = ad.index(kv, np.s_[d:2 * d, :x.data.shape[1]]), None
+            heads, attn = ad.index(kv, np.s_[d:2 * d, :n_tgt]), None
         else:
             q_all = ad.matmul(self.params[f"{prefix}.W5"], x)
             heads, attn = ad.attention(q_all, kv, 0, self.config.H, 1.0 / math.sqrt(d), *lay)
@@ -312,11 +308,11 @@ class VtnModel:
     # -- encoder / decoder --------------------------------------------------
 
     def _sublayer(self, ln_name, x, spk, f):
-        """Residual sub-layer around f, which sees speaker-conditioned input:
-        x + f(LN(x)) pre-LN, LN(x + f(x)) post-LN."""
+        """Residual sub-layer around f, which sees the speaker-conditioned row
+        blocks of its input: x + f(LN(x)) pre-LN, LN(x + f(x)) post-LN."""
         if self.config.ln_placement == "pre":
-            return ad.add(x, f(self._condition(self._ln(ln_name, x), spk)))
-        return self._ln(ln_name, ad.add(x, f(self._condition(x, spk))))
+            return ad.add(x, f(self._conditioned_rows(self._ln(ln_name, x), spk)))
+        return self._ln(ln_name, ad.add(x, f(self._conditioned_rows(x, spk))))
 
     def encoder_layer(self, l: int, x: Tensor, spk, lay: Layout) -> Tensor:
         name = f"enc.{l}"

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +54,8 @@ class TrainConfig:
 def make_batch(corpus: Corpus, stats: SpeakerStats, cfg: VtnConfig,
                train_cfg: TrainConfig, rng: np.random.Generator) -> list[BatchItem]:
     """One mini-batch: a single ordered speaker pair, batch_size utterances,
-    plus the matching identity pairs for the identity mapping term.
+    plus the matching identity pairs for the identity mapping term, which
+    ``total_loss`` drops where that term is off.
 
     An item (k, kp, src, tgt0) holds speaker k's normalised, stacked
     utterance and speaker kp's, with a zero column prepended.  Each distinct
@@ -85,9 +86,8 @@ def make_batch(corpus: Corpus, stats: SpeakerStats, cfg: VtnConfig,
         return (src_spk, tgt_spk, prepared[src_spk, utt][0], prepared[tgt_spk, utt][1])
 
     batch = [item(k, kp, u) for u in utts]
-    if cfg.mode != "one_to_one" and train_cfg.lambda_iml != 0.0:
-        for u in utts:
-            batch += [item(k, k, u), item(kp, kp, u)]
+    for u in utts:
+        batch += [item(k, k, u), item(kp, kp, u)]
     return batch
 
 
@@ -192,6 +192,16 @@ def _truncate_log(path: Path, last_iter: int, row_iter) -> None:
         fh.writelines(kept)
 
 
+def _check_resumed_config(resume: Path, saved: VtnConfig, given: VtnConfig) -> None:
+    """ConfigError naming each field in which the model config given to a
+    resumed run differs from its checkpoint's."""
+    differ = [f"{f.name}={getattr(given, f.name)!r} (checkpoint: {getattr(saved, f.name)!r})"
+              for f in fields(VtnConfig) if getattr(given, f.name) != getattr(saved, f.name)]
+    if differ:
+        raise ConfigError(f"{resume}: the model config differs from the checkpoint's in "
+                          + ", ".join(differ))
+
+
 def train(corpus: Corpus, cfg: VtnConfig, train_cfg: TrainConfig,
           stats: SpeakerStats | None = None, out_dir=None,
           resume=None, log_every: int = 1) -> TrainResult:
@@ -200,8 +210,9 @@ def train(corpus: Corpus, cfg: VtnConfig, train_cfg: TrainConfig,
     the loss terms, train_metrics.jsonl the gradient norm before clipping,
     whether clipping scaled the gradients, and each decoder layer's mean DAL
     over the cross pairs.  resume points at a checkpoint tag
-    path without extension (loads .vtnm + .vtno); both logs in out_dir are
-    then cut back to the checkpoint's iteration before training goes on."""
+    path without extension (loads .vtnm + .vtno), whose model config cfg
+    must equal; both logs in out_dir are then cut back to the checkpoint's
+    iteration before training goes on."""
     if log_every < 1:
         raise ConfigError(f"log_every={log_every} must be at least 1")
     if (train_cfg.train_utterances or 0) > corpus.n_utterances:
@@ -210,6 +221,8 @@ def train(corpus: Corpus, cfg: VtnConfig, train_cfg: TrainConfig,
     if stats is None:
         stats = compute_stats(corpus, train_cfg.train_utterances)
     check_stats_size(corpus.n_mcc, stats)
+    for speaker in corpus.speakers:
+        stats.for_speaker(speaker)  # StatsError before out_dir holds anything
 
     rng = np.random.default_rng(train_cfg.seed)
     start_iter = 0
@@ -217,6 +230,7 @@ def train(corpus: Corpus, cfg: VtnConfig, train_cfg: TrainConfig,
     if resume is not None:
         resume = Path(resume)
         model = VtnModel.load(resume.with_suffix(".vtnm"))
+        _check_resumed_config(resume, model.config, cfg)
         start_iter, opt_state, rng_state = load_trainer_state(resume.with_suffix(".vtno"))
         try:
             opt_state.check(model.params)
@@ -225,7 +239,6 @@ def train(corpus: Corpus, cfg: VtnConfig, train_cfg: TrainConfig,
         rng.bit_generator.state = rng_state
     else:
         model = VtnModel.init(cfg, seed=train_cfg.seed, speakers=list(corpus.speakers))
-    cfg = model.config
 
     out_path = Path(out_dir) if out_dir is not None else None
     log_fh = metrics_fh = None

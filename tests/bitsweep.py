@@ -5,8 +5,9 @@ compute.
 Each line is ``<name> <sha256>``.  A conversion line digests the output,
 attention, attended positions, windows and stop flag of one model shape
 in one decode mode and window; a training line digests every parameter
-after 8 batch-4 steps of the acceptance gate's model size, and the
-conversions that trained model then makes; an evaluation line digests the
+after 8 batch-4 steps of the acceptance gate's model size, in one speaker
+conditioning, layer-norm placement or loss weighting, and the conversions
+that trained model then makes; an evaluation line digests the
 DTW path and cost and the three scores of one parallel pair, held
 C-ordered or frame-contiguous (as read from a .vtnf file).  Run the sweep
 on each tree under the same BLAS thread count (training bits depend on
@@ -52,6 +53,15 @@ WINDOWS = [None, (24.0, 48.0), (48.0, 72.0), (160.0, 320.0), (0.0, 0.0)]
 LONG = [("overfit-long", dict(OVERFIT_CFG), 70, [None, (24.0, 48.0)]),
         ("overfit-long-realtime", dict(OVERFIT_CFG, realtime=True), 140, None)]
 TRAIN_STEPS = 8
+# trained models, name -> (model config changes, train config changes)
+TRAINED = {
+    "default": ({}, {}),
+    "realtime": (dict(realtime=True), {}),
+    "any_to_many": (dict(mode="any_to_many"), {}),
+    "one_to_one": (dict(mode="one_to_one"), {}),
+    "post-ln": (dict(ln_placement="post"), {}),
+    "iml0": ({}, dict(lambda_iml=0.0)),
+}
 EVALUATION_SEEDS = (101, 102, 103)  # synthetic corpora whose 3 spk0/spk1 pairs are scored
 
 
@@ -85,12 +95,12 @@ def conversions(name: str, model: VtnModel, n_src: int, seed: int,
         print(f"convert {name} {tag} {conversion_digest(model, src, cfg)}")
 
 
-def train(realtime: bool) -> VtnModel:
+def train(model_kw: dict, train_kw: dict) -> VtnModel:
     corpus = gen_synthetic_corpus(2, 6, seed=7, raw_len_range=(60, 120))
     stats = compute_stats(corpus)
-    cfg = VtnConfig(**OVERFIT_CFG, realtime=realtime)
+    cfg = VtnConfig(**{**OVERFIT_CFG, **model_kw})
     model = VtnModel.init(cfg, seed=0, speakers=list(corpus.speakers))
-    tc = TrainConfig(lr=1e-3, batch_size=4, seed=0)
+    tc = TrainConfig(lr=1e-3, batch_size=4, seed=0, **train_kw)
     opt, rng = AdamState(), np.random.default_rng(0)
     for _ in range(TRAIN_STEPS):
         train_step(model, make_batch(corpus, stats, cfg, tc, rng), opt, tc, rng)
@@ -116,9 +126,8 @@ def main() -> None:
     for i, (name, kw, n_src, windows) in enumerate(LONG):
         model = VtnModel.init(VtnConfig(**kw), seed=i, speakers=["spk0", "spk1"])
         conversions(name, model, n_src, 200 + i, windows)
-    for realtime in (False, True):
-        model = train(realtime)
-        tag = "realtime" if realtime else "default"
+    for tag, (model_kw, train_kw) in TRAINED.items():
+        model = train(model_kw, train_kw)
         print(f"train {tag} params {digest(*(p.data for p in model.params.values()))}")
         conversions(f"trained-{tag}", model, 24, 100)
     for seed in EVALUATION_SEEDS:

@@ -81,7 +81,7 @@ def main_loss(y: Tensor, x_tgt: np.ndarray, gamma: np.ndarray, r: int) -> Tensor
     w = np.tile(gamma, r)[:, None] / r
     diff = ad.sub(slice_cols(y, 0, n), Tensor(x_tgt[:, 1:n + 1]))
     weighted = ad.mul(ad.absolute(diff), Tensor(np.repeat(w, n, axis=1)))
-    return ad.scale(ad.sum_all(weighted), 1.0 / n)
+    return ad.mul(ad.sum_all(weighted), Tensor(1.0 / n))
 
 
 def dal(attn_set: list[list[Tensor]], nu: float) -> Tensor:
@@ -98,7 +98,7 @@ def dal(attn_set: list[list[Tensor]], nu: float) -> Tensor:
             total = term if total is None else ad.add(total, term)
     n_layers = len(attn_set)
     n_heads = len(attn_set[0])
-    return ad.scale(total, 1.0 / (n_src * n_tgt * n_heads * n_layers))
+    return ad.mul(total, Tensor(1.0 / (n_src * n_tgt * n_heads * n_layers)))
 
 
 def column_exact_mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -64,15 +64,16 @@ def test_gradient_suite():
     check(lambda t: ad.sum_all(ad.mul(ad.add(t, Tensor(w)), readout)), (4, 3))
     check(lambda t: ad.sum_all(ad.mul(ad.sub(t, Tensor(w)), readout)), (4, 3))
     check(lambda t: ad.sum_all(ad.mul(ad.mul(t, Tensor(w)), readout)), (4, 3))
-    check(lambda t: ad.sum_all(ad.mul(ad.scale(t, -1.7), readout)), (4, 3))
+    m = Tensor(np.random.default_rng(1).normal(size=(4, 8)))  # keeps rng's draws for x
+    check(lambda t: ad.sum_all(ad.mul(ad.matmul(m, [Tensor(w), t]), readout)), (4, 3))
     check(lambda t: ad.sum_all(ad.mul(ad.absolute(ad.add(t, Tensor(np.full((4, 3), 5.0)))),
                                       readout)), (4, 3))
     check(lambda t: ad.sum_all(t), (4, 3))
     check(lambda t: ad.sum_all(ad.mul(ad.transpose(t), Tensor(w.T))), (4, 3))
     check(lambda t: ad.sum_all(ad.mul(ad.index(t, np.s_[1:3]), Tensor(w[1:3]))), (4, 3))
     check(lambda t: ad.sum_all(ad.mul(ad.index(t, np.s_[:, 0:2]), Tensor(w[:, :2]))), (4, 3))
-    check(lambda t: ad.sum_all(ad.mul(ad.concat_rows([t, ad.scale(t, 2.0)]),
-                                      Tensor(np.vstack([w, w])))), (4, 3))
+    check(lambda t: ad.sum_all(ad.mul(ad.matmul(m, [t, ad.mul(t, Tensor(w))]), readout)),
+          (4, 3))
     check(lambda t: ad.sum_all(ad.mul(ad.tile_cols(t, 3), readout)), (4, 1))
 
     b = Tensor(rng.normal(size=(3, 2)))

@@ -254,10 +254,11 @@ def test_determinism_bitwise():
     rng = np.random.default_rng(10)
     x = rng.normal(size=(5, 4))
     w = rng.normal(size=(5, 4))
+    m = rng.normal(size=(10, 10))
 
     def run():
         t = Tensor(x.copy(), requires_grad=True)
-        loss = ad.sum_all(ad.mul(_ln(ad.glu(ad.concat_rows([t, Tensor(w)]))),
+        loss = ad.sum_all(ad.mul(_ln(ad.glu(ad.matmul(Tensor(m), [t, Tensor(w)]))),
                                  Tensor(np.ones((5, 4)))))
         loss.backward()
         return loss.data.copy(), t.grad.copy()
@@ -275,6 +276,7 @@ def test_primitive_gradchecks_five_seeds(seed):
     x = Tensor(rng.normal(size=(3, 4)))
     kernel = Tensor(rng.normal(size=(2, 5, 3)))
     conv_w = Tensor(rng.normal(size=(2, 4)))
+    m = Tensor(rng.normal(size=(6, 6)))
     checks = [
         lambda t: ad.sum_all(ad.mul(ad.add(t, Tensor(w)), Tensor(w))),
         # keep abs away from its kink: inputs are N(0,1), shift by 5
@@ -283,11 +285,57 @@ def test_primitive_gradchecks_five_seeds(seed):
         lambda t: ad.sum_all(ad.mul(masked_softmax_columns(t, np.zeros((3, 4))),
                                     Tensor(w))),
         lambda t: ad.sum_all(ad.mul(_ln(t), Tensor(w))),
-        lambda t: ad.sum_all(ad.mul(ad.glu(ad.concat_rows([t, Tensor(w)])), Tensor(w[:3]))),
+        lambda t: ad.sum_all(ad.mul(ad.glu(ad.matmul(m, [t, Tensor(w)])), Tensor(w[:3]))),
         lambda t: ad.sum_all(ad.mul(ad.conv1d(t, kernel, 1, True), conv_w)),
     ]
     for f in checks:
         assert grad_check(f, Tensor(x.data.copy())) < 1e-4
+
+
+def _row_block_case(seed):
+    """A (5 x 6) matrix, row blocks of 2, 3 and 1 rows that stack to a (6 x 4)
+    matrix, and a readout of the product."""
+    rng = np.random.default_rng(seed)
+    return (rng.normal(size=(5, 6)), [rng.normal(size=(r, 4)) for r in (2, 3, 1)],
+            rng.normal(size=(5, 4)))
+
+
+@pytest.mark.parametrize("i", range(3))
+def test_matmul_row_blocks_gradcheck_each_block(i):
+    a, blocks, readout = _row_block_case(60)
+
+    def f(t):
+        parts = [t if j == i else Tensor(b) for j, b in enumerate(blocks)]
+        return ad.sum_all(ad.mul(ad.matmul(Tensor(a), parts), Tensor(readout)))
+
+    assert grad_check(f, Tensor(blocks[i].copy())) < 1e-6
+
+
+def test_matmul_row_blocks_give_the_stacked_products_bits():
+    a, blocks, readout = _row_block_case(61)
+    stacked = Tensor(np.concatenate(blocks), requires_grad=True)
+    wa = Tensor(a, requires_grad=True)
+    want = ad.matmul(wa, stacked)
+    ad.sum_all(ad.mul(want, Tensor(readout))).backward()
+    # the middle block needs no gradient and gets none; the others still do
+    parts = [Tensor(b, requires_grad=j != 1) for j, b in enumerate(blocks)]
+    ta = Tensor(a, requires_grad=True)
+    got = ad.matmul(ta, parts)
+    ad.sum_all(ad.mul(got, Tensor(readout))).backward()
+    assert _same_bits(got.data, want.data) and _same_bits(ta.grad, wa.grad)
+    assert parts[1].grad is None
+    assert _same_bits(parts[0].grad, stacked.grad[:2])
+    assert _same_bits(parts[2].grad, stacked.grad[5:])
+    with ad.column_exact():
+        assert _same_bits(ad.matmul(Tensor(a), [Tensor(b) for b in blocks]).data,
+                          ad.matmul(Tensor(a), Tensor(np.concatenate(blocks))).data)
+
+
+def test_matmul_rejects_row_blocks_of_unequal_width():
+    with pytest.raises(ShapeError):
+        ad.matmul(Tensor(np.zeros((2, 5))), [Tensor(np.zeros((3, 4))), Tensor(np.zeros((2, 3)))])
+    with pytest.raises(ShapeError):   # blocks that stack to too few rows
+        ad.matmul(Tensor(np.zeros((2, 5))), [Tensor(np.zeros((3, 4))), Tensor(np.zeros((1, 4)))])
 
 
 def test_column_exact_matches_fast_mode_closely():
@@ -668,11 +716,13 @@ def test_backward_gradients_do_not_alias():
     c = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
     d = Tensor(rng.normal(size=(1, 3)), requires_grad=True)
     bias = Tensor(rng.normal(size=(3, 1)), requires_grad=True)
-    cat = ad.concat_rows([c, d])
-    shifted = ad.add_bias(cat, bias)
+    # c and d are row blocks of one product, whose gradients are rows of
+    # one array
+    prod = ad.matmul(Tensor(rng.normal(size=(3, 3))), [c, d])
+    shifted = ad.add_bias(prod, bias)
     flipped = ad.transpose(shifted)
     ad.sum_all(ad.mul(flipped, Tensor(rng.normal(size=(3, 3))))).backward()
-    _assert_unaliased([c, d, bias, cat, shifted, flipped])
+    _assert_unaliased([c, d, bias, prod, shifted, flipped])
 
     # the attention op hands q = kv one gradient array of its own
     qkv = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
@@ -706,7 +756,7 @@ def test_swept_graph_cannot_be_backpropagated_again():
     rng = np.random.default_rng(82)
     x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
     part = ad.sum_all(ad.mul(x, x))
-    loss = ad.scale(part, 3.0)
+    loss = ad.mul(part, Tensor(3.0))
     loss.backward()
     want = x.grad.copy()
     with pytest.raises(GraphReleasedError):

@@ -338,6 +338,19 @@ def test_train_resume_with_mismatched_moments_exits_1(workspace, tmp_path, capsy
     assert "first moments do not match" in err and "Traceback" not in err
 
 
+def test_train_resume_without_the_runs_model_config_exits_1(workspace, tmp_path, capsys):
+    # the checkpoint holds a TINY model; a resume without those flags is
+    # handed the default d = 512
+    run = tmp_path / "run"
+    rc = main(["train", "--data", str(workspace / "data"),
+               "--stats", str(workspace / "stats.vtns"), "--out", str(run),
+               "--set", "train.iterations=1", "--resume", str(workspace / "run" / "final")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "d=512 (checkpoint: 8)" in err
+    assert "Traceback" not in err and not run.exists()
+
+
 @pytest.mark.parametrize("row", [b"[1, 2]\n", b'{"x": 1}\n', b'{"iter": "1"}\n'],
                          ids=["list", "no-iter", "str-iter"])
 def test_train_resume_ends_metrics_at_a_row_without_an_int_iter(workspace, tmp_path, row):

@@ -107,7 +107,7 @@ def test_tsa_identity_passes_values_through():
     rng = np.random.default_rng(5)
     x = Tensor(rng.normal(size=(cfg.d, 3)))
     z = Tensor(rng.normal(size=(cfg.d, 5)))
-    out, attn = model._tsa("dec.0.tsa", x, _kv(model, z), _pair(3, 5), True)
+    out, attn = model._tsa("dec.0.tsa", [x], _kv(model, z), _pair(3, 5), True)
     assert attn is None
     p = {k: v.data for k, v in model.params.items()}
     values = (p["dec.0.tsa.W6"] @ z.data)[cfg.d:, :3]

@@ -7,7 +7,7 @@ import pytest
 
 from vtn import trainer
 from vtn.autodiff import AdamState, Tensor
-from vtn.errors import FormatError, ShapeError, TrainingDivergedError
+from vtn.errors import ConfigError, FormatError, ShapeError, StatsError, TrainingDivergedError
 from vtn.features import compute_stats, gen_synthetic_corpus, normalize, stack
 from vtn.losses import total_loss
 from vtn.model import VtnConfig, VtnModel
@@ -116,7 +116,28 @@ def test_make_batch_one_to_one_fixed_pair():
     cfg = tiny_cfg(mode="one_to_one")
     batch = make_batch(corpus, stats, cfg, TrainConfig(batch_size=2),
                        np.random.default_rng(2))
-    assert all((k, kp) == (0, 1) for k, kp, _, _ in batch)
+    assert [(k, kp) for k, kp, _, _ in batch] == [(0, 1)] * 2 + [(0, 0), (1, 1)] * 2
+
+
+@pytest.mark.parametrize("mode, lambda_iml", [("one_to_one", 1.0), ("many_to_many", 0.0)])
+def test_total_loss_alone_drops_identity_pairs_where_iml_is_off(mode, lambda_iml):
+    # make_batch hands over the identity pairs whatever the loss weights;
+    # the loss, its dropout draws and the rng stream are those of the cross
+    # pairs alone
+    corpus = small_corpus()
+    stats = compute_stats(corpus)
+    cfg = tiny_cfg(mode=mode)
+    tc = TrainConfig(batch_size=2, lambda_iml=lambda_iml)
+    batch = make_batch(corpus, stats, cfg, tc, np.random.default_rng(3))
+    assert len(batch) == 6
+    model = VtnModel.init(cfg, seed=4)
+    weights = tc.loss_weights(cfg.n_mcc)
+    rngs = [np.random.default_rng(5), np.random.default_rng(5)]
+    got, got_terms = total_loss(model, batch, weights, training=True, rng=rngs[0])
+    want, want_terms = total_loss(model, batch[:2], weights, training=True, rng=rngs[1])
+    assert got.data.tobytes() == want.data.tobytes() and got_terms == want_terms
+    assert got_terms["iml"] == 0.0
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
 
 def test_make_batch_pair_frequencies():
@@ -313,6 +334,28 @@ def test_train_resume_rejects_missing_moments(tmp_path):
 def test_train_resume_rejects_no_moments_after_a_step(tmp_path):
     with pytest.raises(FormatError, match="after 2 steps"):
         _resume_with_moments(tmp_path, lambda m, v: (m.clear(), v.clear()))()
+
+
+def test_train_resume_rejects_a_different_model_config(tmp_path):
+    corpus = small_corpus()
+    run = tmp_path / "run"
+    train(corpus, tiny_cfg(), TrainConfig(iterations=2, batch_size=1, seed=13,
+                                          checkpoint_every=1), out_dir=run)
+    before = {p.name: p.read_bytes() for p in run.iterdir()}
+    more = TrainConfig(iterations=3, batch_size=1, seed=13, checkpoint_every=1)
+    with pytest.raises(ConfigError, match=r"L=2 \(checkpoint: 1\), d=16 \(checkpoint: 8\)$"):
+        train(corpus, tiny_cfg(L=2, d=16), more, out_dir=run, resume=run / "ckpt_000001")
+    # nothing written, and the logs not cut back to the checkpoint's row
+    assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
+
+def test_train_checks_stats_cover_every_speaker_before_writing(tmp_path):
+    corpus = gen_synthetic_corpus(3, 2, seed=7, raw_len_range=(60, 90))
+    stats = compute_stats(small_corpus())
+    tc = TrainConfig(iterations=4, batch_size=1, seed=13)
+    with pytest.raises(StatsError, match="no statistics for speaker 'spk2'"):
+        train(corpus, tiny_cfg(n_speakers=3), tc, stats=stats, out_dir=tmp_path / "run")
+    assert not (tmp_path / "run").exists()
 
 
 def test_train_log_format(tmp_path):
