@@ -1,9 +1,11 @@
 """Autoregressive conversion, attention windowing, the low-latency
 identity-aligned mode, and the raw-features-in, raw-features-out pipeline
 around the network.  What every decoder pass needs that does not depend on
-its target input (``VtnModel.decoding``) is built once per conversion, but
-decoding is not incremental: every step re-runs the decoder over the whole
-prefix generated so far."""
+its target input (``VtnModel.decoding``) is built once per conversion, and
+decoding is incremental in the convolutions only: each step runs the
+target prenet over its newest column (``VtnModel.decode_step``, with a
+``DecoderCache``), the decoder layers over the whole prefix, and the
+postnet over the receptive field of the column it keeps."""
 
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from .errors import AdjustmentError, NonFiniteOutputError, ShapeError, StatsErro
 from .features import (Corpus, FeatureSequence, SpeakerStats, StackedSequence,
                        adjust_output_stats, compute_stats, denormalize, normalize,
                        stack, unstack)
-from .model import VtnModel
+from .model import DecoderCache, VtnModel
 
 
 @dataclass
@@ -73,9 +75,11 @@ def convert(model: VtnModel, src: np.ndarray, k: int | None, kp: int | None,
     column is bit-identical to what a full teacher-forced pass over the same
     prefix would produce.  The decoder's constants (``VtnModel.decoding``)
     are built once, after the encoder, from the weights as they are at the
-    call; each step then passes them to ``VtnModel.decode`` with the whole
-    prefix, and the bits equal those of a decode from the raw encoder
-    output.  Each step attends where the head mean of its
+    call; each step then passes them, a ``DecoderCache`` of the target
+    prenet's work on the earlier steps, and the previous step's output
+    column to ``VtnModel.decode_step``, and the bits equal those of a
+    ``VtnModel.decode`` of the whole prefix from the raw encoder output.
+    Each step attends where the head mean of its
     newest attention column peaks (n_hat); decoding stops once n_hat reaches
     the last source position, or is truncated after max_len_factor * N_src
     steps.  A realtime model's identity alignment thus stops after N_src
@@ -105,18 +109,22 @@ def convert(model: VtnModel, src: np.ndarray, k: int | None, kp: int | None,
 
     with ad.column_exact():
         dec = model.decoding(model.encode(src, k=k), kp)
-        prefix = np.zeros((model.config.D, 1))
+        max_steps = cfg.max_len_factor * n_src
+        cache = DecoderCache(dec, max_steps)
+        column = np.zeros((model.config.D, 1))
+        outputs: list[np.ndarray] = []
         n_hat_track: list[int] = []
         n_hat = 1
         step_heads: list[np.ndarray] = []   # windowed: per step, (L, H, N_src) newest column
         windows: list[tuple[int, int] | None] = []
-        for step in range(1, cfg.max_len_factor * n_src + 1):
+        for step in range(1, max_steps + 1):
             lo, hi = max(1, n_hat - n0), min(n_hat + n1, n_src)
             windows.append((lo, hi) if windowed else None)
-            y, attn = model.decode(prefix, dec, window=(lo - 1, hi) if windowed else None)
-            if not np.isfinite(y.data[:, -1]).all():
+            column, attn = model.decode_step(column, dec, cache,
+                                             window=(lo - 1, hi) if windowed else None)
+            if not np.isfinite(column).all():
                 raise NonFiniteOutputError(f"decode step {step} gave a non-finite output column")
-            prefix = np.concatenate([prefix, y.data[:, -1:]], axis=1)
+            outputs.append(column)
             # a copy, so windowed mode does not keep each step's whole attention
             heads = attn[..., -1].copy()
             if windowed:
@@ -130,8 +138,8 @@ def convert(model: VtnModel, src: np.ndarray, k: int | None, kp: int | None,
     # attention is each step's own newest column, except that a later pass's
     # earlier columns lose their windows
     attention = np.stack(step_heads, axis=-1) if windowed else attn
-    return ConversionResult(output=prefix[:, 1:], attention=attention, n_hat=n_hat_track,
-                            truncated=n_hat != n_src, windows=windows)
+    return ConversionResult(output=np.concatenate(outputs, axis=1), attention=attention,
+                            n_hat=n_hat_track, truncated=n_hat != n_src, windows=windows)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,8 @@ _MODEL_VERSION = 1
 
 PRENET_KERNEL = 5
 PRENET_DILATIONS = (1, 2, 4)
+# the decoder columns that one postnet output column depends on
+POSTNET_FIELD = 1 + (PRENET_KERNEL - 1) * sum(PRENET_DILATIONS)
 
 
 @dataclass
@@ -106,6 +108,23 @@ class Decoding(NamedTuple):
     prenet: list[Tensor]
     postnet: list[Tensor]
     spk: Tensor | None
+
+
+class DecoderCache:
+    """The target prenet's work on the prefix of one conversion, which
+    ``VtnModel.decode_step`` extends by one column per step, up to capacity
+    columns: each causal conv's input columns after (K-1) * dilation zero
+    columns that stand for its causal padding, the first conv's input
+    holding the target speaker's rows under every column, and the prenet's
+    output columns.  n counts the columns so far."""
+
+    def __init__(self, dec: Decoding, capacity: int):
+        self.n = 0
+        self.inputs = [np.zeros((w.data.shape[2], (PRENET_KERNEL - 1) * dil + capacity))
+                       for w, dil in zip(dec.prenet, PRENET_DILATIONS)]
+        if dec.spk is not None:
+            self.inputs[0][-dec.spk.data.shape[0]:, PRENET_KERNEL - 1:] = dec.spk.data
+        self.out = np.empty((dec.prenet[-1].data.shape[0] // 2, capacity))
 
 
 # ---------------------------------------------------------------------------
@@ -373,12 +392,22 @@ class VtnModel:
     def _decode(self, x: Tensor, dec: Decoding, segs: ad.Segments, src_segs: ad.Segments,
                 drops: list[np.ndarray] | None, window: tuple[int, int] | None,
                 identity: bool) -> tuple[Tensor, list[Tensor | None]]:
-        cfg = self.config
         spk = self._tiled(dec.spk, segs)
         x = ad.add(x, Tensor(self._positions(segs.lengths)))
         if drops is not None:
             x = ad.mul(x, Tensor(drops[0]))
         x = self._prenet(dec.prenet, x, spk, True, segs)
+        x, attn = self._decoder_stack(x, dec, spk, segs, src_segs, window, identity)
+        if drops is not None:
+            x = ad.mul(x, Tensor(drops[1]))
+        return self._postnet(dec.postnet, x, spk, segs), attn
+
+    def _decoder_stack(self, x: Tensor, dec: Decoding, spk: Tensor | None, segs: ad.Segments,
+                       src_segs: ad.Segments, window: tuple[int, int] | None,
+                       identity: bool) -> tuple[Tensor, list[Tensor | None]]:
+        """The decoder layers and the final layer norm over the target
+        prenet's output x."""
+        cfg = self.config
         self_lay = Layout(segs, segs, True)
         tsa_lay = Layout(segs, src_segs, False, window)
         attn = []
@@ -387,9 +416,7 @@ class VtnModel:
             attn.append(a)
         if cfg.has_final_ln:
             x = self._ln("dec_final_ln", x)
-        if drops is not None:
-            x = ad.mul(x, Tensor(drops[1]))
-        return self._postnet(dec.postnet, x, spk, segs), attn
+        return x, attn
 
     def _per_head(self, attn: list[Tensor], n_src: int, n_tgt: int) -> list[list[Tensor]]:
         """Each head's (N_src x N_tgt) attention of a one-segment pass."""
@@ -422,7 +449,6 @@ class VtnModel:
         A realtime model attends from target position j to source position j
         alone (N_tgt <= N_src), and its attention is a read-only broadcast of
         that identity."""
-        cfg = self.config
         if isinstance(z, Decoding) and kp is not None:
             raise ShapeError("decode: the decoding constants already hold the target speaker")
         dec = z if isinstance(z, Decoding) else self.decoding(z, kp)
@@ -430,10 +456,50 @@ class VtnModel:
         segs = ad.segments((tgt_in.data.shape[1],))
         n_src = dec.z.data.shape[1]
         y, attn = self._decode(tgt_in, dec, segs, ad.segments((n_src,)), None, window,
-                               cfg.realtime)
+                               self.config.realtime)
+        return y, self._attention(attn, n_src, segs.n)
+
+    def decode_step(self, tgt_in, dec: Decoding, cache: DecoderCache,
+                    window: tuple[int, int] | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """``decode(prefix, dec, window=window)``'s last output column (D x 1)
+        and its attention, prefix being the columns of the earlier steps that
+        cache holds and then the (D x 1) array tgt_in, with the same bits in
+        column-exact mode, where conversion runs it.  The target prenet runs
+        over the newest column alone, each conv reading its K taps from
+        cache, and adds its columns to cache; the decoder layers run over
+        every cached prenet column, and the postnet over the last
+        POSTNET_FIELD columns of their output, the receptive field of the
+        column kept."""
+        cfg = self.config
+        tgt_in = np.asarray(tgt_in, dtype=np.float64)
+        if tgt_in.shape != (cfg.D, 1):
+            raise ShapeError(f"decode_step: the target input must be ({cfg.D}, 1), "
+                             f"not {tgt_in.shape}")
+        j = cache.n
+        if j == cache.out.shape[1]:
+            raise ShapeError(f"decode_step: the decoder cache holds all its {j} columns")
+        x = tgt_in + self._positions((j + 1,))[:, j:]
+        for buf, w, dil in zip(cache.inputs, dec.prenet, PRENET_DILATIONS):
+            span = (PRENET_KERNEL - 1) * dil
+            buf[:x.shape[0], span + j] = x[:, 0]
+            x = ad.glu(ad.conv1d(Tensor(buf[:, j:j + span + 1:dil]), w, valid=True)).data
+        cache.out[:, j] = x[:, 0]
+        cache.n = n = j + 1
+        segs, n_src = ad.segments((n,)), dec.z.data.shape[1]
+        h, attn = self._decoder_stack(Tensor(cache.out[:, :n]), dec, self._tiled(dec.spk, segs),
+                                      segs, ad.segments((n_src,)), window, cfg.realtime)
+        tail = ad.segments((min(n, POSTNET_FIELD),))
+        y = self._postnet(dec.postnet, Tensor(h.data[:, n - tail.n:]), self._tiled(dec.spk, tail),
+                          tail)
+        return y.data[:, -1:].copy(), self._attention(attn, n_src, n)
+
+    def _attention(self, attn: list[Tensor | None], n_src: int, n_tgt: int) -> np.ndarray:
+        """The (L, H, N_src, N_tgt) attention of a one-segment inference pass;
+        a realtime model's is a read-only broadcast of its identity."""
+        cfg = self.config
         if cfg.realtime:
-            return y, np.broadcast_to(np.eye(n_src, segs.n), (cfg.L, cfg.H, n_src, segs.n))
-        return y, np.stack([a.data.reshape(cfg.H, n_src, segs.n) for a in attn])
+            return np.broadcast_to(np.eye(n_src, n_tgt), (cfg.L, cfg.H, n_src, n_tgt))
+        return np.stack([a.data.reshape(cfg.H, n_src, n_tgt) for a in attn])
 
     def forward(self, src: np.ndarray, tgt_in: np.ndarray, k: int | None = None,
                 kp: int | None = None, training: bool = False,

@@ -10,7 +10,7 @@ from vtn.converter import (ConversionResult, DecodeConfig, convert, convert_sequ
                            dump_attention)
 from vtn.errors import NonFiniteOutputError, ShapeError, StatsError
 from vtn.features import compute_stats, gen_synthetic_corpus
-from vtn.model import VtnConfig, VtnModel
+from vtn.model import POSTNET_FIELD, PRENET_KERNEL, VtnConfig, VtnModel
 from vtn.trainer import TrainConfig, make_batch, train_step
 
 
@@ -73,21 +73,65 @@ def test_incremental_equals_teacher_forced(kw):
         assert np.array_equal(yp.data[:, m - 1], result.output[:, m - 1])
 
 
-@pytest.mark.parametrize("kw, mode", [
-    pytest.param(kw, mode, id=f"{name}-{mode}") for name, kw in zip(CONFIG_IDS, CONFIGS)
-    for mode in (["realtime"] if kw.get("realtime") else ["default", "windowed"])])
-def test_convert_equals_per_step_decoding(kw, mode):
-    # building the decoder constants once per conversion changes no bit
+@pytest.mark.parametrize("kw, mode, n_src", [
+    pytest.param(kw, mode, 8, id=f"{name}-{mode}") for name, kw in zip(CONFIG_IDS, CONFIGS)
+    for mode in (["realtime"] if kw.get("realtime") else ["default", "windowed"])] + [
+    # long enough to pass the postnet's receptive field and the prenet's
+    # dilation-4 taps
+    pytest.param({}, "default", 20, id="long-default"),
+    pytest.param({}, "windowed", 20, id="long-windowed"),
+    pytest.param({"realtime": True}, "realtime", 32, id="long-realtime")])
+def test_convert_equals_per_step_decoding(kw, mode, n_src):
+    # building the decoder constants once per conversion and decoding step
+    # by step from the cache changes no bit
     model = _model(seed=1, **kw)
-    src = _src(np.random.default_rng(1), model, n=8)
+    src = _src(np.random.default_rng(1), model, n=n_src)
     cfg = DecodeConfig(mode=mode, window_back_ms=24.0, window_fwd_ms=48.0)
     got, want = convert(model, src, 0, 1, cfg), convert_per_step(model, src, 0, 1, cfg)
+    if n_src > 8:
+        assert len(got.n_hat) > POSTNET_FIELD
     assert got.output.tobytes() == want.output.tobytes()
     assert got.output.shape == want.output.shape
     assert got.attention.tobytes() == want.attention.tobytes()
     assert got.attention.shape == want.attention.shape
     assert got.attention.flags.writeable == want.attention.flags.writeable
     assert (got.n_hat, got.windows, got.truncated) == (want.n_hat, want.windows, want.truncated)
+
+
+def test_each_step_convolves_only_what_its_column_needs(monkeypatch):
+    # a 96-step conversion runs each target-prenet conv once per step over
+    # its K taps and each postnet conv over at most the postnet's receptive
+    # field, where decoding the whole prefix reads every column so far
+    cfg = VtnConfig(L=2, H=2, d=32, d_ffn=64, n_mcc=28, r=3, e=8, n_speakers=2)
+    model = VtnModel.init(cfg, seed=0)
+    src = np.random.default_rng(0).normal(size=(cfg.D, 48))
+    kernels, reads = {}, []
+    conv1d, decoding = ad.conv1d, model.decoding
+
+    def spied_decoding(*args, **kwargs):
+        dec = decoding(*args, **kwargs)
+        kernels.update({id(w): ("prenet", i) for i, w in enumerate(dec.prenet)})
+        kernels.update({id(w): ("postnet", i) for i, w in enumerate(dec.postnet)})
+        return dec
+
+    def spied_conv1d(x, kernel, *args, **kwargs):
+        if id(kernel) in kernels:
+            # a step ends with its last postnet conv
+            step = 1 + sum(r[1:3] == ("postnet", 2) for r in reads)
+            first = x[0] if isinstance(x, list) else x
+            reads.append((step, *kernels[id(kernel)], first.data.shape[1]))
+        return conv1d(x, kernel, *args, **kwargs)
+
+    monkeypatch.setattr(model, "decoding", spied_decoding)
+    monkeypatch.setattr(ad, "conv1d", spied_conv1d)
+    result = convert(model, src, 0, 1)
+    assert len(result.n_hat) == 96
+    for step in range(1, 97):
+        got = sorted((net, i, n) for s, net, i, n in reads if s == step)
+        field = min(step, POSTNET_FIELD)
+        assert got == [("postnet", i, field) for i in range(3)] + [
+            ("prenet", i, PRENET_KERNEL) for i in range(3)]
+    assert len(reads) == 6 * 96
 
 
 def test_truncated_conversion_builds_decoder_constants_once(monkeypatch):
@@ -127,13 +171,14 @@ def test_truncated_conversion_builds_decoder_constants_once(monkeypatch):
     monkeypatch.setattr(ad, "weight_norm_apply", counted_weight_norm)
     monkeypatch.setattr(ad, "matmul", counted_matmul)
     monkeypatch.setattr(ad, "transpose", counted_transpose)
-    for name in ("encode", "decoding", "decode"):
+    for name in ("encode", "decoding", "decode_step"):
         monkeypatch.setattr(model, name, logged(name))
     result = convert(model, src, 0, 1)
     assert len(result.n_hat) == 96 and result.truncated
     assert len(norms) == 9 and len({id(d) for d in norms}) == 9
     assert sorted(products) == list(range(cfg.L))
-    assert events == ["encode"] + ["layout"] * 3 + ["decoding"] + ["layout"] * 6 + ["decode"] * 96
+    assert events == (["encode"] + ["layout"] * 3 + ["decoding"] + ["layout"] * 6
+                      + ["decode_step"] * 96)
 
 
 def test_non_finite_output_column_stops_the_conversion(monkeypatch):
@@ -142,13 +187,13 @@ def test_non_finite_output_column_stops_the_conversion(monkeypatch):
     model = _model(seed=4)
     model.params["dec.0.ffn.W4"].data[0, 0] = np.nan
     calls = []
-    decode = model.decode
+    decode_step = model.decode_step
 
-    def counted_decode(*args, **kwargs):
+    def counted_decode_step(*args, **kwargs):
         calls.append(args)
-        return decode(*args, **kwargs)
+        return decode_step(*args, **kwargs)
 
-    monkeypatch.setattr(model, "decode", counted_decode)
+    monkeypatch.setattr(model, "decode_step", counted_decode_step)
     with pytest.raises(NonFiniteOutputError, match="decode step 1 "):
         convert(model, _src(np.random.default_rng(4), model, n=15), 0, 1)
     assert len(calls) == 1

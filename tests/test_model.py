@@ -6,7 +6,8 @@ import pytest
 from vtn import autodiff as ad
 from vtn.autodiff import Tensor
 from vtn.errors import ShapeError
-from vtn.model import Layout, VtnConfig, VtnModel, positional_encoding
+from vtn.model import (POSTNET_FIELD, DecoderCache, Layout, VtnConfig, VtnModel,
+                       positional_encoding)
 
 from oracles import causal_mask
 
@@ -141,6 +142,33 @@ def test_decode_takes_decoding_constants_in_place_of_z_and_kp():
     assert attn_dec.tobytes() == attn.tobytes()
     with pytest.raises(ShapeError, match="already hold the target speaker"):
         model.decode(tgt, dec, kp=1)
+
+
+@pytest.mark.parametrize("kw, window", [({}, None), ({}, (3, 7)), ({"mode": "one_to_one"}, None),
+                                         ({"realtime": True}, None)],
+                         ids=["default", "windowed", "one_to_one", "realtime"])
+def test_decode_step_is_the_last_column_of_decode(kw, window):
+    # each step's column and attention equal a column-exact decode of the
+    # whole prefix, past the 17 columns of the prenet's dilation-4 taps and
+    # the postnet's receptive field
+    model = VtnModel.init(tiny_config(L=2, **kw), seed=5)
+    rng = np.random.default_rng(8)
+    n = POSTNET_FIELD + 6
+    z = Tensor(rng.normal(size=(model.config.d, n)))
+    prefix = rng.normal(size=(model.config.D, n))
+    dec = model.decoding(z, None if kw.get("mode") == "one_to_one" else 1)
+    cache = DecoderCache(dec, n)
+    with ad.column_exact():
+        for j in range(n):
+            y, attn = model.decode_step(prefix[:, j:j + 1], dec, cache, window)
+            want_y, want_attn = model.decode(prefix[:, :j + 1], dec, window=window)
+            assert y.tobytes() == want_y.data[:, -1:].tobytes()
+            assert attn.tobytes() == want_attn.tobytes() and attn.shape == want_attn.shape
+    assert cache.n == n
+    with pytest.raises(ShapeError, match="holds all its"):
+        model.decode_step(prefix[:, :1], dec, cache)
+    with pytest.raises(ShapeError, match="must be"):
+        model.decode_step(prefix[:, :2], dec, DecoderCache(dec, 2))
 
 
 def test_dropout_identity_cases():
