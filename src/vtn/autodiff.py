@@ -499,9 +499,10 @@ def conv1d(x: Tensor | Sequence[Tensor], kernel: Tensor, dilation: int = 1,
 def _key_ranges(n_k: int, n_q: int, causal: bool,
                 window: tuple[int, int] | None) -> tuple[np.ndarray, np.ndarray]:
     """The key range [lo[j], hi[j]) that query column j of one segment sees:
-    the causal prefix or all keys, cut to the window for the last column."""
+    all keys or, causal, the keys up to its position, the n_q <= n_k queries
+    being the last n_q key positions; the window cuts the last column's."""
     lo = np.zeros(n_q, dtype=np.intp)
-    hi = np.minimum(np.arange(1, n_q + 1), n_k) if causal else np.full(n_q, n_k)
+    hi = np.arange(n_k - n_q + 1, n_k + 1) if causal else np.full(n_q, n_k)
     if window is not None:
         lo[-1], hi[-1] = window[0], min(hi[-1], window[1])
         if lo[-1] >= hi[-1]:
@@ -572,10 +573,12 @@ def attention(q: Tensor, kv: Tensor, k_row: int, n_heads: int, scale: float,
     queries from rows i*dh.. of q, its keys from rows k_row + i*dh.. of kv and
     its values d rows below its keys.  Query segment p of qs attends to key
     segment p of ks only, at that pair's own size: causal hides keys past a
-    query's position.  Returns the stacked head outputs (d x N_q) and the
-    ragged attention: one flat tensor holding segment p's (n_heads, n_k, n_q)
-    block right after segment p-1's, column-stochastic over the segment's
-    keys and exactly 0 at masked keys.
+    query's position, a causal segment's queries being the last positions
+    of its keys (all of them but in a decoding step's last layer).  Returns
+    the stacked head outputs (d x N_q) and the ragged attention: one flat
+    tensor holding segment p's (n_heads, n_k, n_q) block right after
+    segment p-1's, column-stochastic over the segment's keys and exactly 0
+    at masked keys.
 
     Column-exact mode takes one segment and gives each query column its own
     key range: its heads attend over contiguous copies of that range's keys
@@ -591,6 +594,7 @@ def attention(q: Tensor, kv: Tensor, k_row: int, n_heads: int, scale: float,
     if (d < 1 or d % n_heads or q.data.shape[0] < d or qs.p != ks.p
             or q.data.shape[1] != qs.n or kv.data.shape[1] != ks.n
             or (_column_exact and qs.p != 1)
+            or (causal and any(nq > nk for nq, nk in zip(qs.lengths, ks.lengths)))
             or (window is not None and not 0 <= window[0] <= window[1] <= ks.n)):
         raise ShapeError(f"attention: q {q.data.shape}, kv {kv.data.shape}, k_row {k_row}, "
                          f"{n_heads} heads, {qs.p}/{ks.p} segments, window {window}")
@@ -619,15 +623,15 @@ def attention(q: Tensor, kv: Tensor, k_row: int, n_heads: int, scale: float,
     a *= scale
     if causal:
         # 0.0 where _key_ranges lets a query see a key, else NEG_INF, over
-        # the call's largest segment; each block adds its top-left corner.
-        # NEG_INF is finite: adding -inf is slower
+        # the call's largest segment; each block adds its bottom-right
+        # corner.  NEG_INF is finite: adding -inf is slower
         m = max(*qs.lengths, *ks.lengths)
         lo, hi = _key_ranges(m, m, True, None)
         keys = np.arange(m)[:, None]
         mask = np.where((lo <= keys) & (keys < hi), 0.0, NEG_INF)
     for qc, kc, qh, kh, vh, ap, o in blocks:
         if causal:
-            ap += mask[:ap.shape[1], :ap.shape[2]]
+            ap += mask[m - ap.shape[1]:, m - ap.shape[2]:]
         ap -= ap.max(axis=1, keepdims=True)
     np.exp(a, out=a)
     for qc, kc, qh, kh, vh, ap, o in blocks:

@@ -4,8 +4,9 @@ around the network.  What every decoder pass needs that does not depend on
 its target input (``VtnModel.decoding``) is built once per conversion, and
 decoding is incremental in the convolutions only: each step runs the
 target prenet over its newest column (``VtnModel.decode_step``, with a
-``DecoderCache``), the decoder layers over the whole prefix, and the
-postnet over the receptive field of the column it keeps."""
+``DecoderCache``), every decoder layer but the last over the whole prefix,
+and the last layer's queries and everything after them, the postnet
+included, over the postnet's receptive field of the column it keeps."""
 
 from __future__ import annotations
 
@@ -79,14 +80,18 @@ def convert(model: VtnModel, src: np.ndarray, k: int | None, kp: int | None,
     prenet's work on the earlier steps, and the previous step's output
     column to ``VtnModel.decode_step``, and the bits equal those of a
     ``VtnModel.decode`` of the whole prefix from the raw encoder output.
-    Each step attends where the head mean of its
-    newest attention column peaks (n_hat); decoding stops once n_hat reaches
-    the last source position, or is truncated after max_len_factor * N_src
-    steps.  A realtime model's identity alignment thus stops after N_src
-    steps.  In windowed mode each step's target-to-source attention sees
-    only the source positions [n_hat - N0, n_hat + N1] (1-based, clipped to
-    the source) around the previous step's n_hat, starting from 1;
-    ``ConversionResult.windows`` records each step's range.  The first step
+    The step runs the decoder layers over the whole prefix, but for the
+    last layer's queries and what follows them, which run over the columns
+    the postnet reads.  Each step attends where the head mean of its newest
+    attention column peaks (n_hat), and ``ConversionResult.attention``
+    stacks those columns, or is a realtime model's identity broadcast.
+    Decoding stops once n_hat reaches the last source position, or is
+    truncated after max_len_factor * N_src steps.  A realtime model's
+    identity alignment thus stops after N_src steps.  In windowed mode each
+    step's target-to-source attention sees only the source positions
+    [n_hat - N0, n_hat + N1] (1-based, clipped to the source) around the
+    previous step's n_hat, starting from 1; ``ConversionResult.windows``
+    records each step's range.  The first step
     whose output column is not finite raises NonFiniteOutputError: every
     later step would attend through it.
     """
@@ -115,29 +120,24 @@ def convert(model: VtnModel, src: np.ndarray, k: int | None, kp: int | None,
         outputs: list[np.ndarray] = []
         n_hat_track: list[int] = []
         n_hat = 1
-        step_heads: list[np.ndarray] = []   # windowed: per step, (L, H, N_src) newest column
+        step_heads: list[np.ndarray] = []   # per step, its (L, H, N_src) attention column
         windows: list[tuple[int, int] | None] = []
         for step in range(1, max_steps + 1):
             lo, hi = max(1, n_hat - n0), min(n_hat + n1, n_src)
             windows.append((lo, hi) if windowed else None)
-            column, attn = model.decode_step(column, dec, cache,
-                                             window=(lo - 1, hi) if windowed else None)
+            column, heads = model.decode_step(column, dec, cache,
+                                              window=(lo - 1, hi) if windowed else None)
             if not np.isfinite(column).all():
                 raise NonFiniteOutputError(f"decode step {step} gave a non-finite output column")
             outputs.append(column)
-            # a copy, so windowed mode does not keep each step's whole attention
-            heads = attn[..., -1].copy()
-            if windowed:
-                step_heads.append(heads)
+            step_heads.append(heads)
             n_hat = int(np.argmax(head_mean(heads))) + 1
             n_hat_track.append(n_hat)
             if n_hat == n_src:
                 break
 
-    # column-exact passes reproduce every earlier column, so the last pass's
-    # attention is each step's own newest column, except that a later pass's
-    # earlier columns lose their windows
-    attention = np.stack(step_heads, axis=-1) if windowed else attn
+    attention = (model.identity_attention(n_src, len(outputs)) if model.config.realtime
+                 else np.stack(step_heads, axis=-1))
     return ConversionResult(output=np.concatenate(outputs, axis=1), attention=attention,
                             n_hat=n_hat_track, truncated=n_hat != n_src, windows=windows)
 

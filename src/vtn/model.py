@@ -278,6 +278,11 @@ class VtnModel:
         """Each speaker column repeated over its segment."""
         return None if cols is None else ad.tile_cols(cols, segs.lengths)
 
+    @staticmethod
+    def _last(x: Tensor | None, n: int) -> Tensor | None:
+        """The last n columns of x, x itself when it has no more."""
+        return x if x is None or x.data.shape[1] == n else ad.index(x, np.s_[:, -n:])
+
     def _conditioned_rows(self, x: Tensor, spk: Tensor | None) -> list[Tensor]:
         """x and, unless spk is None, the speaker columns of its pass: the
         row blocks that a conv or a matrix product reads as one input."""
@@ -298,22 +303,26 @@ class VtnModel:
         return ad.conv1d(x, kernels[2], dilation=PRENET_DILATIONS[2], causal=True, segs=segs)
 
     def _sa(self, prefix, x, lay: Layout):
+        """Self-attention of the last lay.qs.n columns of the row blocks x
+        over the keys and values of all of them."""
         d = self.config.d
         qkv = ad.matmul(self.params[f"{prefix}.W1"], x)
-        heads, _ = ad.attention(qkv, qkv, d, self.config.H, 1.0 / math.sqrt(d), *lay)
+        heads, _ = ad.attention(self._last(qkv, lay.qs.n), qkv, d, self.config.H,
+                                1.0 / math.sqrt(d), *lay)
         return ad.matmul(self.params[f"{prefix}.W2"], heads)
 
-    def _tsa(self, prefix, x, kv, lay: Layout, identity):
+    def _tsa(self, prefix, x, kv, lay: Layout, identity, first: int = 0):
         """The output and the ragged attention of the row blocks x against the
         keys and values kv, the attention None under the identity alignment of
-        a one-segment pass: target position j attends to source position j
-        only, so every head passes its values through and no query is needed."""
+        a one-segment pass: target position j, x holding the positions
+        first.., attends to source position j only, so every head passes its
+        values through and no query is needed."""
         d = self.config.d
         if identity:
-            n_tgt = x[0].data.shape[1]
+            n_tgt = first + x[0].data.shape[1]
             if n_tgt > kv.data.shape[1]:
                 raise ShapeError("identity alignment needs N_tgt <= N_src")
-            heads, attn = ad.index(kv, np.s_[d:2 * d, :n_tgt]), None
+            heads, attn = ad.index(kv, np.s_[d:2 * d, first:n_tgt]), None
         else:
             q_all = ad.matmul(self.params[f"{prefix}.W5"], x)
             heads, attn = ad.attention(q_all, kv, 0, self.config.H, 1.0 / math.sqrt(d), *lay)
@@ -328,10 +337,12 @@ class VtnModel:
 
     def _sublayer(self, ln_name, x, spk, f):
         """Residual sub-layer around f, which sees the speaker-conditioned row
-        blocks of its input: x + f(LN(x)) pre-LN, LN(x + f(x)) post-LN."""
-        if self.config.ln_placement == "pre":
-            return ad.add(x, f(self._conditioned_rows(self._ln(ln_name, x), spk)))
-        return self._ln(ln_name, ad.add(x, f(self._conditioned_rows(x, spk))))
+        blocks of its input and may return x's last columns alone: x + f(LN(x))
+        pre-LN, LN(x + f(x)) post-LN, with x cut to the columns f returns."""
+        pre = self.config.ln_placement == "pre"
+        y = f(self._conditioned_rows(self._ln(ln_name, x) if pre else x, spk))
+        u = ad.add(self._last(x, y.data.shape[1]), y)
+        return u if pre else self._ln(ln_name, u)
 
     def encoder_layer(self, l: int, x: Tensor, spk, lay: Layout) -> Tensor:
         name = f"enc.{l}"
@@ -341,16 +352,21 @@ class VtnModel:
     def decoder_layer(self, l: int, x: Tensor, kv: Tensor, spk, self_lay: Layout,
                       tsa_lay: Layout, identity: bool) -> tuple[Tensor, Tensor | None]:
         """Layer l over x, whose target-to-source attention reads the keys
-        and values kv = W6 @ z."""
+        and values kv = W6 @ z.  Its queries are the last self_lay.qs.n
+        columns of x: the self-attention reads the keys and values of every
+        column, and the rest of the layer runs over the query columns
+        alone, which are all of x but in a decoding step's last layer."""
         name = f"dec.{l}"
+        n, n_q = x.data.shape[1], self_lay.qs.n
         attn: list[Tensor] = []
 
         def tsa(h):
-            out, a = self._tsa(f"{name}.tsa", h, kv, tsa_lay, identity)
+            out, a = self._tsa(f"{name}.tsa", h, kv, tsa_lay, identity, n - n_q)
             attn.append(a)
             return out
 
         u1 = self._sublayer(f"{name}.ln1", x, spk, lambda h: self._sa(f"{name}.sa", h, self_lay))
+        spk = self._last(spk, n_q)
         u2 = self._sublayer(f"{name}.ln2", u1, spk, tsa)
         return self._sublayer(f"{name}.ln3", u2, spk, lambda h: self._ffn(f"{name}.ffn", h)), attn[0]
 
@@ -397,22 +413,25 @@ class VtnModel:
         if drops is not None:
             x = ad.mul(x, Tensor(drops[0]))
         x = self._prenet(dec.prenet, x, spk, True, segs)
-        x, attn = self._decoder_stack(x, dec, spk, segs, src_segs, window, identity)
+        x, attn = self._decoder_stack(x, dec, spk, segs, segs, src_segs, window, identity)
         if drops is not None:
             x = ad.mul(x, Tensor(drops[1]))
         return self._postnet(dec.postnet, x, spk, segs), attn
 
     def _decoder_stack(self, x: Tensor, dec: Decoding, spk: Tensor | None, segs: ad.Segments,
-                       src_segs: ad.Segments, window: tuple[int, int] | None,
+                       tail: ad.Segments, src_segs: ad.Segments,
+                       window: tuple[int, int] | None,
                        identity: bool) -> tuple[Tensor, list[Tensor | None]]:
         """The decoder layers and the final layer norm over the target
-        prenet's output x."""
+        prenet's output x, the last layer's queries being its last tail.n
+        columns (tail is segs but in a decoding step), so the output holds
+        those columns alone."""
         cfg = self.config
-        self_lay = Layout(segs, segs, True)
-        tsa_lay = Layout(segs, src_segs, False, window)
         attn = []
         for l in range(cfg.L):
-            x, a = self.decoder_layer(l, x, dec.kv[l], spk, self_lay, tsa_lay, identity)
+            qs = tail if l == cfg.L - 1 else segs
+            x, a = self.decoder_layer(l, x, dec.kv[l], spk, Layout(qs, segs, True),
+                                      Layout(qs, src_segs, False, window), identity)
             attn.append(a)
         if cfg.has_final_ln:
             x = self._ln("dec_final_ln", x)
@@ -457,19 +476,23 @@ class VtnModel:
         n_src = dec.z.data.shape[1]
         y, attn = self._decode(tgt_in, dec, segs, ad.segments((n_src,)), None, window,
                                self.config.realtime)
-        return y, self._attention(attn, n_src, segs.n)
+        return y, self._attention(attn, n_src, segs.n, segs.n)
 
     def decode_step(self, tgt_in, dec: Decoding, cache: DecoderCache,
                     window: tuple[int, int] | None = None) -> tuple[np.ndarray, np.ndarray]:
         """``decode(prefix, dec, window=window)``'s last output column (D x 1)
-        and its attention, prefix being the columns of the earlier steps that
-        cache holds and then the (D x 1) array tgt_in, with the same bits in
-        column-exact mode, where conversion runs it.  The target prenet runs
-        over the newest column alone, each conv reading its K taps from
-        cache, and adds its columns to cache; the decoder layers run over
-        every cached prenet column, and the postnet over the last
-        POSTNET_FIELD columns of their output, the receptive field of the
-        column kept."""
+        and the (L, H, N_src) last column of its attention, prefix being the
+        columns of the earlier steps that cache holds and then the (D x 1)
+        array tgt_in, with the same bits in column-exact mode, where
+        conversion runs it.  The target prenet runs over the newest column
+        alone, each conv reading its K taps from cache, and adds its columns
+        to cache.  The postnet's output column reads the last t =
+        min(n, POSTNET_FIELD) of the n decoder output columns, its receptive
+        field, so every decoder layer but the last runs over all n cached
+        prenet columns, and the last layer computes the self-attention keys
+        and values of all n but runs its queries, target-to-source
+        attention, FFN and the final layer norm over the last t alone, and
+        the postnet over their output."""
         cfg = self.config
         tgt_in = np.asarray(tgt_in, dtype=np.float64)
         if tgt_in.shape != (cfg.D, 1):
@@ -486,20 +509,30 @@ class VtnModel:
         cache.out[:, j] = x[:, 0]
         cache.n = n = j + 1
         segs, n_src = ad.segments((n,)), dec.z.data.shape[1]
-        h, attn = self._decoder_stack(Tensor(cache.out[:, :n]), dec, self._tiled(dec.spk, segs),
-                                      segs, ad.segments((n_src,)), window, cfg.realtime)
         tail = ad.segments((min(n, POSTNET_FIELD),))
-        y = self._postnet(dec.postnet, Tensor(h.data[:, n - tail.n:]), self._tiled(dec.spk, tail),
-                          tail)
-        return y.data[:, -1:].copy(), self._attention(attn, n_src, n)
+        spk = self._tiled(dec.spk, segs)
+        h, attn = self._decoder_stack(Tensor(cache.out[:, :n]), dec, spk, segs, tail,
+                                      ad.segments((n_src,)), window, cfg.realtime)
+        y = self._postnet(dec.postnet, h, self._last(spk, tail.n), tail)
+        return y.data[:, -1:].copy(), self._attention(attn, n_src, n, 1)[..., 0]
 
-    def _attention(self, attn: list[Tensor | None], n_src: int, n_tgt: int) -> np.ndarray:
-        """The (L, H, N_src, N_tgt) attention of a one-segment inference pass;
-        a realtime model's is a read-only broadcast of its identity."""
+    def identity_attention(self, n_src: int, n_tgt: int, first: int = 0) -> np.ndarray:
+        """A realtime model's (L, H, N_src, N_tgt) attention of the target
+        positions first.., each on its own source position alone: a
+        read-only broadcast."""
+        cfg = self.config
+        return np.broadcast_to(np.eye(n_src, n_tgt, -first), (cfg.L, cfg.H, n_src, n_tgt))
+
+    def _attention(self, attn: list[Tensor | None], n_src: int, n: int,
+                   n_tgt: int) -> np.ndarray:
+        """The (L, H, N_src, n_tgt) attention of the last n_tgt of the n
+        target positions of a one-segment inference pass, each layer's
+        attention holding at least those columns; a realtime model's is a
+        read-only broadcast of its identity."""
         cfg = self.config
         if cfg.realtime:
-            return np.broadcast_to(np.eye(n_src, n_tgt), (cfg.L, cfg.H, n_src, n_tgt))
-        return np.stack([a.data.reshape(cfg.H, n_src, n_tgt) for a in attn])
+            return self.identity_attention(n_src, n_tgt, n - n_tgt)
+        return np.stack([a.data.reshape(cfg.H, n_src, -1)[..., -n_tgt:] for a in attn])
 
     def forward(self, src: np.ndarray, tgt_in: np.ndarray, k: int | None = None,
                 kp: int | None = None, training: bool = False,

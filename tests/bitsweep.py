@@ -49,9 +49,11 @@ SHAPES = {
 WINDOWS = [None, (24.0, 48.0), (48.0, 72.0), (160.0, 320.0), (0.0, 0.0)]
 # long conversions, (name, shape, N_src, windows): decoder self-attention
 # reaches 140 keys, past the 128 elements where numpy's pairwise sums change
-# regime, and a realtime encoder runs 140 causal groups
+# regime, a realtime encoder runs 140 causal groups, and three layers decode
+# 80 steps, the last layer's queries cut to the postnet's receptive field
 LONG = [("overfit-long", dict(OVERFIT_CFG), 70, [None, (24.0, 48.0)]),
-        ("overfit-long-realtime", dict(OVERFIT_CFG, realtime=True), 140, None)]
+        ("overfit-long-realtime", dict(OVERFIT_CFG, realtime=True), 140, None),
+        ("overfit-L3-long", dict(OVERFIT_CFG, L=3), 40, [None])]
 TRAIN_STEPS = 8
 # trained models, name -> (model config changes, train config changes)
 TRAINED = {

@@ -473,23 +473,30 @@ def test_column_exact_layer_norm_matches_per_column_oracle(d):
 @pytest.mark.parametrize("n_heads", [1, 2, 3, 4])
 @pytest.mark.parametrize("causal", [False, True])
 def test_column_exact_attention_matches_per_column_oracle(n_heads, causal):
-    # key ranges shared by runs of columns, one column each (causal), and a
-    # last column cut to a window at either edge or to a single key.  The
-    # long case gives columns fewer than 8, 8 to 128 and more than 128 keys,
-    # each of numpy's pairwise-sum regimes, in the one softmax sweep
+    # key ranges shared by runs of columns, one column each (causal, fewer
+    # queries than keys being the last key positions), and a last column
+    # cut to a window at either edge or to a single key.  The long case
+    # gives columns fewer than 8, 8 to 128 and more than 128 keys, each of
+    # numpy's pairwise-sum regimes, in the one softmax sweep
     rng = np.random.default_rng(17 + n_heads)
     d = 3 * n_heads
     for n_q, n_k in [(1, 1), (9, 9), (6, 11), (12, 5), (140, 140) if causal else (3, 130)]:
         qkv = rng.normal(size=(3 * d, n_q)) * 2.0
         kv = np.concatenate([rng.normal(size=(1, n_k)), rng.normal(size=(2 * d, n_k)) * 2.0])
-        last = min(n_q, n_k) if causal else n_k     # keys the last column may see
+        if causal and n_q > n_k:
+            # a causal query needs a key at its own position
+            with ad.column_exact(), pytest.raises(ShapeError):
+                ad.attention(Tensor(qkv[:d]), Tensor(kv), 1, n_heads, 0.7,
+                             ad.segments((n_q,)), ad.segments((n_k,)), causal)
+            continue
+        last = n_k                                  # keys the last column may see
         windows = {None, (0, last), (0, 1), (last - 1, last), (0, max(1, last - 2)),
                    (min(2, last - 1), last), (last // 2, last // 2 + 1)}
         for (q, kv_, k_row) in [(qkv[:d], kv, 1), (qkv, qkv, d)]:
             if kv_ is qkv and n_k != n_q:
                 continue
             nk = kv_.shape[1]
-            keep = (np.arange(nk)[:, None] <= np.arange(n_q)[None, :] if causal
+            keep = (np.arange(nk)[:, None] <= np.arange(nk - n_q, nk)[None, :] if causal
                     else np.ones((nk, n_q), bool))
             for window in sorted(windows, key=str):
                 if window is not None and window[1] > nk:
@@ -505,6 +512,34 @@ def test_column_exact_attention_matches_per_column_oracle(n_heads, causal):
                                                              want_keep)
                 assert _same_bits(out.data, want_out)
                 assert _same_bits(attn.data, want_attn.ravel())
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_causal_queries_fewer_than_keys_are_the_last_positions(exact):
+    # t causal queries over n keys are the last t key positions, as in a
+    # decoding step's last layer: they equal the last t columns of the pass
+    # that queries every position (bitwise in column-exact mode)
+    rng = np.random.default_rng(18)
+    n_heads, d, n = 2, 4, 11
+    qkv = rng.normal(size=(3 * d, n))
+    mode = ad.column_exact() if exact else contextlib.nullcontext()
+    with mode:
+        full_out, full_attn = ad.attention(Tensor(qkv), Tensor(qkv), d, n_heads, 0.5,
+                                           ad.segments((n,)), ad.segments((n,)), True)
+        for t in (1, 4, n):
+            out, attn = ad.attention(Tensor(qkv[:, -t:]), Tensor(qkv), d, n_heads, 0.5,
+                                     ad.segments((t,)), ad.segments((n,)), True)
+            want_attn = full_attn.data.reshape(n_heads, n, n)[..., -t:]
+            got_attn = attn.data.reshape(n_heads, n, t)
+            if exact:
+                assert _same_bits(out.data, full_out.data[:, -t:].copy())
+                assert _same_bits(got_attn, want_attn.copy())
+            else:
+                assert np.allclose(out.data, full_out.data[:, -t:], rtol=1e-12, atol=1e-12)
+                assert np.allclose(got_attn, want_attn, rtol=1e-12, atol=1e-12)
+        with pytest.raises(ShapeError):
+            ad.attention(Tensor(qkv), Tensor(qkv[:, :4]), d, n_heads, 0.5,
+                         ad.segments((n,)), ad.segments((4,)), True)
 
 
 def test_column_exact_attention_takes_one_segment():

@@ -73,19 +73,27 @@ def test_incremental_equals_teacher_forced(kw):
         assert np.array_equal(yp.data[:, m - 1], result.output[:, m - 1])
 
 
-@pytest.mark.parametrize("kw, mode, n_src", [
-    pytest.param(kw, mode, 8, id=f"{name}-{mode}") for name, kw in zip(CONFIG_IDS, CONFIGS)
+@pytest.mark.parametrize("kw, mode, n_src, seed", [
+    pytest.param(kw, mode, 8, 1, id=f"{name}-{mode}") for name, kw in zip(CONFIG_IDS, CONFIGS)
     for mode in (["realtime"] if kw.get("realtime") else ["default", "windowed"])] + [
     # long enough to pass the postnet's receptive field and the prenet's
     # dilation-4 taps
-    pytest.param({}, "default", 20, id="long-default"),
-    pytest.param({}, "windowed", 20, id="long-windowed"),
-    pytest.param({"realtime": True}, "realtime", 32, id="long-realtime")])
-def test_convert_equals_per_step_decoding(kw, mode, n_src):
+    pytest.param({}, "default", 20, 1, id="long-default"),
+    pytest.param({}, "windowed", 20, 1, id="long-windowed"),
+    pytest.param({"realtime": True}, "realtime", 32, 1, id="long-realtime"),
+    # with more than one layer, the earlier layers run over every column and
+    # the last one over the postnet's receptive field; seed 1's L=2 and L=3
+    # models stop their default decoding before it
+    pytest.param({"L": 2}, "default", 20, 2, id="long-L2-default"),
+    pytest.param({"L": 2}, "windowed", 20, 2, id="long-L2-windowed"),
+    pytest.param({"L": 3, "ln_placement": "post"}, "default", 20, 2,
+                 id="long-L3-post-ln-default"),
+    pytest.param({"L": 2, "realtime": True}, "realtime", 32, 2, id="long-L2-realtime")])
+def test_convert_equals_per_step_decoding(kw, mode, n_src, seed):
     # building the decoder constants once per conversion and decoding step
     # by step from the cache changes no bit
-    model = _model(seed=1, **kw)
-    src = _src(np.random.default_rng(1), model, n=n_src)
+    model = _model(seed=seed, **kw)
+    src = _src(np.random.default_rng(seed), model, n=n_src)
     cfg = DecodeConfig(mode=mode, window_back_ms=24.0, window_fwd_ms=48.0)
     got, want = convert(model, src, 0, 1, cfg), convert_per_step(model, src, 0, 1, cfg)
     if n_src > 8:
@@ -132,6 +140,33 @@ def test_each_step_convolves_only_what_its_column_needs(monkeypatch):
         assert got == [("postnet", i, field) for i in range(3)] + [
             ("prenet", i, PRENET_KERNEL) for i in range(3)]
     assert len(reads) == 6 * 96
+
+
+def test_last_decoder_layer_queries_only_the_postnets_field(monkeypatch):
+    # in a 96-step conversion, the first decoder layer's self-attention
+    # queries every column so far, and the last layer's self-attention and
+    # target-to-source attention query only the columns the postnet reads
+    cfg = VtnConfig(L=2, H=2, d=32, d_ffn=64, n_mcc=28, r=3, e=8, n_speakers=2)
+    model = VtnModel.init(cfg, seed=0)
+    src = np.random.default_rng(0).normal(size=(cfg.D, 48))
+    queries = []
+    attention = ad.attention
+
+    def spied_attention(q, kv, k_row, *args, **kwargs):
+        queries.append(q.data.shape[1])
+        return attention(q, kv, k_row, *args, **kwargs)
+
+    monkeypatch.setattr(ad, "attention", spied_attention)
+    result = convert(model, src, 0, 1)
+    assert len(result.n_hat) == 96
+    # each encoder layer's self-attention over the 48 source columns, then
+    # per step each decoder layer's self-attention and target-to-source
+    # attention
+    assert queries[:cfg.L] == [48] * cfg.L
+    steps = np.reshape(queries[cfg.L:], (96, 2 * cfg.L))
+    for step, got in enumerate(steps, start=1):
+        field = min(step, POSTNET_FIELD)
+        assert got.tolist() == [step, step, field, field]
 
 
 def test_truncated_conversion_builds_decoder_constants_once(monkeypatch):
@@ -304,9 +339,10 @@ def test_attention_is_one_array_of_every_layer_and_head(mode):
 
 
 def test_offline_conversion_keeps_one_attention_column_per_step():
-    # a 96-step default conversion of the benchmark's model size keeps only
-    # the last pass's (L, H, N_src, step) attention and traces about 1.9 MB;
-    # keeping every step's whole attention alive traces about 8.6 MB
+    # a 96-step default conversion of the benchmark's model size keeps each
+    # step's (L, H, N_src) attention column, which convert stacks into the
+    # (L, H, N_src, N_out) result; keeping every step's whole attention
+    # alive traces about 8.6 MB
     cfg = VtnConfig(L=2, H=2, d=32, d_ffn=64, n_mcc=28, r=3, e=8, n_speakers=2)
     model = VtnModel.init(cfg, seed=0)
     src = np.random.default_rng(0).normal(size=(cfg.D, 48))

@@ -148,9 +148,9 @@ def test_decode_takes_decoding_constants_in_place_of_z_and_kp():
                                          ({"realtime": True}, None)],
                          ids=["default", "windowed", "one_to_one", "realtime"])
 def test_decode_step_is_the_last_column_of_decode(kw, window):
-    # each step's column and attention equal a column-exact decode of the
-    # whole prefix, past the 17 columns of the prenet's dilation-4 taps and
-    # the postnet's receptive field
+    # each step's column and attention column equal the last columns of a
+    # column-exact decode of the whole prefix, past the 17 columns of the
+    # prenet's dilation-4 taps and the postnet's receptive field
     model = VtnModel.init(tiny_config(L=2, **kw), seed=5)
     rng = np.random.default_rng(8)
     n = POSTNET_FIELD + 6
@@ -163,12 +163,29 @@ def test_decode_step_is_the_last_column_of_decode(kw, window):
             y, attn = model.decode_step(prefix[:, j:j + 1], dec, cache, window)
             want_y, want_attn = model.decode(prefix[:, :j + 1], dec, window=window)
             assert y.tobytes() == want_y.data[:, -1:].tobytes()
+            want_attn = want_attn[..., -1]
             assert attn.tobytes() == want_attn.tobytes() and attn.shape == want_attn.shape
+            assert attn.flags.writeable == want_attn.flags.writeable
     assert cache.n == n
     with pytest.raises(ShapeError, match="holds all its"):
         model.decode_step(prefix[:, :1], dec, cache)
     with pytest.raises(ShapeError, match="must be"):
         model.decode_step(prefix[:, :2], dec, DecoderCache(dec, 2))
+
+
+def test_decode_step_in_fast_mode_is_close_to_decode():
+    # outside column-exact mode the step's columns are decode's to rounding
+    model = VtnModel.init(tiny_config(L=2), seed=6)
+    rng = np.random.default_rng(9)
+    n = POSTNET_FIELD + 3
+    dec = model.decoding(Tensor(rng.normal(size=(model.config.d, n))), 1)
+    prefix = rng.normal(size=(model.config.D, n))
+    cache = DecoderCache(dec, n)
+    for j in range(n):
+        y, attn = model.decode_step(prefix[:, j:j + 1], dec, cache)
+        want_y, want_attn = model.decode(prefix[:, :j + 1], dec)
+        assert np.allclose(y, want_y.data[:, -1:], rtol=1e-10, atol=1e-12)
+        assert np.allclose(attn, want_attn[..., -1], rtol=1e-10, atol=1e-12)
 
 
 def test_dropout_identity_cases():
