@@ -399,36 +399,34 @@ def segments(lengths: tuple[int, ...]) -> Segments:
     return Segments(lengths)
 
 
-def _im2col(blocks: list[np.ndarray], offsets: list[int], n_out: int,
-            segs: Segments) -> np.ndarray:
-    """The (k * c_in, n_out) im2col of the row blocks that stack to x, so that
-    a conv is one gemm instead of k small ones.  Tap t of output column j
-    reads column j + offsets[t], the offsets rising from -pad_l <= 0; where
-    that crosses the edge of j's segment the entry is zeroed, as if each
-    segment were padded alone.  The blocks are copied once into a
-    (c_in, pad_l + N + pad_r) zero array, and each tap's rows are one slice
-    of it; the padding zeroes every column outside [0, N), so only packed
-    segments zero the entries that cross an edge inside it."""
+def _im2col(blocks: list[np.ndarray], offsets: list[int], segs: Segments) -> np.ndarray:
+    """The (k * c_in, N) im2col of the row blocks that stack to x, so that a
+    conv is one gemm instead of k small ones.  Tap t of output column j
+    reads column j + offsets[t], the offsets rising from -pad_l <= 0 to
+    pad_r >= 0; where that crosses the edge of j's segment the entry is
+    zeroed, as if each segment were padded alone.  The blocks are copied
+    once into a (c_in, pad_l + N + pad_r) zero array, and each tap's rows
+    are one slice of it; the padding zeroes every column outside [0, N), so
+    only packed segments zero the entries that cross an edge inside it."""
     c_in, n = sum(b.shape[0] for b in blocks), blocks[0].shape[1]
-    pad_l, pad_r = -offsets[0], offsets[-1] + n_out - n
+    pad_l, pad_r = -offsets[0], offsets[-1]
     xp = np.zeros((c_in, pad_l + n + pad_r))
     r = 0
     for b in blocks:
         xp[r:r + b.shape[0], pad_l:pad_l + n] = b
         r += b.shape[0]
-    xcol = np.empty((len(offsets) * c_in, n_out), dtype=np.float64)
+    xcol = np.empty((len(offsets) * c_in, n), dtype=np.float64)
     for t, o in enumerate(offsets):
         rows = xcol[t * c_in:(t + 1) * c_in]
-        rows[...] = xp[:, pad_l + o:pad_l + o + n_out]
+        rows[...] = xp[:, pad_l + o:pad_l + o + n]
         if segs.p > 1:
             rows[:, segs.outside(o)] = 0.0
     return xcol
 
 
 def conv1d(x: Tensor | Sequence[Tensor], kernel: Tensor, dilation: int = 1,
-           causal: bool = False, segs: Segments | None = None,
-           valid: bool = False) -> Tensor:
-    """1-D convolution over the time axis, length-preserving unless valid.
+           causal: bool = False, segs: Segments | None = None) -> Tensor:
+    """Length-preserving 1-D convolution over the time axis.
 
     x is (c_in, N), or a sequence of row blocks that stack to it, which the
     conv reads in place and backpropagates into only where they need a
@@ -438,10 +436,7 @@ def conv1d(x: Tensor | Sequence[Tensor], kernel: Tensor, dilation: int = 1,
     once for any number of convs).  Non-causal convs need odd K and pad
     symmetrically; causal convs pad (K-1)*dilation on the left only.  With
     segs, x holds segments packed along time and each segment is
-    zero-padded at its own edges, so no tap reads across a boundary.  A
-    valid conv of one segment pads nothing and keeps the N - (K-1)*dilation
-    output columns whose taps all lie in x, the causal conv's last ones:
-    column j reads columns j, j + dilation, ..., j + (K-1)*dilation.
+    zero-padded at its own edges, so no tap reads across a boundary.
     """
     blocks, kernel = _row_blocks("conv1d", x), _as_tensor(kernel)
     rows = [b.data.shape[0] for b in blocks]
@@ -450,17 +445,12 @@ def conv1d(x: Tensor | Sequence[Tensor], kernel: Tensor, dilation: int = 1,
                          f"kernel {kernel.data.shape}")
     c_out, k, c_in = kernel.data.shape
     n = blocks[0].data.shape[1]
-    if valid:
-        pad_l, n_out = 0, n - (k - 1) * dilation
-        if n_out < 1 or (segs is not None and segs.p > 1):
-            raise ShapeError(f"valid conv1d: {n} columns of one segment cannot fill "
-                             f"{k} taps {dilation} apart")
-    elif causal:
-        pad_l, n_out = (k - 1) * dilation, n
+    if causal:
+        pad_l = (k - 1) * dilation
     else:
         if k % 2 == 0:
             raise ShapeError("non-causal conv1d requires odd kernel size")
-        pad_l, n_out = (k - 1) // 2 * dilation, n
+        pad_l = (k - 1) // 2 * dilation
     segs = segments((n,)) if segs is None else segs
     if segs.n != n:
         raise ShapeError(f"conv1d: segments cover {segs.n} columns, x has {n}")
@@ -468,12 +458,12 @@ def conv1d(x: Tensor | Sequence[Tensor], kernel: Tensor, dilation: int = 1,
     starts = np.cumsum(rows) - rows
 
     y = _mm(kernel.data.reshape(c_out, -1),
-            _im2col([b.data for b in blocks], offsets, n_out, segs))
+            _im2col([b.data for b in blocks], offsets, segs))
 
     # the backward keeps no im2col: it rebuilds it from x, which is its parent
     def backward(g):
         if kernel.requires_grad:
-            xcol = _im2col([b.data for b in blocks], offsets, n_out, segs)
+            xcol = _im2col([b.data for b in blocks], offsets, segs)
             kernel._accum((g @ xcol.T).reshape(c_out, k, c_in), owned=True)
         need = [(b, r0, r0 + r) for b, r0, r in zip(blocks, starts, rows) if b.requires_grad]
         if need:
@@ -483,7 +473,7 @@ def conv1d(x: Tensor | Sequence[Tensor], kernel: Tensor, dilation: int = 1,
             gx = [np.zeros((r1 - r0, n)) for _, r0, r1 in need]
             gcol = kernel.data.reshape(c_out, -1).T @ g
             for t, o in enumerate(offsets):
-                lo, hi = max(0, o), min(n, n_out + o)
+                lo, hi = max(0, o), min(n, n + o)
                 for (_, r0, r1), gb in zip(need, gx):
                     part = gcol[t * c_in + r0:t * c_in + r1]
                     if segs.p > 1:

@@ -1,12 +1,13 @@
 """Autoregressive conversion, attention windowing, the low-latency
 identity-aligned mode, and the raw-features-in, raw-features-out pipeline
-around the network.  What every decoder pass needs that does not depend on
-its target input (``VtnModel.decoding``) is built once per conversion, and
-decoding is incremental in the convolutions only: each step runs the
-target prenet over its newest column (``VtnModel.decode_step``, with a
-``DecoderCache``), every decoder layer but the last over the whole prefix,
-and the last layer's queries and everything after them, the postnet
-included, over the postnet's receptive field of the column it keeps."""
+around the network.  One ``DecoderCache`` holds a conversion's decoding
+state: the constants of every decoder pass (``VtnModel.decoding``), built
+once, and the target prenet's columns.  Decoding is incremental in the
+convolutions only: each step (``VtnModel.decode_step``) runs the target
+prenet over its newest column, every decoder layer but the last over the
+whole prefix, and the last layer's queries and everything after them, the
+postnet included, over the postnet's receptive field of the column it
+keeps."""
 
 from __future__ import annotations
 
@@ -18,7 +19,8 @@ import numpy as np
 
 from . import autodiff as ad
 from . import container
-from .errors import AdjustmentError, NonFiniteOutputError, ShapeError, StatsError
+from .errors import (AdjustmentError, ConfigError, NonFiniteOutputError, ShapeError,
+                     StatsError)
 from .features import (Corpus, FeatureSequence, SpeakerStats, StackedSequence,
                        adjust_output_stats, compute_stats, denormalize, normalize,
                        stack, unstack)
@@ -39,7 +41,10 @@ class DecodeConfig:
             raise ShapeError(f"unknown decode mode {self.mode!r}")
 
     def window_frames(self, frame_period_ms: float, r: int) -> tuple[int, int]:
-        """Backward/forward window half-widths in stacked-frame units."""
+        """Backward/forward window half-widths in stacked-frame units, for
+        a finite and positive frame period."""
+        if not (np.isfinite(frame_period_ms) and frame_period_ms > 0):
+            raise ConfigError(f"frame_period_ms={frame_period_ms!r} is not finite and positive")
         step = frame_period_ms * r
         return int(round(self.window_back_ms / step)), int(round(self.window_fwd_ms / step))
 
@@ -76,10 +81,10 @@ def convert(model: VtnModel, src: np.ndarray, k: int | None, kp: int | None,
     column is bit-identical to what a full teacher-forced pass over the same
     prefix would produce.  The decoder's constants (``VtnModel.decoding``)
     are built once, after the encoder, from the weights as they are at the
-    call; each step then passes them, a ``DecoderCache`` of the target
-    prenet's work on the earlier steps, and the previous step's output
-    column to ``VtnModel.decode_step``, and the bits equal those of a
-    ``VtnModel.decode`` of the whole prefix from the raw encoder output.
+    call, into a ``DecoderCache`` that also keeps the target prenet's work
+    on the earlier steps; each step passes it and the previous step's
+    output column to ``VtnModel.decode_step``, and the bits equal those of
+    a ``VtnModel.decode`` of the whole prefix from the raw encoder output.
     The step runs the decoder layers over the whole prefix, but for the
     last layer's queries and what follows them, which run over the columns
     the postnet reads.  Each step attends where the head mean of its newest
@@ -91,7 +96,9 @@ def convert(model: VtnModel, src: np.ndarray, k: int | None, kp: int | None,
     step's target-to-source attention sees only the source positions
     [n_hat - N0, n_hat + N1] (1-based, clipped to the source) around the
     previous step's n_hat, starting from 1; ``ConversionResult.windows``
-    records each step's range.  The first step
+    records each step's range.  frame_period_ms converts the window's
+    milliseconds into stacked frames; unless it is finite and positive,
+    ConfigError is raised before decoding, in every mode.  The first step
     whose output column is not finite raises NonFiniteOutputError: every
     later step would attend through it.
     """
@@ -113,9 +120,8 @@ def convert(model: VtnModel, src: np.ndarray, k: int | None, kp: int | None,
     n0, n1 = cfg.window_frames(frame_period_ms, model.config.r)
 
     with ad.column_exact():
-        dec = model.decoding(model.encode(src, k=k), kp)
         max_steps = cfg.max_len_factor * n_src
-        cache = DecoderCache(dec, max_steps)
+        cache = DecoderCache(model.decoding(model.encode(src, k=k), kp), max_steps)
         column = np.zeros((model.config.D, 1))
         outputs: list[np.ndarray] = []
         n_hat_track: list[int] = []
@@ -125,7 +131,7 @@ def convert(model: VtnModel, src: np.ndarray, k: int | None, kp: int | None,
         for step in range(1, max_steps + 1):
             lo, hi = max(1, n_hat - n0), min(n_hat + n1, n_src)
             windows.append((lo, hi) if windowed else None)
-            column, heads = model.decode_step(column, dec, cache,
+            column, heads = model.decode_step(column, cache,
                                               window=(lo - 1, hi) if windowed else None)
             if not np.isfinite(column).all():
                 raise NonFiniteOutputError(f"decode step {step} gave a non-finite output column")

@@ -98,27 +98,31 @@ class Layout(NamedTuple):
 
 class Decoding(NamedTuple):
     """What a decoder pass needs that does not depend on its target input,
-    built once per pass or per conversion: the encoded source z, each
-    layer's target-to-source keys and values W6 @ z, the weight-normalised
-    target-prenet and postnet kernels in ``ad.conv1d``'s layout, and the
-    (e x P) embedding column of each segment's target speaker (None where
-    the target side is unconditioned)."""
+    built once per pass or per conversion: the encoded source z, its
+    segments src_segs, each layer's target-to-source keys and values
+    W6 @ z, the weight-normalised target-prenet and postnet kernels in
+    ``ad.conv1d``'s layout, the (e x P) embedding column of each segment's
+    target speaker (None where the target side is unconditioned), and
+    whether target-to-source attention is the identity alignment."""
     z: Tensor
+    src_segs: ad.Segments
     kv: list[Tensor]
     prenet: list[Tensor]
     postnet: list[Tensor]
     spk: Tensor | None
+    identity: bool
 
 
 class DecoderCache:
-    """The target prenet's work on the prefix of one conversion, which
-    ``VtnModel.decode_step`` extends by one column per step, up to capacity
-    columns: each causal conv's input columns after (K-1) * dilation zero
-    columns that stand for its causal padding, the first conv's input
-    holding the target speaker's rows under every column, and the prenet's
-    output columns.  n counts the columns so far."""
+    """The state of one conversion's decoding, which ``VtnModel.decode_step``
+    extends by one column per step, up to capacity columns: the constants
+    dec, each target-prenet causal conv's input columns after
+    (K-1) * dilation zero columns that stand for its causal padding, the
+    first conv's input holding the target speaker's rows under every
+    column, and the prenet's output columns.  n counts the columns so far."""
 
     def __init__(self, dec: Decoding, capacity: int):
+        self.dec = dec
         self.n = 0
         self.inputs = [np.zeros((w.data.shape[2], (PRENET_KERNEL - 1) * dil + capacity))
                        for w, dil in zip(dec.prenet, PRENET_DILATIONS)]
@@ -399,29 +403,31 @@ class VtnModel:
             x = self._ln("enc_final_ln", x)
         return x
 
-    def _decoding(self, z: Tensor, spk: Tensor | None) -> Decoding:
-        """The constants of passes against z with the speaker columns spk."""
+    def _decoding(self, z: Tensor, src_segs: ad.Segments, spk: Tensor | None,
+                  identity: bool) -> Decoding:
+        """The constants of passes against z, packed as src_segs, with the
+        speaker columns spk."""
         p = self.params
-        return Decoding(z, [ad.matmul(p[f"dec.{l}.tsa.W6"], z) for l in range(self.config.L)],
-                        self._kernels("tgt_prenet"), self._kernels("postnet"), spk)
+        return Decoding(z, src_segs,
+                        [ad.matmul(p[f"dec.{l}.tsa.W6"], z) for l in range(self.config.L)],
+                        self._kernels("tgt_prenet"), self._kernels("postnet"), spk, identity)
 
-    def _decode(self, x: Tensor, dec: Decoding, segs: ad.Segments, src_segs: ad.Segments,
-                drops: list[np.ndarray] | None, window: tuple[int, int] | None,
-                identity: bool) -> tuple[Tensor, list[Tensor | None]]:
+    def _decode(self, x: Tensor, dec: Decoding, segs: ad.Segments,
+                drops: list[np.ndarray] | None,
+                window: tuple[int, int] | None) -> tuple[Tensor, list[Tensor | None]]:
         spk = self._tiled(dec.spk, segs)
         x = ad.add(x, Tensor(self._positions(segs.lengths)))
         if drops is not None:
             x = ad.mul(x, Tensor(drops[0]))
         x = self._prenet(dec.prenet, x, spk, True, segs)
-        x, attn = self._decoder_stack(x, dec, spk, segs, segs, src_segs, window, identity)
+        x, attn = self._decoder_stack(x, dec, spk, segs, segs, window)
         if drops is not None:
             x = ad.mul(x, Tensor(drops[1]))
         return self._postnet(dec.postnet, x, spk, segs), attn
 
     def _decoder_stack(self, x: Tensor, dec: Decoding, spk: Tensor | None, segs: ad.Segments,
-                       tail: ad.Segments, src_segs: ad.Segments,
-                       window: tuple[int, int] | None,
-                       identity: bool) -> tuple[Tensor, list[Tensor | None]]:
+                       tail: ad.Segments, window: tuple[int, int] | None
+                       ) -> tuple[Tensor, list[Tensor | None]]:
         """The decoder layers and the final layer norm over the target
         prenet's output x, the last layer's queries being its last tail.n
         columns (tail is segs but in a decoding step), so the output holds
@@ -431,7 +437,7 @@ class VtnModel:
         for l in range(cfg.L):
             qs = tail if l == cfg.L - 1 else segs
             x, a = self.decoder_layer(l, x, dec.kv[l], spk, Layout(qs, segs, True),
-                                      Layout(qs, src_segs, False, window), identity)
+                                      Layout(qs, dec.src_segs, False, window), dec.identity)
             attn.append(a)
         if cfg.has_final_ln:
             x = self._ln("dec_final_ln", x)
@@ -453,39 +459,36 @@ class VtnModel:
 
     def decoding(self, z: Tensor, kp: int | None = None) -> Decoding:
         """The decoder's constants for one conversion of the encoded source
-        z into target speaker kp; ``decode`` takes them in place of z."""
-        return self._decoding(z, self._speaker_columns([kp], self.config.tgt_conditioned,
-                                                        "target"))
+        z into target speaker kp, which a ``DecoderCache`` holds."""
+        return self._decoding(z, ad.segments((z.data.shape[1],)),
+                              self._speaker_columns([kp], self.config.tgt_conditioned,
+                                                    "target"),
+                              self.config.realtime)
 
-    def decode(self, tgt_in, z: Tensor | Decoding, kp: int | None = None,
+    def decode(self, tgt_in, z: Tensor, kp: int | None = None,
                window: tuple[int, int] | None = None) -> tuple[Tensor, np.ndarray]:
         """One pass of the decoder without dropout over tgt_in against the
-        encoded source z into target speaker kp, or against the constants
-        ``decoding(z, kp)`` built once for many passes, which then stand for
-        both z and kp.  Returns the output and the (L, H, N_src, N_tgt)
-        attention.  window: the source range [lo, hi) (0-based) that the last
-        column's target-to-source attention may see, column-exact mode only.
-        A realtime model attends from target position j to source position j
-        alone (N_tgt <= N_src), and its attention is a read-only broadcast of
-        that identity."""
-        if isinstance(z, Decoding) and kp is not None:
-            raise ShapeError("decode: the decoding constants already hold the target speaker")
-        dec = z if isinstance(z, Decoding) else self.decoding(z, kp)
+        encoded source z into target speaker kp.  Returns the output and the
+        (L, H, N_src, N_tgt) attention.  window: the source range [lo, hi)
+        (0-based) that the last column's target-to-source attention may see,
+        column-exact mode only.  A realtime model attends from target
+        position j to source position j alone (N_tgt <= N_src), and its
+        attention is a read-only broadcast of that identity."""
+        dec = self.decoding(z, kp)
         tgt_in = tgt_in if isinstance(tgt_in, Tensor) else Tensor(tgt_in)
         segs = ad.segments((tgt_in.data.shape[1],))
-        n_src = dec.z.data.shape[1]
-        y, attn = self._decode(tgt_in, dec, segs, ad.segments((n_src,)), None, window,
-                               self.config.realtime)
-        return y, self._attention(attn, n_src, segs.n, segs.n)
+        y, attn = self._decode(tgt_in, dec, segs, None, window)
+        return y, self._attention(attn, dec.src_segs.n, segs.n, segs.n)
 
-    def decode_step(self, tgt_in, dec: Decoding, cache: DecoderCache,
+    def decode_step(self, tgt_in, cache: DecoderCache,
                     window: tuple[int, int] | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """``decode(prefix, dec, window=window)``'s last output column (D x 1)
-        and the (L, H, N_src) last column of its attention, prefix being the
-        columns of the earlier steps that cache holds and then the (D x 1)
-        array tgt_in, with the same bits in column-exact mode, where
-        conversion runs it.  The target prenet runs over the newest column
-        alone, each conv reading its K taps from cache, and adds its columns
+        """``decode(prefix, z, kp, window)``'s last output column (D x 1) and
+        the (L, H, N_src) last column of its attention, cache holding
+        ``decoding(z, kp)`` and the columns of the earlier steps, prefix
+        being those columns and then the (D x 1) array tgt_in, with the same
+        bits in column-exact mode, where conversion runs it.  The target
+        prenet runs over the newest column alone, each conv one product of
+        its flat kernel and its K taps read from cache, and adds its columns
         to cache.  The postnet's output column reads the last t =
         min(n, POSTNET_FIELD) of the n decoder output columns, its receptive
         field, so every decoder layer but the last runs over all n cached
@@ -493,7 +496,7 @@ class VtnModel:
         and values of all n but runs its queries, target-to-source
         attention, FFN and the final layer norm over the last t alone, and
         the postnet over their output."""
-        cfg = self.config
+        cfg, dec = self.config, cache.dec
         tgt_in = np.asarray(tgt_in, dtype=np.float64)
         if tgt_in.shape != (cfg.D, 1):
             raise ShapeError(f"decode_step: the target input must be ({cfg.D}, 1), "
@@ -505,16 +508,15 @@ class VtnModel:
         for buf, w, dil in zip(cache.inputs, dec.prenet, PRENET_DILATIONS):
             span = (PRENET_KERNEL - 1) * dil
             buf[:x.shape[0], span + j] = x[:, 0]
-            x = ad.glu(ad.conv1d(Tensor(buf[:, j:j + span + 1:dil]), w, valid=True)).data
+            taps = buf[:, j:j + span + 1:dil].T.reshape(-1, 1)
+            x = ad.glu(ad.matmul(w.data.reshape(w.data.shape[0], -1), taps)).data
         cache.out[:, j] = x[:, 0]
         cache.n = n = j + 1
-        segs, n_src = ad.segments((n,)), dec.z.data.shape[1]
-        tail = ad.segments((min(n, POSTNET_FIELD),))
+        segs, tail = ad.segments((n,)), ad.segments((min(n, POSTNET_FIELD),))
         spk = self._tiled(dec.spk, segs)
-        h, attn = self._decoder_stack(Tensor(cache.out[:, :n]), dec, spk, segs, tail,
-                                      ad.segments((n_src,)), window, cfg.realtime)
+        h, attn = self._decoder_stack(Tensor(cache.out[:, :n]), dec, spk, segs, tail, window)
         y = self._postnet(dec.postnet, h, self._last(spk, tail.n), tail)
-        return y.data[:, -1:].copy(), self._attention(attn, n_src, n, 1)[..., 0]
+        return y.data[:, -1:].copy(), self._attention(attn, dec.src_segs.n, n, 1)[..., 0]
 
     def identity_attention(self, n_src: int, n_tgt: int, first: int = 0) -> np.ndarray:
         """A realtime model's (L, H, N_src, N_tgt) attention of the target
@@ -569,8 +571,8 @@ class VtnModel:
         z = self._encode(Tensor(np.concatenate([p[2] for p in pairs], axis=1)), src_segs,
                          self._tiled(src_spk, src_segs), drops and drops[0])
         y, attn = self._decode(Tensor(np.concatenate([p[3] for p in pairs], axis=1)),
-                               self._decoding(z, spk), segs, src_segs, drops and drops[1:],
-                               None, False)
+                               self._decoding(z, src_segs, spk, False), segs,
+                               drops and drops[1:], None)
         return y, attn, src_segs, segs
 
     # -- checkpoint I/O -----------------------------------------------------

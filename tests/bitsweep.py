@@ -15,12 +15,20 @@ it) and diff the outputs:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=<tree>/src python tests/bitsweep.py > <tree>.txt
 
-pytest does not collect this file.
+``PYTHONPATH=src python tests/bitsweep.py --write`` runs the sweep at one
+BLAS thread and writes its lines to ``tests/bits/<build key>.txt``, the key
+naming the numpy version and the BLAS library and version; ``test_bits.py``
+compares a fresh sweep with that file.  pytest does not collect this file.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -65,6 +73,30 @@ TRAINED = {
     "iml0": ({}, dict(lambda_iml=0.0)),
 }
 EVALUATION_SEEDS = (101, 102, 103)  # synthetic corpora whose 3 spk0/spk1 pairs are scored
+BITS = Path(__file__).with_name("bits")  # committed digests, one file per build key
+
+
+def build_key() -> str:
+    """The numpy version and the BLAS library and version of this build,
+    which the digests depend on: e.g. ``2.4.6_scipy-openblas-0.3.31.188.0``."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):
+        blas = "unknown"
+    return f"{np.__version__}_{blas}".replace(" ", "-")
+
+
+def sweep() -> list[str]:
+    """The lines of this file's sweep over this tree's package, run in a
+    subprocess with BLAS at one thread."""
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    run = subprocess.run([sys.executable, __file__], env=env, capture_output=True, text=True)
+    if run.returncode:
+        raise RuntimeError(f"the bit sweep failed:\n{run.stderr}")
+    return run.stdout.splitlines()
 
 
 def digest(*arrays) -> str:
@@ -137,4 +169,13 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--write", action="store_true",
+                        help="write the one-thread sweep to tests/bits/<build key>.txt")
+    if parser.parse_args().write:
+        BITS.mkdir(exist_ok=True)
+        out = BITS / f"{build_key()}.txt"
+        out.write_text("".join(f"{line}\n" for line in sweep()))
+        print(f"wrote {out}")
+    else:
+        main()

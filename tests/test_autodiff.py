@@ -642,40 +642,6 @@ def test_conv1d_segments_must_cover_input():
         ad.conv1d(Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 3, 1))), segs=ad.segments((2, 1)))
 
 
-@pytest.mark.parametrize("dilation", [1, 2, 4])
-def test_conv1d_valid_is_the_causal_convs_last_columns(dilation):
-    # a valid conv keeps the causal conv's columns whose taps all lie in x,
-    # with the same bits column by column, and backpropagates into x and
-    # the kernel only through them
-    rng = np.random.default_rng(60 + dilation)
-    n_out = 3
-    n = n_out + 4 * dilation
-    x = rng.normal(size=(3, n))
-    kernel = rng.normal(size=(2, 5, 3))
-    with ad.column_exact():
-        causal = ad.conv1d(Tensor(x), Tensor(kernel), dilation, True).data
-        valid = ad.conv1d(Tensor(x), Tensor(kernel), dilation, valid=True).data
-        taps = ad.conv1d(Tensor(x[:, -1 - 4 * dilation::dilation]), Tensor(kernel),
-                         valid=True).data
-    assert valid.tobytes() == causal[:, -n_out:].tobytes()
-    assert taps.tobytes() == causal[:, -1:].tobytes()
-    w = Tensor(rng.normal(size=(2, n_out)))
-    assert grad_check(lambda t: ad.sum_all(ad.mul(ad.conv1d([t, Tensor(x[:1])], Tensor(kernel),
-                                                             dilation, valid=True), w)),
-                      Tensor(x[1:])) < 1e-6
-    assert grad_check(lambda t: ad.sum_all(ad.mul(ad.conv1d(Tensor(x), t, dilation, valid=True),
-                                                  w)), Tensor(kernel)) < 1e-6
-
-
-def test_conv1d_valid_needs_one_segment_that_fills_the_taps():
-    x, kernel = Tensor(np.zeros((1, 8))), Tensor(np.zeros((1, 5, 1)))
-    assert ad.conv1d(x, kernel, 1, valid=True).data.shape == (1, 4)
-    with pytest.raises(ShapeError, match="cannot fill"):
-        ad.conv1d(x, kernel, 2, valid=True)
-    with pytest.raises(ShapeError, match="cannot fill"):
-        ad.conv1d(x, kernel, 1, valid=True, segs=ad.segments((4, 4)))
-
-
 def _attention_case(rng, n_heads, q_lengths, k_lengths, dh=2):
     d = n_heads * dh
     qs, ks = ad.segments(q_lengths), ad.segments(k_lengths)

@@ -8,7 +8,7 @@ from vtn import autodiff as ad
 from vtn.autodiff import AdamState, Tensor
 from vtn.converter import (ConversionResult, DecodeConfig, convert, convert_sequence,
                            dump_attention)
-from vtn.errors import NonFiniteOutputError, ShapeError, StatsError
+from vtn.errors import ConfigError, NonFiniteOutputError, ShapeError, StatsError
 from vtn.features import compute_stats, gen_synthetic_corpus
 from vtn.model import POSTNET_FIELD, PRENET_KERNEL, VtnConfig, VtnModel
 from vtn.trainer import TrainConfig, make_batch, train_step
@@ -32,6 +32,18 @@ def _src(rng, model, n=10):
 def test_window_frames_paper_values():
     cfg = DecodeConfig(mode="windowed")
     assert cfg.window_frames(8.0, 3) == (7, 13)
+
+
+@pytest.mark.parametrize("mode", ["default", "windowed"])
+@pytest.mark.parametrize("period", [0.0, float("nan"), -8.0, float("inf")])
+def test_a_bad_frame_period_is_a_config_error_before_decoding(monkeypatch, mode, period):
+    # a frame period that is not finite and positive has no window in
+    # stacked frames, whatever the mode; no column is decoded
+    model = _model()
+    monkeypatch.setattr(model, "decode_step", lambda *args, **kwargs: pytest.fail("decoded"))
+    with pytest.raises(ConfigError, match=f"frame_period_ms={period!r}"):
+        convert(model, _src(np.random.default_rng(0), model), 0, 1, DecodeConfig(mode=mode),
+                frame_period_ms=period)
 
 
 def test_convert_caps_at_twice_source_length():
@@ -107,36 +119,49 @@ def test_convert_equals_per_step_decoding(kw, mode, n_src, seed):
 
 
 def test_each_step_convolves_only_what_its_column_needs(monkeypatch):
-    # a 96-step conversion runs each target-prenet conv once per step over
-    # its K taps and each postnet conv over at most the postnet's receptive
-    # field, where decoding the whole prefix reads every column so far
+    # a 96-step conversion runs each target-prenet conv once per step as
+    # one product of its flat kernel and its K taps, and each postnet conv
+    # over at most the postnet's receptive field, where decoding the whole
+    # prefix reads every column so far
     cfg = VtnConfig(L=2, H=2, d=32, d_ffn=64, n_mcc=28, r=3, e=8, n_speakers=2)
     model = VtnModel.init(cfg, seed=0)
     src = np.random.default_rng(0).normal(size=(cfg.D, 48))
-    kernels, reads = {}, []
-    conv1d, decoding = ad.conv1d, model.decoding
+    kernels, prenet, reads = {}, [], []
+    conv1d, matmul, decoding = ad.conv1d, ad.matmul, model.decoding
+
+    def step():
+        # a step ends with its last postnet conv
+        return 1 + sum(r[1:3] == ("postnet", 2) for r in reads)
 
     def spied_decoding(*args, **kwargs):
         dec = decoding(*args, **kwargs)
         kernels.update({id(w): ("prenet", i) for i, w in enumerate(dec.prenet)})
         kernels.update({id(w): ("postnet", i) for i, w in enumerate(dec.postnet)})
+        prenet.extend(w.data for w in dec.prenet)
         return dec
 
     def spied_conv1d(x, kernel, *args, **kwargs):
         if id(kernel) in kernels:
-            # a step ends with its last postnet conv
-            step = 1 + sum(r[1:3] == ("postnet", 2) for r in reads)
             first = x[0] if isinstance(x, list) else x
-            reads.append((step, *kernels[id(kernel)], first.data.shape[1]))
+            reads.append((step(), *kernels[id(kernel)], first.data.shape[1]))
         return conv1d(x, kernel, *args, **kwargs)
+
+    def spied_matmul(a, b):
+        for i, w in enumerate(prenet):
+            if np.shape(a) == (w.shape[0], w.shape[1] * w.shape[2]) and np.array_equal(
+                    a, w.reshape(w.shape[0], -1)):
+                assert np.shape(b) == (np.shape(a)[1], 1)
+                reads.append((step(), "prenet", i, np.shape(b)[0] // w.shape[2]))
+        return matmul(a, b)
 
     monkeypatch.setattr(model, "decoding", spied_decoding)
     monkeypatch.setattr(ad, "conv1d", spied_conv1d)
+    monkeypatch.setattr(ad, "matmul", spied_matmul)
     result = convert(model, src, 0, 1)
     assert len(result.n_hat) == 96
-    for step in range(1, 97):
-        got = sorted((net, i, n) for s, net, i, n in reads if s == step)
-        field = min(step, POSTNET_FIELD)
+    for s in range(1, 97):
+        got = sorted((net, i, n) for t, net, i, n in reads if t == s)
+        field = min(s, POSTNET_FIELD)
         assert got == [("postnet", i, field) for i in range(3)] + [
             ("prenet", i, PRENET_KERNEL) for i in range(3)]
     assert len(reads) == 6 * 96

@@ -130,47 +130,34 @@ def test_realtime_decode_rejects_more_targets_than_sources():
         model.decode(rng.normal(size=(model.config.D, 5)), z)
 
 
-def test_decode_takes_decoding_constants_in_place_of_z_and_kp():
-    model = VtnModel.init(tiny_config(L=2), seed=4)
-    rng = np.random.default_rng(7)
-    z = Tensor(rng.normal(size=(model.config.d, 5)))
-    tgt = rng.normal(size=(model.config.D, 3))
-    dec = model.decoding(z, 1)
-    y, attn = model.decode(tgt, z, kp=1)
-    y_dec, attn_dec = model.decode(tgt, dec)
-    assert y_dec.data.tobytes() == y.data.tobytes()
-    assert attn_dec.tobytes() == attn.tobytes()
-    with pytest.raises(ShapeError, match="already hold the target speaker"):
-        model.decode(tgt, dec, kp=1)
-
-
-@pytest.mark.parametrize("kw, window", [({}, None), ({}, (3, 7)), ({"mode": "one_to_one"}, None),
-                                         ({"realtime": True}, None)],
-                         ids=["default", "windowed", "one_to_one", "realtime"])
-def test_decode_step_is_the_last_column_of_decode(kw, window):
+@pytest.mark.parametrize("kw, kp, window", [({}, 1, None), ({}, 0, None), ({}, 1, (3, 7)),
+                                             ({"mode": "one_to_one"}, None, None),
+                                             ({"realtime": True}, 1, None)],
+                         ids=["default", "default-kp0", "windowed", "one_to_one", "realtime"])
+def test_decode_step_is_the_last_column_of_decode(kw, kp, window):
     # each step's column and attention column equal the last columns of a
-    # column-exact decode of the whole prefix, past the 17 columns of the
-    # prenet's dilation-4 taps and the postnet's receptive field
+    # column-exact decode of the whole prefix into the cache's target
+    # speaker, past the 17 columns of the prenet's dilation-4 taps and the
+    # postnet's receptive field
     model = VtnModel.init(tiny_config(L=2, **kw), seed=5)
     rng = np.random.default_rng(8)
     n = POSTNET_FIELD + 6
     z = Tensor(rng.normal(size=(model.config.d, n)))
     prefix = rng.normal(size=(model.config.D, n))
-    dec = model.decoding(z, None if kw.get("mode") == "one_to_one" else 1)
-    cache = DecoderCache(dec, n)
     with ad.column_exact():
+        cache = DecoderCache(model.decoding(z, kp), n)
         for j in range(n):
-            y, attn = model.decode_step(prefix[:, j:j + 1], dec, cache, window)
-            want_y, want_attn = model.decode(prefix[:, :j + 1], dec, window=window)
+            y, attn = model.decode_step(prefix[:, j:j + 1], cache, window)
+            want_y, want_attn = model.decode(prefix[:, :j + 1], z, kp, window)
             assert y.tobytes() == want_y.data[:, -1:].tobytes()
             want_attn = want_attn[..., -1]
             assert attn.tobytes() == want_attn.tobytes() and attn.shape == want_attn.shape
             assert attn.flags.writeable == want_attn.flags.writeable
     assert cache.n == n
     with pytest.raises(ShapeError, match="holds all its"):
-        model.decode_step(prefix[:, :1], dec, cache)
+        model.decode_step(prefix[:, :1], cache)
     with pytest.raises(ShapeError, match="must be"):
-        model.decode_step(prefix[:, :2], dec, DecoderCache(dec, 2))
+        model.decode_step(prefix[:, :2], DecoderCache(cache.dec, 2))
 
 
 def test_decode_step_in_fast_mode_is_close_to_decode():
@@ -178,12 +165,12 @@ def test_decode_step_in_fast_mode_is_close_to_decode():
     model = VtnModel.init(tiny_config(L=2), seed=6)
     rng = np.random.default_rng(9)
     n = POSTNET_FIELD + 3
-    dec = model.decoding(Tensor(rng.normal(size=(model.config.d, n))), 1)
+    z = Tensor(rng.normal(size=(model.config.d, n)))
     prefix = rng.normal(size=(model.config.D, n))
-    cache = DecoderCache(dec, n)
+    cache = DecoderCache(model.decoding(z, 1), n)
     for j in range(n):
-        y, attn = model.decode_step(prefix[:, j:j + 1], dec, cache)
-        want_y, want_attn = model.decode(prefix[:, :j + 1], dec)
+        y, attn = model.decode_step(prefix[:, j:j + 1], cache)
+        want_y, want_attn = model.decode(prefix[:, :j + 1], z, kp=1)
         assert np.allclose(y, want_y.data[:, -1:], rtol=1e-10, atol=1e-12)
         assert np.allclose(attn, want_attn[..., -1], rtol=1e-10, atol=1e-12)
 
