@@ -52,6 +52,11 @@ def column_exact():
         _column_exact = prev
 
 
+def in_column_exact() -> bool:
+    """Whether column-exact mode is on."""
+    return _column_exact
+
+
 class Tensor:
     """Dense float64 array with optional gradient buffer."""
 

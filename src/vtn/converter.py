@@ -2,12 +2,13 @@
 identity-aligned mode, and the raw-features-in, raw-features-out pipeline
 around the network.  One ``DecoderCache`` holds a conversion's decoding
 state: the constants of every decoder pass (``VtnModel.decoding``), built
-once, and the target prenet's columns.  Decoding is incremental in the
-convolutions only: each step (``VtnModel.decode_step``) runs the target
-prenet over its newest column, every decoder layer but the last over the
-whole prefix, and the last layer's queries and everything after them, the
-postnet included, over the postnet's receptive field of the column it
-keeps."""
+once, and the input columns of the target prenet's and the postnet's
+convs.  Decoding is incremental in the convolutions and the last decoder
+layer: each step (``VtnModel.decode_step``) runs the target prenet over its
+newest column, every decoder layer but the last over the whole prefix, the
+last layer's queries and everything after them over the newest two columns
+(a window cuts only the newest, which the next step recomputes), and the
+postnet over those two, its output conv over the newest alone."""
 
 from __future__ import annotations
 
@@ -81,15 +82,16 @@ def convert(model: VtnModel, src: np.ndarray, k: int | None, kp: int | None,
     column is bit-identical to what a full teacher-forced pass over the same
     prefix would produce.  The decoder's constants (``VtnModel.decoding``)
     are built once, after the encoder, from the weights as they are at the
-    call, into a ``DecoderCache`` that also keeps the target prenet's work
-    on the earlier steps; each step passes it and the previous step's
-    output column to ``VtnModel.decode_step``, and the bits equal those of
-    a ``VtnModel.decode`` of the whole prefix from the raw encoder output.
-    The step runs the decoder layers over the whole prefix, but for the
-    last layer's queries and what follows them, which run over the columns
-    the postnet reads.  Each step attends where the head mean of its newest
-    attention column peaks (n_hat), and ``ConversionResult.attention``
-    stacks those columns, or is a realtime model's identity broadcast.
+    call, into a ``DecoderCache`` that also keeps the target prenet's and
+    the postnet's inputs of the earlier steps; each step passes it and the
+    previous step's output column to ``VtnModel.decode_step``, and the bits
+    equal those of a ``VtnModel.decode`` of the whole prefix from the raw
+    encoder output.  The step runs the decoder layers over the whole
+    prefix, but for the last layer's queries and what follows them, which
+    run over the newest two columns.  Each step attends where the head
+    mean of its newest attention column peaks (n_hat), and
+    ``ConversionResult.attention`` stacks those columns, or is a realtime
+    model's identity broadcast.
     Decoding stops once n_hat reaches the last source position, or is
     truncated after max_len_factor * N_src steps.  A realtime model's
     identity alignment thus stops after N_src steps.  In windowed mode each

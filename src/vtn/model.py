@@ -24,8 +24,6 @@ _MODEL_VERSION = 1
 
 PRENET_KERNEL = 5
 PRENET_DILATIONS = (1, 2, 4)
-# the decoder columns that one postnet output column depends on
-POSTNET_FIELD = 1 + (PRENET_KERNEL - 1) * sum(PRENET_DILATIONS)
 
 
 @dataclass
@@ -102,8 +100,9 @@ class Decoding(NamedTuple):
     segments src_segs, each layer's target-to-source keys and values
     W6 @ z, the weight-normalised target-prenet and postnet kernels in
     ``ad.conv1d``'s layout, the (e x P) embedding column of each segment's
-    target speaker (None where the target side is unconditioned), and
-    whether target-to-source attention is the identity alignment."""
+    target speaker (None where the target side is unconditioned), whether
+    target-to-source attention is the identity alignment, and whether it
+    was built in column-exact mode, the one mode its cache steps in."""
     z: Tensor
     src_segs: ad.Segments
     kv: list[Tensor]
@@ -111,24 +110,45 @@ class Decoding(NamedTuple):
     postnet: list[Tensor]
     spk: Tensor | None
     identity: bool
+    exact: bool
 
 
 class DecoderCache:
     """The state of one conversion's decoding, which ``VtnModel.decode_step``
     extends by one column per step, up to capacity columns: the constants
-    dec, each target-prenet causal conv's input columns after
-    (K-1) * dilation zero columns that stand for its causal padding, the
-    first conv's input holding the target speaker's rows under every
-    column, and the prenet's output columns.  n counts the columns so far."""
+    dec, the input columns of each causal conv of the target prenet
+    (inputs) and the postnet (post), after (K-1) * dilation zero columns
+    that stand for its causal padding, each net's first input holding the
+    target speaker's rows under every column, and the prenet's output
+    columns.  n counts the columns so far."""
 
     def __init__(self, dec: Decoding, capacity: int):
-        self.dec = dec
-        self.n = 0
-        self.inputs = [np.zeros((w.data.shape[2], (PRENET_KERNEL - 1) * dil + capacity))
-                       for w, dil in zip(dec.prenet, PRENET_DILATIONS)]
+        self.dec, self.n = dec, 0
+        self.inputs, self.post = ([np.zeros((w.data.shape[2], (PRENET_KERNEL - 1) * dil + capacity))
+                                   for w, dil in zip(net, PRENET_DILATIONS)]
+                                  for net in (dec.prenet, dec.postnet))
         if dec.spk is not None:
-            self.inputs[0][-dec.spk.data.shape[0]:, PRENET_KERNEL - 1:] = dec.spk.data
+            for first in (self.inputs[0], self.post[0]):
+                first[-dec.spk.data.shape[0]:, PRENET_KERNEL - 1:] = dec.spk.data
         self.out = np.empty((dec.prenet[-1].data.shape[0] // 2, capacity))
+
+
+def _causal_columns(bufs: list[np.ndarray], kernels: list[Tensor], x: np.ndarray, j: int,
+                    glu_last: bool) -> np.ndarray:
+    """The newest output columns of a prenet's or the postnet's three causal
+    convs, x being the first conv's input columns ..j: each conv writes its
+    input columns into its buffer in bufs and runs over them (the last over
+    column j alone) as ``ad.conv1d``'s column-exact gemvs of the flat kernel
+    and each column's taps; GLU follows all but the last, it too if glu_last."""
+    for i, (buf, w, dil) in enumerate(zip(bufs, kernels, PRENET_DILATIONS)):
+        span, last = (PRENET_KERNEL - 1) * dil, i == len(bufs) - 1
+        buf[:x.shape[0], span + j + 1 - x.shape[1]:span + j + 1] = x
+        first = j if last else j + 1 - x.shape[1]
+        taps = np.concatenate([buf[:, first + t * dil:j + 1 + t * dil]
+                               for t in range(PRENET_KERNEL)])
+        x = ad.matmul(w.data.reshape(w.data.shape[0], -1), taps)
+        x = (ad.glu(x) if glu_last or not last else x).data
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +430,8 @@ class VtnModel:
         p = self.params
         return Decoding(z, src_segs,
                         [ad.matmul(p[f"dec.{l}.tsa.W6"], z) for l in range(self.config.L)],
-                        self._kernels("tgt_prenet"), self._kernels("postnet"), spk, identity)
+                        self._kernels("tgt_prenet"), self._kernels("postnet"), spk,
+                        identity, ad.in_column_exact())
 
     def _decode(self, x: Tensor, dec: Decoding, segs: ad.Segments,
                 drops: list[np.ndarray] | None,
@@ -430,8 +451,8 @@ class VtnModel:
                        ) -> tuple[Tensor, list[Tensor | None]]:
         """The decoder layers and the final layer norm over the target
         prenet's output x, the last layer's queries being its last tail.n
-        columns (tail is segs but in a decoding step), so the output holds
-        those columns alone."""
+        columns (all of segs but in a decoding step, which queries the newest
+        two), so the output holds those columns alone."""
         cfg = self.config
         attn = []
         for l in range(cfg.L):
@@ -486,16 +507,14 @@ class VtnModel:
         the (L, H, N_src) last column of its attention, cache holding
         ``decoding(z, kp)`` and the columns of the earlier steps, prefix
         being those columns and then the (D x 1) array tgt_in, with the same
-        bits in column-exact mode, where conversion runs it.  The target
-        prenet runs over the newest column alone, each conv one product of
-        its flat kernel and its K taps read from cache, and adds its columns
-        to cache.  The postnet's output column reads the last t =
-        min(n, POSTNET_FIELD) of the n decoder output columns, its receptive
-        field, so every decoder layer but the last runs over all n cached
-        prenet columns, and the last layer computes the self-attention keys
-        and values of all n but runs its queries, target-to-source
-        attention, FFN and the final layer norm over the last t alone, and
-        the postnet over their output."""
+        bits in column-exact mode, where conversion runs it (the mode must
+        be ``decoding``'s).  The target prenet runs over the newest of the n
+        columns, every decoder layer but the last over all n, and the last
+        layer computes the self-attention keys and values of all n but its
+        queries, target-to-source attention, FFN and final layer norm over
+        the newest two: a window cuts only the newest, which the next step
+        recomputes without it.  The postnet runs over both, its output conv
+        over the newest alone (``_causal_columns``)."""
         cfg, dec = self.config, cache.dec
         tgt_in = np.asarray(tgt_in, dtype=np.float64)
         if tgt_in.shape != (cfg.D, 1):
@@ -504,19 +523,18 @@ class VtnModel:
         j = cache.n
         if j == cache.out.shape[1]:
             raise ShapeError(f"decode_step: the decoder cache holds all its {j} columns")
+        if dec.exact != ad.in_column_exact():
+            modes = ("fast", "column-exact")
+            raise ShapeError(f"decode_step: a decoder cache whose constants were built in "
+                             f"{modes[dec.exact]} mode cannot step in {modes[not dec.exact]} mode")
         x = tgt_in + self._positions((j + 1,))[:, j:]
-        for buf, w, dil in zip(cache.inputs, dec.prenet, PRENET_DILATIONS):
-            span = (PRENET_KERNEL - 1) * dil
-            buf[:x.shape[0], span + j] = x[:, 0]
-            taps = buf[:, j:j + span + 1:dil].T.reshape(-1, 1)
-            x = ad.glu(ad.matmul(w.data.reshape(w.data.shape[0], -1), taps)).data
-        cache.out[:, j] = x[:, 0]
+        cache.out[:, j] = _causal_columns(cache.inputs, dec.prenet, x, j, True)[:, 0]
         cache.n = n = j + 1
-        segs, tail = ad.segments((n,)), ad.segments((min(n, POSTNET_FIELD),))
-        spk = self._tiled(dec.spk, segs)
-        h, attn = self._decoder_stack(Tensor(cache.out[:, :n]), dec, spk, segs, tail, window)
-        y = self._postnet(dec.postnet, h, self._last(spk, tail.n), tail)
-        return y.data[:, -1:].copy(), self._attention(attn, dec.src_segs.n, n, 1)[..., 0]
+        segs, tail = ad.segments((n,)), ad.segments((min(n, 2),))
+        h, attn = self._decoder_stack(Tensor(cache.out[:, :n]), dec, self._tiled(dec.spk, segs),
+                                      segs, tail, window)
+        return (_causal_columns(cache.post, dec.postnet, h.data, j, False),
+                self._attention(attn, dec.src_segs.n, n, 1)[..., 0])
 
     def identity_attention(self, n_src: int, n_tgt: int, first: int = 0) -> np.ndarray:
         """A realtime model's (L, H, N_src, N_tgt) attention of the target

@@ -57,11 +57,17 @@ SHAPES = {
 WINDOWS = [None, (24.0, 48.0), (48.0, 72.0), (160.0, 320.0), (0.0, 0.0)]
 # long conversions, (name, shape, N_src, windows): decoder self-attention
 # reaches 140 keys, past the 128 elements where numpy's pairwise sums change
-# regime, a realtime encoder runs 140 causal groups, and three layers decode
-# 80 steps, the last layer's queries cut to the postnet's receptive field
+# regime, a realtime encoder runs 140 causal groups, three layers decode 80
+# steps, and a three-layer and a post-LN model decode 80 windowed steps
+# whose window still moves after the postnet's 29-column receptive field,
+# so each step's newest decoder column differs from the one the next step
+# computes without its window
 LONG = [("overfit-long", dict(OVERFIT_CFG), 70, [None, (24.0, 48.0)]),
         ("overfit-long-realtime", dict(OVERFIT_CFG, realtime=True), 140, None),
-        ("overfit-L3-long", dict(OVERFIT_CFG, L=3), 40, [None])]
+        ("overfit-L3-long", dict(OVERFIT_CFG, L=3), 40, [None]),
+        ("overfit-L3-windowed-long", dict(OVERFIT_CFG, L=3), 40, [(24.0, 48.0)]),
+        ("overfit-post-ln-windowed-long", dict(OVERFIT_CFG, ln_placement="post"), 40,
+         [(24.0, 48.0)])]
 TRAIN_STEPS = 8
 # trained models, name -> (model config changes, train config changes)
 TRAINED = {

@@ -10,8 +10,12 @@ from vtn.converter import (ConversionResult, DecodeConfig, convert, convert_sequ
                            dump_attention)
 from vtn.errors import ConfigError, NonFiniteOutputError, ShapeError, StatsError
 from vtn.features import compute_stats, gen_synthetic_corpus
-from vtn.model import POSTNET_FIELD, PRENET_KERNEL, VtnConfig, VtnModel
+from vtn.model import PRENET_DILATIONS, PRENET_KERNEL, VtnConfig, VtnModel
 from vtn.trainer import TrainConfig, make_batch, train_step
+
+
+# the decoder columns that one postnet output column reads
+POSTNET_FIELD = 1 + (PRENET_KERNEL - 1) * sum(PRENET_DILATIONS)
 
 
 def tiny_cfg(**kw):
@@ -94,8 +98,8 @@ def test_incremental_equals_teacher_forced(kw):
     pytest.param({}, "windowed", 20, 1, id="long-windowed"),
     pytest.param({"realtime": True}, "realtime", 32, 1, id="long-realtime"),
     # with more than one layer, the earlier layers run over every column and
-    # the last one over the postnet's receptive field; seed 1's L=2 and L=3
-    # models stop their default decoding before it
+    # the last one over the newest two; seed 1's L=2 and L=3 models stop
+    # their default decoding before the postnet's receptive field
     pytest.param({"L": 2}, "default", 20, 2, id="long-L2-default"),
     pytest.param({"L": 2}, "windowed", 20, 2, id="long-L2-windowed"),
     pytest.param({"L": 3, "ln_placement": "post"}, "default", 20, 2,
@@ -119,14 +123,17 @@ def test_convert_equals_per_step_decoding(kw, mode, n_src, seed):
 
 
 def test_each_step_convolves_only_what_its_column_needs(monkeypatch):
-    # a 96-step conversion runs each target-prenet conv once per step as
-    # one product of its flat kernel and its K taps, and each postnet conv
-    # over at most the postnet's receptive field, where decoding the whole
-    # prefix reads every column so far
+    # a 96-step conversion runs each conv of the target prenet and the
+    # postnet as one product of its flat kernel and the K taps of each column
+    # it runs over: the prenet's over the step's column, the postnet's first
+    # two over the step's column and the one before it, whose decoder output
+    # is final only now that no window cuts it, and the postnet's last over
+    # the step's column; decoding the whole prefix reads every column so
+    # far, and no decoder conv runs as a whole-sequence ad.conv1d
     cfg = VtnConfig(L=2, H=2, d=32, d_ffn=64, n_mcc=28, r=3, e=8, n_speakers=2)
     model = VtnModel.init(cfg, seed=0)
     src = np.random.default_rng(0).normal(size=(cfg.D, 48))
-    kernels, prenet, reads = {}, [], []
+    kernels, reads, convs = [], [], []
     conv1d, matmul, decoding = ad.conv1d, ad.matmul, model.decoding
 
     def step():
@@ -135,23 +142,20 @@ def test_each_step_convolves_only_what_its_column_needs(monkeypatch):
 
     def spied_decoding(*args, **kwargs):
         dec = decoding(*args, **kwargs)
-        kernels.update({id(w): ("prenet", i) for i, w in enumerate(dec.prenet)})
-        kernels.update({id(w): ("postnet", i) for i, w in enumerate(dec.postnet)})
-        prenet.extend(w.data for w in dec.prenet)
+        for net in ("prenet", "postnet"):
+            kernels.extend((net, i, w.data) for i, w in enumerate(getattr(dec, net)))
         return dec
 
-    def spied_conv1d(x, kernel, *args, **kwargs):
-        if id(kernel) in kernels:
-            first = x[0] if isinstance(x, list) else x
-            reads.append((step(), *kernels[id(kernel)], first.data.shape[1]))
-        return conv1d(x, kernel, *args, **kwargs)
+    def spied_conv1d(*args, **kwargs):
+        if kernels:
+            convs.append(args)
+        return conv1d(*args, **kwargs)
 
     def spied_matmul(a, b):
-        for i, w in enumerate(prenet):
+        for net, i, w in kernels:
             if np.shape(a) == (w.shape[0], w.shape[1] * w.shape[2]) and np.array_equal(
                     a, w.reshape(w.shape[0], -1)):
-                assert np.shape(b) == (np.shape(a)[1], 1)
-                reads.append((step(), "prenet", i, np.shape(b)[0] // w.shape[2]))
+                reads.append((step(), net, i, np.shape(b)[0] // w.shape[2], np.shape(b)[1]))
         return matmul(a, b)
 
     monkeypatch.setattr(model, "decoding", spied_decoding)
@@ -159,18 +163,20 @@ def test_each_step_convolves_only_what_its_column_needs(monkeypatch):
     monkeypatch.setattr(ad, "matmul", spied_matmul)
     result = convert(model, src, 0, 1)
     assert len(result.n_hat) == 96
+    assert convs == []
+    k = PRENET_KERNEL
     for s in range(1, 97):
-        got = sorted((net, i, n) for t, net, i, n in reads if t == s)
-        field = min(s, POSTNET_FIELD)
-        assert got == [("postnet", i, field) for i in range(3)] + [
-            ("prenet", i, PRENET_KERNEL) for i in range(3)]
+        got = sorted((net, i, taps, n) for t, net, i, taps, n in reads if t == s)
+        assert got == [("postnet", 0, k, min(s, 2)), ("postnet", 1, k, min(s, 2)),
+                       ("postnet", 2, k, 1)] + [("prenet", i, k, 1) for i in range(3)]
     assert len(reads) == 6 * 96
 
 
-def test_last_decoder_layer_queries_only_the_postnets_field(monkeypatch):
+def test_last_decoder_layer_queries_only_the_newest_two_columns(monkeypatch):
     # in a 96-step conversion, the first decoder layer's self-attention
     # queries every column so far, and the last layer's self-attention and
-    # target-to-source attention query only the columns the postnet reads
+    # target-to-source attention query only the step's column and the one
+    # before it, which the postnet needs now that no window cuts it
     cfg = VtnConfig(L=2, H=2, d=32, d_ffn=64, n_mcc=28, r=3, e=8, n_speakers=2)
     model = VtnModel.init(cfg, seed=0)
     src = np.random.default_rng(0).normal(size=(cfg.D, 48))
@@ -190,8 +196,7 @@ def test_last_decoder_layer_queries_only_the_postnets_field(monkeypatch):
     assert queries[:cfg.L] == [48] * cfg.L
     steps = np.reshape(queries[cfg.L:], (96, 2 * cfg.L))
     for step, got in enumerate(steps, start=1):
-        field = min(step, POSTNET_FIELD)
-        assert got.tolist() == [step, step, field, field]
+        assert got.tolist() == [step, step, min(step, 2), min(step, 2)]
 
 
 def test_truncated_conversion_builds_decoder_constants_once(monkeypatch):

@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -6,10 +7,13 @@ import pytest
 from vtn import autodiff as ad
 from vtn.autodiff import Tensor
 from vtn.errors import ShapeError
-from vtn.model import (POSTNET_FIELD, DecoderCache, Layout, VtnConfig, VtnModel,
-                       positional_encoding)
+from vtn.model import (PRENET_DILATIONS, PRENET_KERNEL, DecoderCache, Layout, VtnConfig,
+                       VtnModel, positional_encoding)
 
 from oracles import causal_mask
+
+# the decoder columns that one postnet output column reads
+POSTNET_FIELD = 1 + (PRENET_KERNEL - 1) * sum(PRENET_DILATIONS)
 
 
 def tiny_config(**kw):
@@ -173,6 +177,36 @@ def test_decode_step_in_fast_mode_is_close_to_decode():
         want_y, want_attn = model.decode(prefix[:, :j + 1], z, kp=1)
         assert np.allclose(y, want_y.data[:, -1:], rtol=1e-10, atol=1e-12)
         assert np.allclose(attn, want_attn[..., -1], rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("built_exact", [False, True], ids=["fast-built", "exact-built"])
+@pytest.mark.parametrize("cache_with", ["constants", "step"])
+def test_a_decoder_cache_steps_only_in_the_mode_its_constants_were_built_in(built_exact,
+                                                                            cache_with):
+    # the constants (weight-normalised kernels, W6 @ z) carry the bits of
+    # the mode they were built in, and stepping them in the other mode would
+    # mix the two modes' bits, wherever the cache itself was built; the
+    # refused step leaves the cache as it was
+    model = VtnModel.init(tiny_config(L=2), seed=6)
+    rng = np.random.default_rng(9)
+    z = Tensor(rng.normal(size=(model.config.d, 4)))
+    column = rng.normal(size=(model.config.D, 1))
+    built, other = ("column-exact", "fast") if built_exact else ("fast", "column-exact")
+
+    def mode(exact):
+        return ad.column_exact() if exact else contextlib.nullcontext()
+
+    with mode(built_exact):
+        dec = model.decoding(z, 1)
+        cache = DecoderCache(dec, 4) if cache_with == "constants" else None
+    with mode(not built_exact):
+        cache = cache or DecoderCache(dec, 4)
+        with pytest.raises(ShapeError, match=f"built in {built} mode cannot step in {other} mode"):
+            model.decode_step(column, cache)
+    assert cache.n == 0
+    with mode(built_exact):
+        model.decode_step(column, cache)
+    assert cache.n == 1
 
 
 def test_dropout_identity_cases():
