@@ -3,12 +3,14 @@ identity-aligned mode, and the raw-features-in, raw-features-out pipeline
 around the network.  One ``DecoderCache`` holds a conversion's decoding
 state: the constants of every decoder pass (``VtnModel.decoding``), built
 once, and the input columns of the target prenet's and the postnet's
-convs.  Decoding is incremental in the convolutions and the last decoder
-layer: each step (``VtnModel.decode_step``) runs the target prenet over its
-newest column, every decoder layer but the last over the whole prefix, the
-last layer's queries and everything after them over the newest two columns
-(a window cuts only the newest, which the next step recomputes), and the
-postnet over those two, its output conv over the newest alone."""
+convs.  ``VtnModel.decode_step``, the one decoder inference body, appends
+m >= 1 columns to it (``VtnModel.decode`` is one append to a fresh cache).
+Decoding is incremental in the convolutions and the last decoder layer:
+each step appends its column, runs the target prenet over it, every
+decoder layer but the last over the whole prefix, the last layer's queries
+and everything after them over the newest two columns (a window cuts only
+the newest, which the next step recomputes), and the postnet over those
+two, its output conv over the newest alone."""
 
 from __future__ import annotations
 
@@ -84,14 +86,14 @@ def convert(model: VtnModel, src: np.ndarray, k: int | None, kp: int | None,
     are built once, after the encoder, from the weights as they are at the
     call, into a ``DecoderCache`` that also keeps the target prenet's and
     the postnet's inputs of the earlier steps; each step passes it and the
-    previous step's output column to ``VtnModel.decode_step``, and the bits
-    equal those of a ``VtnModel.decode`` of the whole prefix from the raw
-    encoder output.  The step runs the decoder layers over the whole
-    prefix, but for the last layer's queries and what follows them, which
-    run over the newest two columns.  Each step attends where the head
-    mean of its newest attention column peaks (n_hat), and
-    ``ConversionResult.attention`` stacks those columns, or is a realtime
-    model's identity broadcast.
+    previous step's output column to ``VtnModel.decode_step``, which
+    appends it, and the bits equal those of a ``VtnModel.decode`` of the
+    whole prefix from the raw encoder output.  The step runs the decoder
+    layers over the whole prefix, but for the last layer's queries and what
+    follows them, which run over the newest two columns.  Each step attends
+    where the head mean of its (L, H, N_src, 1) attention peaks (n_hat), and
+    ``ConversionResult.attention`` concatenates those columns, or is a
+    realtime model's identity broadcast.
     Decoding stops once n_hat reaches the last source position, or is
     truncated after max_len_factor * N_src steps.  A realtime model's
     identity alignment thus stops after N_src steps.  In windowed mode each
@@ -128,7 +130,7 @@ def convert(model: VtnModel, src: np.ndarray, k: int | None, kp: int | None,
         outputs: list[np.ndarray] = []
         n_hat_track: list[int] = []
         n_hat = 1
-        step_heads: list[np.ndarray] = []   # per step, its (L, H, N_src) attention column
+        step_heads: list[np.ndarray] = []   # per step, its (L, H, N_src, 1) attention
         windows: list[tuple[int, int] | None] = []
         for step in range(1, max_steps + 1):
             lo, hi = max(1, n_hat - n0), min(n_hat + n1, n_src)
@@ -145,7 +147,7 @@ def convert(model: VtnModel, src: np.ndarray, k: int | None, kp: int | None,
                 break
 
     attention = (model.identity_attention(n_src, len(outputs)) if model.config.realtime
-                 else np.stack(step_heads, axis=-1))
+                 else np.concatenate(step_heads, axis=-1))
     return ConversionResult(output=np.concatenate(outputs, axis=1), attention=attention,
                             n_hat=n_hat_track, truncated=n_hat != n_src, windows=windows)
 

@@ -114,8 +114,8 @@ class Decoding(NamedTuple):
 
 
 class DecoderCache:
-    """The state of one conversion's decoding, which ``VtnModel.decode_step``
-    extends by one column per step, up to capacity columns: the constants
+    """The state of one decoding, which each ``VtnModel.decode_step`` extends
+    by the m >= 1 columns it appends, up to capacity columns: the constants
     dec, the input columns of each causal conv of the target prenet
     (inputs) and the postnet (post), after (K-1) * dilation zero columns
     that stand for its causal padding, each net's first input holding the
@@ -133,18 +133,19 @@ class DecoderCache:
         self.out = np.empty((dec.prenet[-1].data.shape[0] // 2, capacity))
 
 
-def _causal_columns(bufs: list[np.ndarray], kernels: list[Tensor], x: np.ndarray, j: int,
-                    glu_last: bool) -> np.ndarray:
-    """The newest output columns of a prenet's or the postnet's three causal
-    convs, x being the first conv's input columns ..j: each conv writes its
-    input columns into its buffer in bufs and runs over them (the last over
-    column j alone) as ``ad.conv1d``'s column-exact gemvs of the flat kernel
-    and each column's taps; GLU follows all but the last, it too if glu_last."""
+def _causal_columns(bufs: list[np.ndarray], kernels: list[Tensor], x: np.ndarray, n: int,
+                    m: int, glu_last: bool) -> np.ndarray:
+    """The newest m output columns of a prenet's or the postnet's three
+    causal convs, x being the first conv's input columns ..n-1, at least m
+    of them: each conv writes its input columns into its buffer in bufs and
+    runs over them (the last over the newest m) as ``ad.conv1d``'s
+    column-exact gemvs of the flat kernel and each column's taps; GLU
+    follows all but the last, it too if glu_last."""
     for i, (buf, w, dil) in enumerate(zip(bufs, kernels, PRENET_DILATIONS)):
         span, last = (PRENET_KERNEL - 1) * dil, i == len(bufs) - 1
-        buf[:x.shape[0], span + j + 1 - x.shape[1]:span + j + 1] = x
-        first = j if last else j + 1 - x.shape[1]
-        taps = np.concatenate([buf[:, first + t * dil:j + 1 + t * dil]
+        buf[:x.shape[0], span + n - x.shape[1]:span + n] = x
+        first = n - (m if last else x.shape[1])
+        taps = np.concatenate([buf[:, first + t * dil:n + t * dil]
                                for t in range(PRENET_KERNEL)])
         x = ad.matmul(w.data.reshape(w.data.shape[0], -1), taps)
         x = (ad.glu(x) if glu_last or not last else x).data
@@ -339,14 +340,11 @@ class VtnModel:
         """The output and the ragged attention of the row blocks x against the
         keys and values kv, the attention None under the identity alignment of
         a one-segment pass: target position j, x holding the positions
-        first.., attends to source position j only, so every head passes its
-        values through and no query is needed."""
+        first.., attends to source position j only (which must exist), so
+        every head passes its values through and no query is needed."""
         d = self.config.d
         if identity:
-            n_tgt = first + x[0].data.shape[1]
-            if n_tgt > kv.data.shape[1]:
-                raise ShapeError("identity alignment needs N_tgt <= N_src")
-            heads, attn = ad.index(kv, np.s_[d:2 * d, first:n_tgt]), None
+            heads, attn = ad.index(kv, np.s_[d:2 * d, first:first + x[0].data.shape[1]]), None
         else:
             q_all = ad.matmul(self.params[f"{prefix}.W5"], x)
             heads, attn = ad.attention(q_all, kv, 0, self.config.H, 1.0 / math.sqrt(d), *lay)
@@ -434,25 +432,26 @@ class VtnModel:
                         identity, ad.in_column_exact())
 
     def _decode(self, x: Tensor, dec: Decoding, segs: ad.Segments,
-                drops: list[np.ndarray] | None,
-                window: tuple[int, int] | None) -> tuple[Tensor, list[Tensor | None]]:
+                drops: list[np.ndarray] | None) -> tuple[Tensor, list[Tensor | None]]:
+        """The decoder of the packed teacher-forced training pass."""
         spk = self._tiled(dec.spk, segs)
         x = ad.add(x, Tensor(self._positions(segs.lengths)))
         if drops is not None:
             x = ad.mul(x, Tensor(drops[0]))
         x = self._prenet(dec.prenet, x, spk, True, segs)
-        x, attn = self._decoder_stack(x, dec, spk, segs, segs, window)
+        x, attn = self._decoder_stack(x, dec, spk, segs, segs)
         if drops is not None:
             x = ad.mul(x, Tensor(drops[1]))
         return self._postnet(dec.postnet, x, spk, segs), attn
 
     def _decoder_stack(self, x: Tensor, dec: Decoding, spk: Tensor | None, segs: ad.Segments,
-                       tail: ad.Segments, window: tuple[int, int] | None
+                       tail: ad.Segments, window: tuple[int, int] | None = None
                        ) -> tuple[Tensor, list[Tensor | None]]:
         """The decoder layers and the final layer norm over the target
         prenet's output x, the last layer's queries being its last tail.n
-        columns (all of segs but in a decoding step, which queries the newest
-        two), so the output holds those columns alone."""
+        columns (all of segs in training; a step of m columns queries the
+        newest m + 1), so the output holds those columns alone; window cuts
+        the last column's target-to-source attention in every layer."""
         cfg = self.config
         attn = []
         for l in range(cfg.L):
@@ -488,53 +487,59 @@ class VtnModel:
 
     def decode(self, tgt_in, z: Tensor, kp: int | None = None,
                window: tuple[int, int] | None = None) -> tuple[Tensor, np.ndarray]:
-        """One pass of the decoder without dropout over tgt_in against the
-        encoded source z into target speaker kp.  Returns the output and the
-        (L, H, N_src, N_tgt) attention.  window: the source range [lo, hi)
-        (0-based) that the last column's target-to-source attention may see,
-        column-exact mode only.  A realtime model attends from target
-        position j to source position j alone (N_tgt <= N_src), and its
-        attention is a read-only broadcast of that identity."""
-        dec = self.decoding(z, kp)
-        tgt_in = tgt_in if isinstance(tgt_in, Tensor) else Tensor(tgt_in)
-        segs = ad.segments((tgt_in.data.shape[1],))
-        y, attn = self._decode(tgt_in, dec, segs, None, window)
-        return y, self._attention(attn, dec.src_segs.n, segs.n, segs.n)
+        """The decoder without dropout over the (D x N) target input tgt_in
+        against the encoded source z into target speaker kp: one
+        ``decode_step`` of all N columns into a fresh ``DecoderCache`` of
+        ``decoding(z, kp)``.  Returns the (D x N) output, inference-only (no
+        graph), and the (L, H, N_src, N) attention; window cuts the last column."""
+        # the step checks tgt_in's shape; a (D x N) one fills the cache
+        cache = DecoderCache(self.decoding(z, kp), np.size(tgt_in) // self.config.D)
+        y, attn = self.decode_step(tgt_in, cache, window)
+        return Tensor(y), attn
 
     def decode_step(self, tgt_in, cache: DecoderCache,
                     window: tuple[int, int] | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """``decode(prefix, z, kp, window)``'s last output column (D x 1) and
-        the (L, H, N_src) last column of its attention, cache holding
-        ``decoding(z, kp)`` and the columns of the earlier steps, prefix
-        being those columns and then the (D x 1) array tgt_in, with the same
-        bits in column-exact mode, where conversion runs it (the mode must
-        be ``decoding``'s).  The target prenet runs over the newest of the n
-        columns, every decoder layer but the last over all n, and the last
-        layer computes the self-attention keys and values of all n but its
-        queries, target-to-source attention, FFN and final layer norm over
-        the newest two: a window cuts only the newest, which the next step
-        recomputes without it.  The postnet runs over both, its output conv
-        over the newest alone (``_causal_columns``)."""
+        """Append the (D x m) target input tgt_in, m >= 1, to the n - m columns
+        in cache, which holds ``decoding(z, kp)``: the m output columns (D x m)
+        and (L, H, N_src, m) attention of a teacher-forced pass over all n,
+        with the same bits in column-exact mode (the mode must be
+        ``decoding``'s).  window: the source range [lo, hi) (0-based) of the
+        last column's target-to-source attention, column-exact mode only; the
+        next call recomputes that column without it.  The target prenet runs
+        over the m new columns, every decoder layer but the last over all n,
+        the last layer's queries and all after them over the newest
+        min(n, m + 1), and the postnet's output conv over the newest m
+        (``_causal_columns``).  A realtime model attends from target position
+        j to source position j alone (N_tgt <= N_src), its attention a
+        read-only broadcast of that identity.  A refused call leaves the cache
+        as it was."""
         cfg, dec = self.config, cache.dec
         tgt_in = np.asarray(tgt_in, dtype=np.float64)
-        if tgt_in.shape != (cfg.D, 1):
-            raise ShapeError(f"decode_step: the target input must be ({cfg.D}, 1), "
+        if tgt_in.ndim != 2 or tgt_in.shape[0] != cfg.D or tgt_in.shape[1] == 0:
+            raise ShapeError(f"decode_step: the target input must be ({cfg.D}, m), m >= 1, "
                              f"not {tgt_in.shape}")
-        j = cache.n
-        if j == cache.out.shape[1]:
-            raise ShapeError(f"decode_step: the decoder cache holds all its {j} columns")
+        j, m, n_src = cache.n, tgt_in.shape[1], dec.src_segs.n
+        n = j + m
+        if n > cache.out.shape[1]:
+            raise ShapeError(f"decode_step: the decoder cache has room for "
+                             f"{cache.out.shape[1] - j} more columns, not {m}")
         if dec.exact != ad.in_column_exact():
             modes = ("fast", "column-exact")
             raise ShapeError(f"decode_step: a decoder cache whose constants were built in "
                              f"{modes[dec.exact]} mode cannot step in {modes[not dec.exact]} mode")
-        x = tgt_in + self._positions((j + 1,))[:, j:]
-        cache.out[:, j] = _causal_columns(cache.inputs, dec.prenet, x, j, True)[:, 0]
-        cache.n = n = j + 1
-        segs, tail = ad.segments((n,)), ad.segments((min(n, 2),))
+        if dec.identity and n > n_src:
+            raise ShapeError(f"decode_step: identity alignment needs N_tgt <= N_src, "
+                             f"not {n} > {n_src}")
+        x = tgt_in + self._positions((n,))[:, j:]
+        cache.out[:, j:n] = _causal_columns(cache.inputs, dec.prenet, x, n, m, True)
+        segs, tail = ad.segments((n,)), ad.segments((min(n, m + 1),))
         h, attn = self._decoder_stack(Tensor(cache.out[:, :n]), dec, self._tiled(dec.spk, segs),
                                       segs, tail, window)
-        return (_causal_columns(cache.post, dec.postnet, h.data, j, False),
-                self._attention(attn, dec.src_segs.n, n, 1)[..., 0])
+        y = _causal_columns(cache.post, dec.postnet, h.data, n, m, False)
+        cache.n = n
+        if dec.identity:
+            return y, self.identity_attention(n_src, m, j)
+        return y, np.stack([a.data.reshape(cfg.H, n_src, -1)[..., -m:] for a in attn])
 
     def identity_attention(self, n_src: int, n_tgt: int, first: int = 0) -> np.ndarray:
         """A realtime model's (L, H, N_src, N_tgt) attention of the target
@@ -542,17 +547,6 @@ class VtnModel:
         read-only broadcast."""
         cfg = self.config
         return np.broadcast_to(np.eye(n_src, n_tgt, -first), (cfg.L, cfg.H, n_src, n_tgt))
-
-    def _attention(self, attn: list[Tensor | None], n_src: int, n: int,
-                   n_tgt: int) -> np.ndarray:
-        """The (L, H, N_src, n_tgt) attention of the last n_tgt of the n
-        target positions of a one-segment inference pass, each layer's
-        attention holding at least those columns; a realtime model's is a
-        read-only broadcast of its identity."""
-        cfg = self.config
-        if cfg.realtime:
-            return self.identity_attention(n_src, n_tgt, n - n_tgt)
-        return np.stack([a.data.reshape(cfg.H, n_src, -1)[..., -n_tgt:] for a in attn])
 
     def forward(self, src: np.ndarray, tgt_in: np.ndarray, k: int | None = None,
                 kp: int | None = None, training: bool = False,
@@ -590,7 +584,7 @@ class VtnModel:
                          self._tiled(src_spk, src_segs), drops and drops[0])
         y, attn = self._decode(Tensor(np.concatenate([p[3] for p in pairs], axis=1)),
                                self._decoding(z, src_segs, spk, False), segs,
-                               drops and drops[1:], None)
+                               drops and drops[1:])
         return y, attn, src_segs, segs
 
     # -- checkpoint I/O -----------------------------------------------------

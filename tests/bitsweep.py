@@ -4,12 +4,15 @@ compute.
 
 Each line is ``<name> <sha256>``.  A conversion line digests the output,
 attention, attended positions, windows and stop flag of one model shape
-in one decode mode and window; a training line digests every parameter
-after 8 batch-4 steps of the acceptance gate's model size, in one speaker
-conditioning, layer-norm placement or loss weighting, and the conversions
-that trained model then makes; an evaluation line digests the
-DTW path and cost and the three scores of one parallel pair, held
-C-ordered or frame-contiguous (as read from a .vtnf file).  Run the sweep
+in one decode mode and window; a decode line digests the output and
+attention of one column-exact ``VtnModel.decode`` of a seeded prefix of
+one model shape, its last column windowed unless the model is realtime; a
+training line digests every parameter after 8 batch-4 steps of the
+acceptance gate's model size, in one speaker conditioning, layer-norm
+placement or loss weighting, and the conversions that trained model then
+makes; an evaluation line digests the DTW path and cost and the three
+scores of one parallel pair, held C-ordered or frame-contiguous (as read
+from a .vtnf file).  Run the sweep
 on each tree under the same BLAS thread count (training bits depend on
 it) and diff the outputs:
 
@@ -32,6 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
+from vtn import autodiff as ad
 from vtn.autodiff import AdamState
 from vtn.converter import DecodeConfig, convert
 from vtn.features import FeatureSequence, compute_stats, gen_synthetic_corpus
@@ -68,6 +72,9 @@ LONG = [("overfit-long", dict(OVERFIT_CFG), 70, [None, (24.0, 48.0)]),
         ("overfit-L3-windowed-long", dict(OVERFIT_CFG, L=3), 40, [(24.0, 48.0)]),
         ("overfit-post-ln-windowed-long", dict(OVERFIT_CFG, ln_placement="post"), 40,
          [(24.0, 48.0)])]
+# decode lines: prefix and source columns, past the postnet's 29-column
+# receptive field, and the 0-based source range of the last column
+DECODE_N, DECODE_WINDOW = 35, (9, 21)
 TRAIN_STEPS = 8
 # trained models, name -> (model config changes, train config changes)
 TRAINED = {
@@ -135,6 +142,14 @@ def conversions(name: str, model: VtnModel, n_src: int, seed: int,
         print(f"convert {name} {tag} {conversion_digest(model, src, cfg)}")
 
 
+def decode_digest(model: VtnModel, seed: int) -> str:
+    src, prefix = np.random.default_rng(seed).normal(size=(2, model.config.D, DECODE_N))
+    window = None if model.config.realtime else DECODE_WINDOW
+    with ad.column_exact():
+        y, attn = model.decode(prefix, model.encode(src, k=0), kp=1, window=window)
+    return digest(y.data, attn)
+
+
 def train(model_kw: dict, train_kw: dict) -> VtnModel:
     corpus = gen_synthetic_corpus(2, 6, seed=7, raw_len_range=(60, 120))
     stats = compute_stats(corpus)
@@ -158,11 +173,14 @@ def evaluations(seed: int) -> None:
 
 
 def main() -> None:
+    decodes = []
     for i, (name, kw) in enumerate(SHAPES.items()):
         for realtime in (False, True):
             model = VtnModel.init(VtnConfig(**kw, realtime=realtime), seed=i,
                                   speakers=["spk0", "spk1"])
-            conversions(f"{name}{'-realtime' if realtime else ''}", model, 10 + i, i)
+            label = f"{name}{'-realtime' if realtime else ''}"
+            conversions(label, model, 10 + i, i)
+            decodes.append(f"decode {label} {decode_digest(model, 300 + i)}")
     for i, (name, kw, n_src, windows) in enumerate(LONG):
         model = VtnModel.init(VtnConfig(**kw), seed=i, speakers=["spk0", "spk1"])
         conversions(name, model, n_src, 200 + i, windows)
@@ -172,6 +190,7 @@ def main() -> None:
         conversions(f"trained-{tag}", model, 24, 100)
     for seed in EVALUATION_SEEDS:
         evaluations(seed)
+    print("\n".join(decodes))
 
 
 if __name__ == "__main__":

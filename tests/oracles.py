@@ -11,9 +11,13 @@ direct way.
 The column-exact references run the package's column-exact kernels one
 output column at a time in a Python loop, each column a numpy call of its
 own; the package's kernels, which run many columns per call, must equal
-them bitwise.  ``convert_per_step`` is the conversion loop that rebuilds
-every decoder constant at every step, which ``converter.convert``, building
-them once, must equal bitwise.
+them bitwise.  ``teacher_forced`` is the decoder's one-pass inference
+built from the pieces the training pass runs, which
+``VtnModel.decode_step``'s appends must equal bitwise in column-exact mode.
+``convert_per_step`` is the conversion loop that rebuilds every decoder
+constant at every step and decodes the whole prefix with
+``teacher_forced``, which ``converter.convert``, building them once and
+appending one column per step, must equal bitwise.
 """
 
 from __future__ import annotations
@@ -150,6 +154,28 @@ def column_exact_attention(q: np.ndarray, kv: np.ndarray, k_row: int, n_heads: i
     return out, a
 
 
+def teacher_forced(model: VtnModel, tgt_in: np.ndarray, z: Tensor, kp: int | None = None,
+                   window: tuple[int, int] | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """One teacher-forced pass of the decoder without dropout over tgt_in
+    (D x N) against the encoded source z into target speaker kp, from
+    ``decoding`` and the target prenet, decoder stack and postnet that
+    training runs.  Returns the (D x N) output and the (L, H, N_src, N)
+    attention, a realtime model's the read-only broadcast of its identity.
+    window: the source range [lo, hi) (0-based) of the last column's
+    target-to-source attention, column-exact mode only."""
+    dec = model.decoding(z, kp)
+    n, n_src = tgt_in.shape[1], z.data.shape[1]
+    segs = ad.segments((n,))
+    spk = model._tiled(dec.spk, segs)
+    x = ad.add(Tensor(tgt_in), Tensor(model._positions(segs.lengths)))
+    x = model._prenet(dec.prenet, x, spk, True, segs)
+    x, attn = model._decoder_stack(x, dec, spk, segs, segs, window)
+    y = model._postnet(dec.postnet, x, spk, segs).data
+    if model.config.realtime:
+        return y, model.identity_attention(n_src, n)
+    return y, np.stack([a.data.reshape(model.config.H, n_src, n) for a in attn])
+
+
 def convert_per_step(model: VtnModel, src: np.ndarray, k: int | None, kp: int | None,
                      cfg: DecodeConfig | None = None,
                      frame_period_ms: float = 8.0) -> ConversionResult:
@@ -167,8 +193,8 @@ def convert_per_step(model: VtnModel, src: np.ndarray, k: int | None, kp: int | 
         for _ in range(cfg.max_len_factor * n_src):
             lo, hi = max(1, n_hat - n0), min(n_hat + n1, n_src)
             windows.append((lo, hi) if windowed else None)
-            y, attn = model.decode(prefix, z, kp=kp, window=(lo - 1, hi) if windowed else None)
-            prefix = np.concatenate([prefix, y.data[:, -1:]], axis=1)
+            y, attn = teacher_forced(model, prefix, z, kp, (lo - 1, hi) if windowed else None)
+            prefix = np.concatenate([prefix, y[:, -1:]], axis=1)
             heads = attn[..., -1].copy()
             if windowed:
                 step_heads.append(heads)

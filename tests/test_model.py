@@ -1,8 +1,10 @@
 import contextlib
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vtn import autodiff as ad
 from vtn.autodiff import Tensor
@@ -10,7 +12,7 @@ from vtn.errors import ShapeError
 from vtn.model import (PRENET_DILATIONS, PRENET_KERNEL, DecoderCache, Layout, VtnConfig,
                        VtnModel, positional_encoding)
 
-from oracles import causal_mask
+from oracles import causal_mask, teacher_forced
 
 # the decoder columns that one postnet output column reads
 POSTNET_FIELD = 1 + (PRENET_KERNEL - 1) * sum(PRENET_DILATIONS)
@@ -134,15 +136,62 @@ def test_realtime_decode_rejects_more_targets_than_sources():
         model.decode(rng.normal(size=(model.config.D, 5)), z)
 
 
+def test_a_refused_realtime_append_leaves_the_cache_as_it_was():
+    # a realtime cache with room for 8 columns against a 4-column source
+    # refuses the fifth step before writing any buffer
+    model = VtnModel.init(tiny_config(L=1, mode="one_to_one", realtime=True), seed=3)
+    rng = np.random.default_rng(6)
+    z = Tensor(rng.normal(size=(model.config.d, 4)))
+    cache = DecoderCache(model.decoding(z), 8)
+    for column in rng.normal(size=(4, model.config.D, 1)):
+        model.decode_step(column, cache)
+    before = [b.copy() for b in (*cache.inputs, *cache.post, cache.out)]
+    with pytest.raises(ShapeError, match="N_tgt <= N_src"):
+        model.decode_step(rng.normal(size=(model.config.D, 1)), cache)
+    assert cache.n == 4
+    after = (*cache.inputs, *cache.post, cache.out)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(after, before))
+
+
+@pytest.mark.parametrize("shape", [(4,), (5, 3), (4, 0)], ids=["1-D", "rows", "no-columns"])
+def test_decode_rejects_a_target_input_of_the_wrong_shape(shape):
+    # the model's target input is (4, m), m >= 1
+    model = VtnModel.init(tiny_config(L=1), seed=3)
+    z = Tensor(np.random.default_rng(6).normal(size=(model.config.d, 4)))
+    with pytest.raises(ShapeError, match=re.escape(f"must be ({model.config.D}, m), m >= 1, "
+                                                   f"not {shape}")):
+        model.decode(np.zeros(shape), z, kp=1)
+
+
+def test_decode_is_one_append_to_a_fresh_cache(monkeypatch):
+    # decode runs no conv of its own: one decode_step of every column
+    model = VtnModel.init(tiny_config(L=2), seed=3)
+    rng = np.random.default_rng(6)
+    z = Tensor(rng.normal(size=(model.config.d, 6)))
+    steps = []
+    decode_step = model.decode_step
+
+    def counted_decode_step(tgt_in, cache, window=None):
+        steps.append((tgt_in.shape, cache.n, cache.out.shape[1]))
+        return decode_step(tgt_in, cache, window)
+
+    monkeypatch.setattr(model, "decode_step", counted_decode_step)
+    monkeypatch.setattr(ad, "conv1d", lambda *args, **kwargs: pytest.fail("conv1d"))
+    y, attn = model.decode(rng.normal(size=(model.config.D, 5)), z, kp=1)
+    assert steps == [((model.config.D, 5), 0, 5)]
+    assert y.data.shape == (model.config.D, 5) and attn.shape == (2, 2, 6, 5)
+    assert not y.requires_grad and y._backward is None
+
+
 @pytest.mark.parametrize("kw, kp, window", [({}, 1, None), ({}, 0, None), ({}, 1, (3, 7)),
                                              ({"mode": "one_to_one"}, None, None),
                                              ({"realtime": True}, 1, None)],
                          ids=["default", "default-kp0", "windowed", "one_to_one", "realtime"])
 def test_decode_step_is_the_last_column_of_decode(kw, kp, window):
-    # each step's column and attention column equal the last columns of a
-    # column-exact decode of the whole prefix into the cache's target
-    # speaker, past the 17 columns of the prenet's dilation-4 taps and the
-    # postnet's receptive field
+    # each one-column append's column and attention column equal the last
+    # columns of a column-exact teacher-forced pass over the whole prefix
+    # into the cache's target speaker, past the 17 columns of the prenet's
+    # dilation-4 taps and the postnet's receptive field
     model = VtnModel.init(tiny_config(L=2, **kw), seed=5)
     rng = np.random.default_rng(8)
     n = POSTNET_FIELD + 6
@@ -152,16 +201,51 @@ def test_decode_step_is_the_last_column_of_decode(kw, kp, window):
         cache = DecoderCache(model.decoding(z, kp), n)
         for j in range(n):
             y, attn = model.decode_step(prefix[:, j:j + 1], cache, window)
-            want_y, want_attn = model.decode(prefix[:, :j + 1], z, kp, window)
-            assert y.tobytes() == want_y.data[:, -1:].tobytes()
-            want_attn = want_attn[..., -1]
+            want_y, want_attn = teacher_forced(model, prefix[:, :j + 1], z, kp, window)
+            assert y.tobytes() == want_y[:, -1:].tobytes()
+            want_attn = want_attn[..., -1:]
             assert attn.tobytes() == want_attn.tobytes() and attn.shape == want_attn.shape
             assert attn.flags.writeable == want_attn.flags.writeable
     assert cache.n == n
-    with pytest.raises(ShapeError, match="holds all its"):
+    with pytest.raises(ShapeError, match="has room for 0 more columns, not 1"):
         model.decode_step(prefix[:, :1], cache)
-    with pytest.raises(ShapeError, match="must be"):
-        model.decode_step(prefix[:, :2], DecoderCache(cache.dec, 2))
+    with pytest.raises(ShapeError, match="has room for 2 more columns, not 3"):
+        model.decode_step(prefix[:, :3], DecoderCache(cache.dec, 2))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(data=st.data())
+def test_appends_in_any_split_equal_one_append_and_the_teacher_forced_pass(data):
+    # in column-exact mode, appending n columns in any split, one append of
+    # all n (decode) and the teacher-forced pass of the training pieces give
+    # the same bits, across the postnet's receptive field, the window
+    # cutting the last column alone
+    realtime = data.draw(st.booleans())
+    model = VtnModel.init(tiny_config(ln_placement=data.draw(st.sampled_from(["pre", "post"])),
+                                      L=data.draw(st.integers(1, 3)),
+                                      H=data.draw(st.integers(1, 2)), realtime=realtime),
+                          seed=data.draw(st.integers(0, 99)))
+    n_src = POSTNET_FIELD + 6
+    n = data.draw(st.integers(1, n_src))
+    cuts = sorted(data.draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
+    window = None
+    if not realtime and data.draw(st.booleans()):
+        lo = data.draw(st.integers(0, n_src - 1))
+        window = (lo, data.draw(st.integers(lo + 1, n_src)))
+    rng = np.random.default_rng(n)
+    z = Tensor(rng.normal(size=(model.config.d, n_src)))
+    tgt_in = rng.normal(size=(model.config.D, n))
+    bounds = [0, *cuts, n]
+    with ad.column_exact():
+        want = teacher_forced(model, tgt_in, z, 1, window)
+        y, attn = model.decode(tgt_in, z, 1, window)
+        cache = DecoderCache(model.decoding(z, 1), n)
+        parts = [model.decode_step(tgt_in[:, a:b], cache, window if b == n else None)
+                 for a, b in zip(bounds, bounds[1:])]
+    split = [np.concatenate(got, axis=-1) for got in zip(*parts)]
+    for got in ((y.data, attn), split):
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
 def test_decode_step_in_fast_mode_is_close_to_decode():
@@ -176,7 +260,7 @@ def test_decode_step_in_fast_mode_is_close_to_decode():
         y, attn = model.decode_step(prefix[:, j:j + 1], cache)
         want_y, want_attn = model.decode(prefix[:, :j + 1], z, kp=1)
         assert np.allclose(y, want_y.data[:, -1:], rtol=1e-10, atol=1e-12)
-        assert np.allclose(attn, want_attn[..., -1], rtol=1e-10, atol=1e-12)
+        assert np.allclose(attn, want_attn[..., -1:], rtol=1e-10, atol=1e-12)
 
 
 @pytest.mark.parametrize("built_exact", [False, True], ids=["fast-built", "exact-built"])
@@ -453,18 +537,21 @@ def test_checkpoint_round_trip(tmp_path):
 
 
 def test_end_to_end_gradcheck_tiny():
-    # gradient of a scalar readout of encoder and decoder w.r.t. the source
+    # gradient of a scalar readout of a teacher-forced pass w.r.t. the first
+    # encoder layer's self-attention weights, through the encoder, the
+    # target-to-source attention and the decoder
     cfg = VtnConfig(L=1, H=2, d=8, d_ffn=16, n_mcc=1, r=1, e=4,
                     n_speakers=2, dropout_rate=0.0)
     model = VtnModel.init(cfg, seed=29)
     rng = np.random.default_rng(30)
     tgt0 = np.concatenate([np.zeros((cfg.D, 1)), rng.normal(size=(cfg.D, 3))], axis=1)
     w = rng.normal(size=(cfg.D, 4))
+    src = rng.normal(size=(cfg.D, 3))
 
-    def f(src):
-        y, _ = model.decode(tgt0, model.encode(src, k=0), kp=1)
+    def f(_):  # the model reads the probed weight
+        y, _ = model.forward(src, tgt0, k=0, kp=1)
         return ad.sum_all(ad.mul(y, Tensor(w)))
 
-    x = Tensor(rng.normal(size=(cfg.D, 3)))
-    err = ad.grad_check(f, x, indices=[(0, 0), (1, 2), (3, 1), (2, 2)])
+    err = ad.grad_check(f, model.params["enc.0.sa.W1"],
+                        indices=[(0, 0), (1, 2), (3, 1), (2, 2)])
     assert err < 1e-3
